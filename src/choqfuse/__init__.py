@@ -11,6 +11,7 @@ that minimizes EER on labeled client/impostor data.
 from .aggregate import (
     FusionRule,
     RULE_TAGS,
+    SortedScores,
     choquet_fuse,
     choquet_fuse_batch,
     rule_fuse,
@@ -35,6 +36,7 @@ from .ga import (
     linear_crossover,
     mutation_offsets,
     nonuniform_mutation,
+    population_fitness,
     select_parents,
 )
 from .measures import (
@@ -42,7 +44,9 @@ from .measures import (
     LambdaMeasure,
     MeasureViolation,
     TableMeasure,
+    lambda_tables,
     solve_lambda,
+    solve_lambda_batch,
     subset_measure,
     validate_measure,
 )
@@ -54,6 +58,7 @@ from .metrics import (
     evaluate_scores,
     far_frr,
     normalize_minmax,
+    sweep_errors,
     write_roc_csv,
 )
 
@@ -73,6 +78,7 @@ __all__ = [
     "Population",
     "RULE_TAGS",
     "ScoreRecord",
+    "SortedScores",
     "TableMeasure",
     "choquet_fuse",
     "choquet_fuse_batch",
@@ -83,16 +89,20 @@ __all__ = [
     "far_frr",
     "fitness",
     "init_population",
+    "lambda_tables",
     "linear_crossover",
     "load_csv",
     "mutation_offsets",
     "nonuniform_mutation",
     "normalize_minmax",
+    "population_fitness",
     "rule_fuse",
     "rule_fuse_batch",
     "select_parents",
     "solve_lambda",
+    "solve_lambda_batch",
     "subset_measure",
+    "sweep_errors",
     "synthetic_csv_path",
     "synthetic_dataset",
     "validate_measure",

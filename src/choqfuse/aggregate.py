@@ -23,6 +23,7 @@ from .measures import LambdaMeasure, TableMeasure
 __all__ = [
     "FusionRule",
     "RULE_TAGS",
+    "SortedScores",
     "choquet_fuse",
     "choquet_fuse_batch",
     "rule_fuse",
@@ -54,43 +55,66 @@ def _as_score_matrix(scores, n: int | None = None) -> np.ndarray:
     return a
 
 
+class SortedScores:
+    """The measure-independent part of the Choquet integral of a score matrix.
+
+    For every row (N rows, n criteria): the ascending increments
+    ``a_(i) - a_(i-1)`` with ``a_(0) = 0`` in ``diffs`` and the bitmask of
+    the criteria still in play at each sorted position in ``masks``, both of
+    shape (N, n).  Ties in the sort are broken by criterion index; for a
+    lambda-measure the result is tie-order independent, the fixed order
+    just keeps explicit-table measures deterministic too.  Build it once per
+    score matrix and fuse it against any number of measure tables.
+    """
+
+    def __init__(self, scores, n: int | None = None):
+        a = _as_score_matrix(scores, n)
+        order = np.argsort(a, axis=1, kind="stable")
+        self.diffs = np.diff(np.take_along_axis(a, order, axis=1), axis=1, prepend=0.0)
+        # Mask of criteria whose sorted position is >= i: reversed cumulative
+        # OR (sum works because each bit appears once per row).
+        bits = np.left_shift(1, order.astype(np.int64, copy=False))
+        self.masks = np.cumsum(bits[:, ::-1], axis=1)[:, ::-1]
+
+    def fuse(self, tables: np.ndarray) -> np.ndarray:
+        """Choquet integral of every row under every table: (P, 2^n) -> (P, N)."""
+        return _choquet_sum(self.diffs, tables[:, self.masks])
+
+
+def _choquet_sum(diffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Sum of increment times coalition weight, left to right over sorted positions.
+
+    The order ``(d0*w0 + d1*w1) + d2*w2 ...`` is fixed here, not left to a
+    library reduction, so fused scores do not depend on the numpy build.
+    """
+    total = diffs[:, 0] * weights[..., 0]
+    for i in range(1, diffs.shape[1]):
+        total += diffs[:, i] * weights[..., i]
+    return total
+
+
 def choquet_fuse(scores, measure: LambdaMeasure | TableMeasure) -> float:
     """Choquet integral of one score vector against a fuzzy measure.
 
-    Ties in the ascending sort are broken by criterion index; for any
-    measure of the lambda family the result is tie-order independent, the
-    fixed order just keeps explicit-table measures deterministic too.
+    The one-row case of ``choquet_fuse_batch``.
     """
     a = _as_score_matrix(scores, measure.n)
     if a.shape[0] != 1:
         raise ValueError("choquet_fuse takes a single score vector; use "
                          "choquet_fuse_batch for matrices")
-    row = a[0]
-    order = sorted(range(measure.n), key=lambda i: (row[i], i))
-    remaining = (1 << measure.n) - 1
-    total = 0.0
-    prev = 0.0
-    for i in order:
-        total += (row[i] - prev) * measure.value_of(remaining)
-        prev = row[i]
-        remaining ^= 1 << i
-    return float(total)
+    return float(choquet_fuse_batch(a, measure)[0])
 
 
 def choquet_fuse_batch(scores, measure: LambdaMeasure | TableMeasure) -> np.ndarray:
     """Choquet integral of each row of a score matrix. Vectorized."""
-    a = _as_score_matrix(scores, measure.n)
+    rows = SortedScores(scores, measure.n)
     table = measure.dense_table()
-    if table is None:
-        return np.array([choquet_fuse(row, measure) for row in a])
-    order = np.argsort(a, axis=1, kind="stable")
-    sorted_a = np.take_along_axis(a, order, axis=1)
-    diffs = np.diff(sorted_a, axis=1, prepend=0.0)
-    bits = np.left_shift(1, order.astype(np.int64))
-    # Mask of criteria whose sorted position is >= i: reversed cumulative OR
-    # (sum works because each bit appears once per row).
-    masks = np.cumsum(bits[:, ::-1], axis=1)[:, ::-1]
-    return np.einsum("ij,ij->i", diffs, table[masks])
+    if table is not None:
+        return rows.fuse(table[np.newaxis])[0]
+    # Measures too large for a table: look up each distinct coalition once.
+    masks, inverse = np.unique(rows.masks, return_inverse=True)
+    values = np.array([measure.value_of(int(m)) for m in masks])
+    return _choquet_sum(rows.diffs, values[inverse].reshape(rows.masks.shape))
 
 
 def _normalized_weights(weights, n: int) -> np.ndarray:

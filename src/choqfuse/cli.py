@@ -38,6 +38,22 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises UsageError instead of exiting; records each option's value type.
+
+    The type map is shared with the subcommand parsers and checks the
+    values a config file supplies (``_merge_config``).
+    """
+
+    def __init__(self, *args, option_types: dict[str, type] | None = None, **kwargs):
+        self.option_types = {} if option_types is None else option_types
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        store_true = kwargs.get("action") == "store_true"
+        self.option_types[action.dest] = bool if store_true else kwargs.get("type", str)
+        return action
+
     def error(self, message):  # keep exit-code control in main()
         raise UsageError(message)
 
@@ -45,6 +61,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="choqfuse", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    types = parser.option_types
 
     def add_common(p):
         p.add_argument("--input", help="labeled score CSV (person_id,label,m1,...)")
@@ -60,24 +77,28 @@ def _build_parser() -> _Parser:
         p.add_argument("--measure-file",
                        help="JSON file with a 'densities' list (optimize output)")
 
-    fuse = sub.add_parser("fuse", help="Choquet-fuse every person's scores")
+    fuse = sub.add_parser("fuse", help="Choquet-fuse every person's scores",
+                          option_types=types)
     add_common(fuse)
     add_measure_source(fuse)
 
-    optimize = sub.add_parser("optimize", help="learn densities with the GA")
+    optimize = sub.add_parser("optimize", help="learn densities with the GA",
+                              option_types=types)
     add_common(optimize)
     optimize.add_argument("--seed", type=int, help="GA RNG seed (default 0)")
     optimize.add_argument("--generations", type=int, help="max generations (default 1000)")
     optimize.add_argument("--population", type=int, help="population size (default 30)")
     optimize.add_argument("--stop-eer", type=float, help="early-stop EER (default 0.04)")
 
-    compare = sub.add_parser("compare", help="error-rate table across fusion rules")
+    compare = sub.add_parser("compare", help="error-rate table across fusion rules",
+                             option_types=types)
     add_common(compare)
     add_measure_source(compare)
     compare.add_argument("--threshold", type=float,
                          help="decision threshold for the rule table (default 0.5)")
 
-    evaluate = sub.add_parser("eval", help="detailed report for one rule or measure")
+    evaluate = sub.add_parser("eval", help="detailed report for one rule or measure",
+                              option_types=types)
     add_common(evaluate)
     add_measure_source(evaluate)
     evaluate.add_argument("--rule", help="fusion rule name (default: choquet)")
@@ -87,7 +108,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _has_type(value, expected: type) -> bool:
+    """Whether a JSON value can stand for an option parsed as ``expected``."""
+    if isinstance(value, bool) or expected is bool:  # bool is an int subclass
+        return isinstance(value, bool) and expected is bool
+    return isinstance(value, (int, float) if expected is float else expected)
+
+
+def _merge_config(args: argparse.Namespace, option_types: dict[str, type]) -> argparse.Namespace:
     """Fill unset flags from the optional JSON config file."""
     if not args.config:
         return args
@@ -104,6 +136,10 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             raise UsageError(f"config key {key!r} is not a known option")
+        expected = option_types.get(attr, str)
+        if not _has_type(value, expected):
+            raise UsageError(f"config key {key!r} must be of type {expected.__name__}, "
+                             f"got {value!r}")
         current = getattr(args, attr)
         if current is None or current is False:  # unset flag; explicit 0 wins
             setattr(args, attr, value)
@@ -139,10 +175,11 @@ def _load_measure(args) -> LambdaMeasure | None:
             raise UsageError(f"measure file not found: {args.measure_file}") from None
         except json.JSONDecodeError as exc:
             raise UsageError(f"measure file is not valid JSON: {exc}") from None
-        if "densities" not in payload:
-            raise UsageError(f"measure file {args.measure_file} lacks a "
-                             f"'densities' entry")
-        return LambdaMeasure(tuple(float(v) for v in payload["densities"]))
+        densities = payload.get("densities") if isinstance(payload, dict) else None
+        if not isinstance(densities, list) or not all(map(_is_number, densities)):
+            raise UsageError(f"measure file {args.measure_file} needs a 'densities' "
+                             f"list of numbers")
+        return LambdaMeasure(tuple(float(v) for v in densities))
     return None
 
 
@@ -272,6 +309,9 @@ def _cmd_compare(args) -> int:
     measure = _load_measure(args)
     threshold = args.threshold if args.threshold is not None else 0.5
     n = dataset.n_modalities
+    if measure is not None and measure.n != n:
+        raise UsageError(f"measure has {measure.n} densities but the data "
+                         f"has {n} modalities")
     out = _out_dir(args)
 
     rows: list[tuple[str, float]] = []
@@ -287,8 +327,7 @@ def _cmd_compare(args) -> int:
         add_row(f"m{j + 1}", fc, fi, rate)
 
     for tag in _COMPARE_RULES:
-        weights = tuple([1.0 / n] * n) if tag == "weighted_sum" else None
-        rule = FusionRule(tag=tag, weights=weights, threshold=threshold)
+        rule = FusionRule(tag=tag, threshold=threshold)
         fc, fi = _rule_row(dataset, rule)
         # Decision rules emit 0/1 decisions scored at the fixed 0.5 level;
         # score rules are thresholded at the requested level.
@@ -296,9 +335,6 @@ def _cmd_compare(args) -> int:
         add_row(tag, fc, fi, evaluate_scores(fc, fi).error_rate_at(at))
 
     if measure is not None:
-        if measure.n != n:
-            raise UsageError(f"measure has {measure.n} densities but the data "
-                             f"has {n} modalities")
         fc = choquet_fuse_batch(dataset.client_scores, measure)
         fi = choquet_fuse_batch(dataset.impostor_scores, measure)
         # Reported at its best operating point (minimum total error over the
@@ -382,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        args = _merge_config(args)
+        args = _merge_config(args, parser.option_types)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

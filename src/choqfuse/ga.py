@@ -28,9 +28,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .aggregate import choquet_fuse_batch
-from .measures import LambdaMeasure
-from .metrics import LabeledScoreSet, _crossing, _curves, _threshold_grid, eer
+from .aggregate import SortedScores
+from .measures import lambda_tables
+from .metrics import LabeledScoreSet, sweep_errors
 
 __all__ = [
     "Chromosome",
@@ -44,6 +44,7 @@ __all__ = [
     "linear_crossover",
     "mutation_offsets",
     "nonuniform_mutation",
+    "population_fitness",
     "select_parents",
 ]
 
@@ -137,7 +138,8 @@ class GenerationRecord:
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    # What default_rng builds from a SeedSequence, minus its argument checks.
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def init_population(
@@ -161,40 +163,38 @@ def init_population(
     return Population(members=members, generation=0)
 
 
-def _score_of_genes(
-    genes: tuple[float, ...],
-    client_scores: np.ndarray,
-    impostor_scores: np.ndarray,
-) -> tuple[float, float]:
-    """(EER, minimum sweep error) of Choquet fusion under ``genes``.
+def _fitness_kernel(
+    data: LabeledScoreSet,
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Scorer of (P, n) gene arrays on ``data``; the score sort is done once here."""
+    clients = SortedScores(data.client_scores)
+    impostors = SortedScores(data.impostor_scores)
 
-    The EER is the fitness proper.  The minimum total error over the
-    threshold sweep only orders chromosomes whose EERs tie: the EER
-    estimator is quantized at half error counts, so whole plateaus of
-    measures share one fitness value while differing in the error rate
-    they can actually operate at.
+    def score(genes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        tables = lambda_tables(genes)
+        return sweep_errors(clients.fuse(tables), impostors.fuse(tables))
+
+    return score
+
+
+def population_fitness(genes, data: LabeledScoreSet) -> tuple[np.ndarray, np.ndarray]:
+    """(EER, minimum sweep error) of Choquet fusion under each row of ``genes``.
+
+    One lambda solve, one table build, one fuse and one threshold sweep for
+    the whole (P, n) array; row p equals ``evaluate_scores`` of the scores
+    fused under ``LambdaMeasure(genes[p])`` exactly.  The EER is the
+    fitness proper.  The minimum total error over the threshold sweep only
+    orders chromosomes whose EERs tie: the EER estimator is quantized at
+    half error counts, so whole plateaus of measures share one fitness
+    value while differing in the error rate they can actually operate at.
     """
-    measure = LambdaMeasure(genes)
-    fused_clients = choquet_fuse_batch(client_scores, measure)
-    fused_impostors = choquet_fuse_batch(impostor_scores, measure)
-    if fused_clients.min() > fused_impostors.max():
-        return 0.0, 0.0
-    grid = _threshold_grid(fused_clients, fused_impostors)
-    far, frr = _curves(fused_clients, fused_impostors, grid)
-    eer_value, _ = _crossing(grid, far, frr)
-    counts = np.rint(far * fused_impostors.size + frr * fused_clients.size)
-    min_error = float(counts.min()) / (fused_clients.size + fused_impostors.size)
-    return eer_value, min_error
+    return _fitness_kernel(data)(np.asarray(genes, dtype=float))
 
 
 def fitness(chromosome: Chromosome, data: LabeledScoreSet) -> float:
     """EER of Choquet fusion under the chromosome's densities (cached)."""
     if chromosome.fitness is None:
-        measure = LambdaMeasure(chromosome.genes)
-        chromosome.fitness = eer(
-            choquet_fuse_batch(data.client_scores, measure),
-            choquet_fuse_batch(data.impostor_scores, measure),
-        )[0]
+        chromosome.fitness = float(population_fitness([chromosome.genes], data)[0][0])
     return chromosome.fitness
 
 
@@ -208,6 +208,11 @@ def select_parents(
     return members[int(i)], members[int(j)]
 
 
+def _crossover(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The three clamped linear offspring of parent genes ``a``, ``b``: (..., 3, n)."""
+    return _clamp(np.stack([0.5 * (a + b), 1.5 * a - 0.5 * b, 0.5 * a + 1.5 * b], axis=-2))
+
+
 def linear_crossover(
     parent_a: Chromosome, parent_b: Chromosome
 ) -> tuple[Chromosome, Chromosome, Chromosome]:
@@ -216,11 +221,8 @@ def linear_crossover(
     b = np.asarray(parent_b.genes)
     if a.shape != b.shape:
         raise ValueError(f"gene length mismatch: {a.shape} vs {b.shape}")
-    return (
-        Chromosome(tuple(_clamp(0.5 * (a + b)))),
-        Chromosome(tuple(_clamp(1.5 * a - 0.5 * b))),
-        Chromosome(tuple(_clamp(0.5 * a + 1.5 * b))),
-    )
+    h1, h2, h3 = (Chromosome(tuple(row)) for row in _crossover(a, b).tolist())
+    return h1, h2, h3
 
 
 def mutation_offsets(
@@ -279,28 +281,34 @@ def evolve(
 
     Stops as soon as the best EER reaches ``cfg.eer_stop_threshold`` or
     after ``cfg.max_generations`` generations.  Fully deterministic for a
-    fixed ``cfg.rng_seed``.
+    fixed ``cfg.rng_seed``.  Each generation's offspring are built as one
+    array and their new gene vectors scored as one batch.
     """
     cfg = cfg or GaConfig()
-    clients, impostors = data.client_scores, data.impostor_scores
+    score = _fitness_kernel(data)
+    n_genes = data.n_modalities
 
-    # (EER, min sweep error) per distinct gene vector; boundary clamping
-    # makes duplicate offspring common, so memoizing saves many evaluations.
+    # (EER, min sweep error) per distinct gene vector, so repeated offspring
+    # (boundary clamping makes them) are not scored again.  The pairs take
+    # few distinct values, being error counts; the memo shares one tuple
+    # per value, which keeps it small over a long run.
     memo: dict[tuple[float, ...], tuple[float, float]] = {}
+    shared: dict[tuple[float, float], tuple[float, float]] = {}
 
-    def evaluate(members: list[Chromosome]) -> None:
-        for c in members:
-            scores = memo.get(c.genes)
-            if scores is None:
-                scores = _score_of_genes(c.genes, clients, impostors)
-                memo[c.genes] = scores
-            c.fitness = scores[0]
+    def evaluate(genes: np.ndarray) -> list[Chromosome]:
+        keys = [tuple(row) for row in genes.tolist()]
+        fresh = list(dict.fromkeys(k for k in keys if k not in memo))
+        if fresh:
+            eers, min_errors = score(np.array(fresh))
+            for key, pair in zip(fresh, zip(eers.tolist(), min_errors.tolist())):
+                memo[key] = shared.setdefault(pair, pair)
+        return [Chromosome(k, memo[k][0]) for k in keys]
 
     def rank(c: Chromosome) -> tuple[float, float]:
         return memo[c.genes]
 
-    population = init_population(cfg, n_genes=data.n_modalities, seeds=seeds)
-    evaluate(population.members)
+    initial = init_population(cfg, n_genes=n_genes, seeds=seeds).members
+    population = Population(members=evaluate(np.array([c.genes for c in initial])))
     best = min(population.members, key=rank)
     history = [GenerationRecord(0, best.fitness, best.genes)]
     if on_generation is not None:
@@ -311,16 +319,15 @@ def evolve(
         if best.fitness <= cfg.eer_stop_threshold:
             break
         selection_rng = _rng(cfg.rng_seed, generation, 0)
-        offspring: list[Chromosome] = []
-        for _ in range(events):
-            parent_a, parent_b = select_parents(population, selection_rng)
-            offspring.extend(linear_crossover(parent_a, parent_b))
-        offspring = offspring[: cfg.offspring_count]
-        offspring = [
-            nonuniform_mutation(child, generation, cfg, _rng(cfg.rng_seed, generation, k + 1))
-            for k, child in enumerate(offspring)
+        pairs = [select_parents(population, selection_rng) for _ in range(events)]
+        children = _crossover(
+            np.array([a.genes for a, _ in pairs]), np.array([b.genes for _, b in pairs])
+        ).reshape(-1, n_genes)[: cfg.offspring_count]
+        offsets = [
+            mutation_offsets(n_genes, generation, cfg, _rng(cfg.rng_seed, generation, k + 1))
+            for k in range(len(children))
         ]
-        evaluate(offspring)
+        offspring = evaluate(_clamp(children + np.array(offsets)))
         population = Population(
             members=_next_population(population.members, offspring, cfg, rank),
             generation=generation,

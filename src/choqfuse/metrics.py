@@ -27,6 +27,7 @@ __all__ = [
     "evaluate_scores",
     "far_frr",
     "normalize_minmax",
+    "sweep_errors",
     "write_roc_csv",
 ]
 
@@ -80,41 +81,83 @@ def _threshold_grid(clients: np.ndarray, impostors: np.ndarray) -> np.ndarray:
 
 
 def _curves(clients: np.ndarray, impostors: np.ndarray, grid: np.ndarray):
-    cs = np.sort(clients)
-    isorted = np.sort(impostors)
-    frr = np.searchsorted(cs, grid, side="left") / cs.size
-    far = (isorted.size - np.searchsorted(isorted, grid, side="left")) / isorted.size
+    """FAR and FRR on the grid; ``clients`` and ``impostors`` sorted ascending."""
+    frr = np.searchsorted(clients, grid, side="left") / clients.size
+    far = (impostors.size - np.searchsorted(impostors, grid, side="left")) / impostors.size
     return far, frr
 
 
-def _crossing(grid: np.ndarray, far: np.ndarray, frr: np.ndarray) -> tuple[float, float]:
+def _crossing(grid: np.ndarray, far: np.ndarray, frr: np.ndarray):
+    """EER and its threshold for every row of (P, K) curves on (P, K) grids.
+
+    FAR - FRR starts at +1 (everything accepted) and ends at -1; the EER is
+    read at the first candidate at or past the crossing, linearly
+    interpolated from the candidate before it unless FAR = FRR exactly.
+    """
     diff = far - frr
-    # diff starts at +1 (everything accepted) and ends at -1; find the
-    # first candidate at or past the crossing.
-    k = int(np.argmax(diff <= 0.0))
-    if diff[k] == 0.0:
-        return float(far[k]), float(grid[k])
-    alpha = diff[k - 1] / (diff[k - 1] - diff[k])
-    value = far[k - 1] + alpha * (far[k] - far[k - 1])
-    threshold = grid[k - 1] + alpha * (grid[k] - grid[k - 1])
-    return float(value), float(threshold)
+    rows = np.arange(len(diff))
+    k = np.argmax(diff <= 0.0, axis=1)
+    d0, d1 = diff[rows, k - 1], diff[rows, k]
+    f0, f1 = far[rows, k - 1], far[rows, k]
+    t0, t1 = grid[rows, k - 1], grid[rows, k]
+    exact = d1 == 0.0
+    alpha = d0 / (d0 - d1)
+    value = np.where(exact, f1, f0 + alpha * (f1 - f0))
+    threshold = np.where(exact, t1, t0 + alpha * (t1 - t0))
+    return value, threshold
 
 
 def eer(fused_clients, fused_impostors) -> tuple[float, float]:
-    """Equal error rate and its threshold.
+    """Equal error rate and its threshold (``evaluate_scores`` fields).
 
     Deterministic: the candidate sweep uses order statistics only, so the
     EER value is invariant under any common strictly increasing rescaling
     of the scores.
     """
-    clients = _as_scores(fused_clients, "client")
-    impostors = _as_scores(fused_impostors, "impostor")
-    if clients.min() > impostors.max():
-        # Perfect separation: any threshold in the gap has zero error.
-        return 0.0, float(impostors.max() + clients.min()) / 2.0
-    grid = _threshold_grid(clients, impostors)
-    far, frr = _curves(clients, impostors, grid)
-    return _crossing(grid, far, frr)
+    report = evaluate_scores(fused_clients, fused_impostors)
+    return report.eer, report.eer_threshold
+
+
+def sweep_errors(fused_clients, fused_impostors) -> tuple[np.ndarray, np.ndarray]:
+    """EER and minimum total error rate of each row of (P, Nc) / (P, Ni) scores.
+
+    Row p equals ``evaluate_scores(fused_clients[p], fused_impostors[p])``'s
+    ``eer`` and ``min_error_rate()[0]`` exactly: the sweep ranks each row's
+    scores once and reads the same integer error counts on the same
+    candidate thresholds.  Memory is O(P * (Nc + Ni)).
+    """
+    clients = np.asarray(fused_clients, dtype=float)
+    impostors = np.asarray(fused_impostors, dtype=float)
+    if clients.ndim != 2 or impostors.ndim != 2 or len(clients) != len(impostors):
+        raise ValueError(f"expected (P, Nc) and (P, Ni) score rows, got shapes "
+                         f"{clients.shape} and {impostors.shape}")
+    n_clients, n_impostors = clients.shape[1], impostors.shape[1]
+    if n_clients == 0 or n_impostors == 0:
+        raise ValueError("client and impostor scores must not be empty")
+    scores = np.concatenate([clients, impostors], axis=1)
+    order = np.argsort(scores, axis=1, kind="stable")
+    ranked = np.take_along_axis(scores, order, axis=1)
+    is_client = order < n_clients
+    clients_below = np.cumsum(is_client, axis=1) - is_client
+    # A run of tied scores is one candidate threshold: every position takes
+    # the counts below the run's first position.
+    position = np.arange(scores.shape[1])
+    first = np.empty(ranked.shape, dtype=bool)
+    first[:, 0] = True
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
+    run_start = np.maximum.accumulate(np.where(first, position, 0), axis=1)
+    rejected = np.take_along_axis(clients_below, run_start, axis=1)
+    accepted = n_impostors - (run_start - rejected)
+    # Sentinels below and above every score, as on the evaluate_scores grid.
+    rows = len(scores)
+    rejected = np.hstack([np.zeros((rows, 1), dtype=int), rejected,
+                          np.full((rows, 1), n_clients)])
+    accepted = np.hstack([np.full((rows, 1), n_impostors), accepted,
+                          np.zeros((rows, 1), dtype=int)])
+    grid = np.hstack([ranked[:, :1] - 1.0, ranked, ranked[:, -1:] + 1.0])
+    value, _ = _crossing(grid, accepted / n_impostors, rejected / n_clients)
+    min_error = (accepted + rejected).min(axis=1) / (n_clients + n_impostors)
+    return value, min_error
 
 
 @dataclass(frozen=True)
@@ -151,12 +194,20 @@ class EvalReport:
 
 
 def evaluate_scores(fused_clients, fused_impostors) -> EvalReport:
-    """Full evaluation of fused scores: curves on the candidate grid + EER."""
-    clients = _as_scores(fused_clients, "client")
-    impostors = _as_scores(fused_impostors, "impostor")
+    """Full evaluation of fused scores: curves on the candidate grid + EER.
+
+    When the classes are perfectly separated the EER is 0 and its
+    threshold the midpoint of the separating gap.
+    """
+    clients = np.sort(_as_scores(fused_clients, "client"))
+    impostors = np.sort(_as_scores(fused_impostors, "impostor"))
     grid = _threshold_grid(clients, impostors)
     far, frr = _curves(clients, impostors, grid)
-    eer_value, eer_threshold = eer(clients, impostors)
+    if clients[0] > impostors[-1]:
+        eer_value, eer_threshold = 0.0, float(impostors[-1] + clients[0]) / 2.0
+    else:
+        value, threshold = _crossing(grid[np.newaxis], far[np.newaxis], frr[np.newaxis])
+        eer_value, eer_threshold = float(value[0]), float(threshold[0])
     for arr in (grid, far, frr):
         arr.flags.writeable = False
     return EvalReport(
@@ -167,8 +218,8 @@ def evaluate_scores(fused_clients, fused_impostors) -> EvalReport:
         eer_threshold=eer_threshold,
         n_clients=clients.size,
         n_impostors=impostors.size,
-        _clients=np.sort(clients),
-        _impostors=np.sort(impostors),
+        _clients=clients,
+        _impostors=impostors,
     )
 
 

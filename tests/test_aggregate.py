@@ -108,6 +108,44 @@ class TestChoquetFuse:
         singles = [choquet_fuse(row, m) for row in a]
         np.testing.assert_allclose(batch, singles, atol=1e-15)
 
+    def test_sum_runs_left_to_right_over_sorted_positions(self):
+        # Reference: plain Python loop, ((d0*w0 + d1*w1) + d2*w2).  Rows
+        # where another association order rounds differently are kept, so
+        # the comparison would catch a library reduction's own order.
+        rng = np.random.default_rng(53)
+        m = LambdaMeasure((0.35, 0.25, 0.3))
+        table = m.dense_table().tolist()
+        a = rng.uniform(0, 1, (4000, 3))
+        expected, other_order = [], []
+        for row in a.tolist():
+            order = sorted(range(3), key=lambda i: (row[i], i))
+            remaining, prev, terms = 0b111, 0.0, []
+            for i in order:
+                terms.append((row[i] - prev) * table[remaining])
+                prev = row[i]
+                remaining ^= 1 << i
+            expected.append((terms[0] + terms[1]) + terms[2])
+            other_order.append((terms[0] + terms[2]) + terms[1])
+        differ = np.array(expected) != np.array(other_order)
+        assert differ.sum() >= 100
+        fused = choquet_fuse_batch(a[differ], m)
+        assert fused.tolist() == np.array(expected)[differ].tolist()
+        assert [choquet_fuse(row, m) for row in a[differ][:50]] == fused[:50].tolist()
+
+    def test_batch_above_the_table_cap_uses_on_demand_subsets(self):
+        rng = np.random.default_rng(59)
+        m = LambdaMeasure(tuple(rng.uniform(0.01, 0.2, 17)))
+        assert m.dense_table() is None
+        a = rng.uniform(0, 1, (5, 17))
+        for row, fused in zip(a.tolist(), choquet_fuse_batch(a, m).tolist()):
+            order = sorted(range(17), key=lambda i: (row[i], i))
+            remaining, prev, total = (1 << 17) - 1, 0.0, 0.0
+            for i in order:
+                total += (row[i] - prev) * m.value_of(remaining)
+                prev = row[i]
+                remaining ^= 1 << i
+            assert fused == total
+
     def test_batch_works_for_table_measures(self):
         rng = np.random.default_rng(47)
         hi = max_measure(3)

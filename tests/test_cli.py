@@ -246,3 +246,48 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"synthetic": True, "mystery": 1}))
         code, _, err = run(capsys, "fuse", "--config", str(cfg))
         assert code == 1 and "mystery" in err
+
+
+class TestFailuresWriteNothing:
+    def test_compare_with_wrong_measure_size_writes_no_file(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        code, _, err = run(
+            capsys, "compare", "--synthetic", "--densities", "0.3,0.3", "--out", str(out),
+        )
+        assert code == 1 and "2 densities" in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_config_value_of_wrong_type_is_a_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"generations": "5"}))
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "optimize", "--synthetic", "--config", str(cfg),
+                           "--out", str(out))
+        assert code == 1 and "generations" in err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("values", [
+        {"synthetic": 1}, {"population": True}, {"stop_eer": "0.1"}, {"densities": [0.3]},
+    ])
+    def test_config_types_are_checked(self, capsys, tmp_path, values):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        code, _, err = run(capsys, "optimize", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 1 and next(iter(values)) in err
+
+    def test_integer_config_value_accepted_for_a_float_option(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"synthetic": True, "threshold": 1}))
+        code, _, _ = run(capsys, "compare", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 0
+
+    @pytest.mark.parametrize("payload", [{"densities": 0.3}, [0.3, 0.3, 0.4],
+                                         {"densities": ["a", 0.3, 0.4]}, {"lambda": 0.1}])
+    def test_malformed_measure_file_is_a_usage_error(self, capsys, tmp_path, payload):
+        source = tmp_path / "measure.json"
+        source.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "fuse", "--synthetic", "--measure-file", str(source),
+                           "--out", str(out))
+        assert code == 1 and "densities" in err
+        assert not out.exists() or not any(out.iterdir())

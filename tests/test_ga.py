@@ -1,8 +1,11 @@
 """Genetic-algorithm operators and the evolution loop."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from choqfuse.aggregate import choquet_fuse_batch
 from choqfuse.data import synthetic_dataset
 from choqfuse.ga import (
     GENE_EPS,
@@ -15,9 +18,11 @@ from choqfuse.ga import (
     linear_crossover,
     mutation_offsets,
     nonuniform_mutation,
+    population_fitness,
     select_parents,
 )
-from choqfuse.metrics import LabeledScoreSet
+from choqfuse.measures import LambdaMeasure
+from choqfuse.metrics import LabeledScoreSet, evaluate_scores
 
 
 class StubRng:
@@ -97,6 +102,46 @@ class TestFitness:
 
     def test_separable_toy_set_reaches_zero(self):
         assert fitness(Chromosome((0.4, 0.3, 0.3)), toy_separable()) == 0.0
+
+
+class TestPopulationFitness:
+    @staticmethod
+    def reference(genes, data):
+        measure = LambdaMeasure(tuple(genes))
+        report = evaluate_scores(choquet_fuse_batch(data.client_scores, measure),
+                                 choquet_fuse_batch(data.impostor_scores, measure))
+        return report.eer, report.min_error_rate()[0]
+
+    def assert_matches_reference(self, genes, data):
+        eers, min_errors = population_fitness(genes, data)
+        for row, value, min_error in zip(genes, eers.tolist(), min_errors.tolist()):
+            assert (value, min_error) == self.reference(row, data), row
+
+    def test_random_genomes_match_the_single_measure_path(self):
+        rng = np.random.default_rng(211)
+        genes = rng.uniform(GENE_EPS, 1.0 - GENE_EPS, (1200, 3))
+        self.assert_matches_reference(genes, synthetic_dataset())
+
+    def test_clamp_corner_genomes_match_the_single_measure_path(self):
+        rng = np.random.default_rng(223)
+        levels = [GENE_EPS, 1.0 - GENE_EPS, 1.0 / 3.0, 0.5]
+        corners = np.array(np.meshgrid(levels, levels, levels)).reshape(3, -1).T
+        pick = rng.integers(0, 3, (300, 3))
+        mixed = np.where(pick == 0, GENE_EPS, np.where(
+            pick == 1, 1.0 - GENE_EPS, rng.uniform(GENE_EPS, 1.0 - GENE_EPS, (300, 3))))
+        self.assert_matches_reference(np.vstack([corners, mixed]), synthetic_dataset())
+
+    def test_separable_toy_set(self):
+        rng = np.random.default_rng(227)
+        genes = rng.uniform(GENE_EPS, 1.0 - GENE_EPS, (50, 3))
+        self.assert_matches_reference(genes, toy_separable())
+        assert population_fitness(genes, toy_separable())[0].tolist() == [0.0] * 50
+
+    def test_fitness_is_the_one_row_case(self):
+        data = synthetic_dataset()
+        genes = np.random.default_rng(229).uniform(GENE_EPS, 1.0 - GENE_EPS, (20, 3))
+        eers, _ = population_fitness(genes, data)
+        assert [fitness(Chromosome(tuple(g)), data) for g in genes] == eers.tolist()
 
 
 class TestSelectParents:
@@ -241,6 +286,32 @@ class TestEvolve:
         data = synthetic_dataset()
         best, _ = evolve(data, GaConfig(population_size=8, max_generations=20, rng_seed=13))
         assert fitness(Chromosome(best.genes), data) == best.fitness
+
+    def test_first_fifty_generations_of_seed_zero_are_pinned(self):
+        # Best EER and genes, and a digest of every population's genes and
+        # fitness, over generations 0..50 of the default configuration.
+        class Stop(Exception):
+            pass
+
+        changes, digest = [], hashlib.sha256()
+
+        def record(population, best):
+            if not changes or changes[-1][1:] != (best.fitness, best.genes):
+                changes.append((population.generation, best.fitness, best.genes))
+            for c in population.members:
+                digest.update(repr((c.genes, c.fitness)).encode())
+            if population.generation == 50:
+                raise Stop
+
+        with pytest.raises(Stop):
+            evolve(synthetic_dataset(), GaConfig(rng_seed=0), on_generation=record)
+        assert changes == [
+            (0, 0.1, (0.5232042497357765, 0.21073541982518593, 0.3799502984857669)),
+            (3, 0.06666666666666667,
+             (0.5004630232093378, 0.47121000732683394, 0.3455619529669682)),
+        ]
+        assert digest.hexdigest() == (
+            "183274183517dd7d164fa41f1f0541616da4bfb39a5362a126667e19f52831f5")
 
     def test_seeded_run_keeps_seed_if_unbeaten(self):
         data = toy_separable()

@@ -6,10 +6,14 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from choqfuse.ga import GENE_EPS
 from choqfuse.measures import (
+    ConvergenceError,
     LambdaMeasure,
     TableMeasure,
+    lambda_tables,
     solve_lambda,
+    solve_lambda_batch,
     subset_measure,
     validate_measure,
 )
@@ -107,6 +111,76 @@ class TestSolveLambda:
     def test_rejects_invalid_densities(self, bad):
         with pytest.raises(ValueError):
             solve_lambda(bad)
+
+
+def clamp_corner_rows(rng, n, count):
+    """Density rows mixing the GA's clamp bounds with interior values."""
+    pick = rng.integers(0, 3, (count, n))
+    interior = rng.uniform(GENE_EPS, 1.0 - GENE_EPS, (count, n))
+    return np.where(pick == 0, GENE_EPS, np.where(pick == 1, 1.0 - GENE_EPS, interior))
+
+
+class TestSolveLambdaBatch:
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_rows_equal_the_one_row_solve_bit_for_bit(self, n):
+        rng = np.random.default_rng(100 + n)
+        rows = np.vstack([clamp_corner_rows(rng, n, 40),
+                          rng.uniform(GENE_EPS, 1.0 - GENE_EPS, (40, n))])
+        batch = solve_lambda_batch(rows)
+        singles = [solve_lambda(row) for row in rows]
+        assert batch.tolist() == singles
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_residual_and_sign_contract_at_the_clamp_bounds(self, n):
+        rng = np.random.default_rng(200 + n)
+        rows = clamp_corner_rows(rng, n, 60)
+        rows[0], rows[1] = GENE_EPS, 1.0 - GENE_EPS
+        for d, lam in zip(rows.tolist(), solve_lambda_batch(rows).tolist()):
+            total = math.fsum(d)
+            if abs(total - 1.0) <= 1e-12:
+                assert lam == 0.0
+            elif total < 1.0:
+                assert lam > 0.0
+            else:
+                assert -1.0 < lam < 0.0
+            residual = abs(math.prod(1.0 + lam * m for m in d) - lam - 1.0)
+            assert residual <= max(1e-10, 64.0 * abs(lam) * 2.3e-16 * n), (d, lam)
+
+    def test_additive_rows_are_exactly_zero(self):
+        rows = [[0.5, 0.5], [0.25, 0.75], [0.3, 0.7]]
+        assert solve_lambda_batch(rows).tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("bad", [[[0.5]], [[0.2, 1.0]], [0.3, 0.4], [[0.2, float("nan")]]])
+    def test_rejects_invalid_rows(self, bad):
+        with pytest.raises(ValueError):
+            solve_lambda_batch(bad)
+
+
+class TestLambdaTables:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_doubling_equals_the_subset_loop_bit_for_bit(self, n):
+        rng = np.random.default_rng(300 + n)
+        rows = np.vstack([clamp_corner_rows(rng, n, 5), rng.uniform(0.01, 0.99, (5, n))])
+        tables = lambda_tables(rows)
+        for d, lam, table in zip(rows.tolist(), solve_lambda_batch(rows).tolist(), tables):
+            # Each subset adds its highest criterion last.
+            expected = [0.0] * (1 << n)
+            for mask in range(1, 1 << n):
+                i = mask.bit_length() - 1
+                a = expected[mask ^ (1 << i)]
+                expected[mask] = a + d[i] + lam * a * d[i]
+            expected[-1] = 1.0
+            assert table.tolist() == [min(max(v, 0.0), 1.0) for v in expected]
+
+    def test_rows_equal_lambda_measure_tables(self):
+        rng = np.random.default_rng(401)
+        rows = clamp_corner_rows(rng, 4, 30)
+        for d, table in zip(rows, lambda_tables(rows)):
+            assert np.array_equal(table, LambdaMeasure(tuple(d)).dense_table())
+
+    def test_inconsistent_lambda_fails_the_boundary_check(self):
+        with pytest.raises(ConvergenceError):
+            lambda_tables([[0.35, 0.25, 0.3]], [0.25])
 
 
 class TestLambdaMeasure:

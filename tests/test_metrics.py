@@ -16,6 +16,7 @@ from choqfuse.metrics import (
     evaluate_scores,
     far_frr,
     normalize_minmax,
+    sweep_errors,
     write_roc_csv,
 )
 
@@ -132,6 +133,35 @@ class TestEer:
             if diff[k] != 0.0:
                 bracket += [report.far_curve[k - 1], report.frr_curve[k - 1]]
             assert min(bracket) - 1e-12 <= value <= max(bracket) + 1e-12
+
+
+class TestSweepErrors:
+    def test_rows_equal_evaluate_scores_exactly(self):
+        rng = np.random.default_rng(89)
+        for decimals in (1, 2, None):  # heavy ties, some ties, none
+            clients = rng.uniform(0.2, 1.0, (200, 23))
+            impostors = rng.uniform(0.0, 0.8, (200, 17))
+            if decimals is not None:
+                clients, impostors = clients.round(decimals), impostors.round(decimals)
+            clients[0] = impostors[0].max() + rng.uniform(0.01, 0.2, 23)  # separable
+            clients[1] = impostors[1, :1]  # every score tied across the classes
+            eers, min_errors = sweep_errors(clients, impostors)
+            for c, i, value, min_error in zip(clients, impostors, eers, min_errors):
+                report = evaluate_scores(c, i)
+                assert value == report.eer
+                assert min_error == report.min_error_rate()[0]
+
+    def test_separable_rows_have_zero_error(self):
+        eers, min_errors = sweep_errors([[0.8, 0.9]], [[0.1, 0.2]])
+        assert eers.tolist() == [0.0] and min_errors.tolist() == [0.0]
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            sweep_errors([[0.5, 0.6]], [[0.1], [0.2]])
+        with pytest.raises(ValueError):
+            sweep_errors([0.5, 0.6], [0.1, 0.2])
+        with pytest.raises(ValueError):
+            sweep_errors(np.empty((1, 0)), [[0.2]])
 
 
 class TestEvalReport:
