@@ -14,12 +14,10 @@ from .aggregate import (
     SortedScores,
     choquet_fuse,
     choquet_fuse_batch,
-    rule_fuse,
     rule_fuse_batch,
 )
 from .data import (
     DataFormatError,
-    ScoreRecord,
     load_csv,
     synthetic_csv_path,
     synthetic_dataset,
@@ -35,7 +33,6 @@ from .ga import (
     init_population,
     linear_crossover,
     mutation_offsets,
-    nonuniform_mutation,
     population_fitness,
     select_parents,
 )
@@ -47,7 +44,6 @@ from .measures import (
     lambda_tables,
     solve_lambda,
     solve_lambda_batch,
-    subset_measure,
     validate_measure,
 )
 from .metrics import (
@@ -77,7 +73,6 @@ __all__ = [
     "MeasureViolation",
     "Population",
     "RULE_TAGS",
-    "ScoreRecord",
     "SortedScores",
     "TableMeasure",
     "choquet_fuse",
@@ -93,15 +88,12 @@ __all__ = [
     "linear_crossover",
     "load_csv",
     "mutation_offsets",
-    "nonuniform_mutation",
     "normalize_minmax",
     "population_fitness",
-    "rule_fuse",
     "rule_fuse_batch",
     "select_parents",
     "solve_lambda",
     "solve_lambda_batch",
-    "subset_measure",
     "sweep_errors",
     "synthetic_csv_path",
     "synthetic_dataset",

@@ -26,7 +26,6 @@ __all__ = [
     "SortedScores",
     "choquet_fuse",
     "choquet_fuse_batch",
-    "rule_fuse",
     "rule_fuse_batch",
 ]
 
@@ -169,19 +168,14 @@ class FusionRule:
         return self.tag in DECISION_RULES
 
 
-def rule_fuse(scores, rule: FusionRule) -> float:
-    """Fuse one score vector with a classical rule (or Choquet).
+def rule_fuse_batch(scores, rule: FusionRule) -> np.ndarray:
+    """Apply ``rule`` to every row of a score matrix.
 
     Score rules return a fused similarity in [0, 1]; decision rules return
     1.0 for accept and 0.0 for reject so that every rule can go through the
     same threshold machinery downstream (decision outputs are evaluated at
     the fixed threshold 0.5).
     """
-    return float(rule_fuse_batch(np.asarray(scores, dtype=float)[np.newaxis, :], rule)[0])
-
-
-def rule_fuse_batch(scores, rule: FusionRule) -> np.ndarray:
-    """Apply ``rule`` to every row of a score matrix."""
     if rule.tag == "choquet":
         return choquet_fuse_batch(scores, rule.measure)
     a = _as_score_matrix(scores)

@@ -1,4 +1,4 @@
-"""Labeled score datasets: the embedded synthetic benchmark and CSV I/O.
+"""Labeled score datasets: the packaged synthetic benchmark and CSV I/O.
 
 CSV schema (UTF-8, '.' decimal separator):
 
@@ -12,7 +12,6 @@ score column per modality.  ``write_csv`` emits the identical schema, so
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -21,7 +20,6 @@ from .metrics import LabeledScoreSet, normalize_minmax
 
 __all__ = [
     "DataFormatError",
-    "ScoreRecord",
     "load_csv",
     "synthetic_csv_path",
     "synthetic_dataset",
@@ -33,56 +31,19 @@ class DataFormatError(ValueError):
     """A score file does not conform to the CSV schema."""
 
 
-@dataclass(frozen=True)
-class ScoreRecord:
-    """One person's row: id, client/impostor label, per-modality scores."""
-
-    person_id: str
-    label: str
-    scores: tuple[float, ...]
-
-
-# Synthetic benchmark: 30 clients (P1-P30) and 30 impostors (P31-P60) scored
-# by three virtual modalities, built to cover the combinations a score-fusion
-# module can face (agreeing/contradicting modalities, borderline cases).
-_SYNTHETIC_CLIENTS = (
-    ("P1", (0.98, 0.98, 0.98)), ("P2", (0.98, 0.98, 0.6)), ("P3", (0.98, 0.6, 0.98)),
-    ("P4", (0.98, 0.6, 0.6)), ("P5", (0.98, 0.7, 0.6)), ("P6", (0.9, 0.8, 0.7)),
-    ("P7", (0.8, 0.8, 0.8)), ("P8", (0.7, 0.9, 0.9)), ("P9", (0.7, 0.7, 0.9)),
-    ("P10", (0.7, 0.9, 0.7)), ("P11", (0.6, 0.6, 0.6)), ("P12", (0.6, 0.7, 0.95)),
-    ("P13", (0.6, 0.95, 0.7)), ("P14", (0.55, 0.55, 0.55)), ("P15", (0.9, 0.8, 0.4)),
-    ("P16", (0.9, 0.8, 0.1)), ("P17", (0.8, 0.75, 0.15)), ("P18", (0.7, 0.62, 0.35)),
-    ("P19", (0.68, 0.68, 0.45)), ("P20", (0.75, 0.75, 0.3)), ("P21", (0.6, 0.9, 0.1)),
-    ("P22", (0.65, 0.95, 0.15)), ("P23", (0.85, 0.55, 0.3)), ("P24", (0.8, 0.4, 0.6)),
-    ("P25", (0.8, 0.1, 0.6)), ("P26", (0.8, 0.3, 0.3)), ("P27", (0.4, 0.7, 0.8)),
-    ("P28", (0.3, 0.15, 0.63)), ("P29", (0.4, 0.6, 0.35)), ("P30", (0.45, 0.2, 0.25)),
-)
-_SYNTHETIC_IMPOSTORS = (
-    ("P31", (0.1, 0.1, 0.1)), ("P32", (0.1, 0.1, 0.3)), ("P33", (0.1, 0.3, 0.3)),
-    ("P34", (0.4, 0.1, 0.1)), ("P35", (0.4, 0.4, 0.15)), ("P36", (0.4, 0.15, 0.4)),
-    ("P37", (0.4, 0.4, 0.4)), ("P38", (0.25, 0.45, 0.45)), ("P39", (0.25, 0.25, 0.25)),
-    ("P40", (0.35, 0.35, 0.35)), ("P41", (0.25, 0.45, 0.4)), ("P42", (0.05, 0.3, 0.05)),
-    ("P43", (0.05, 0.05, 0.3)), ("P44", (0.4, 0.4, 0.6)), ("P45", (0.4, 0.1, 0.6)),
-    ("P46", (0.4, 0.2, 0.75)), ("P47", (0.3, 0.1, 0.55)), ("P48", (0.2, 0.05, 0.65)),
-    ("P49", (0.15, 0.1, 0.55)), ("P50", (0.15, 0.1, 0.7)), ("P51", (0.15, 0.4, 0.8)),
-    ("P52", (0.35, 0.7, 0.1)), ("P53", (0.35, 0.55, 0.3)), ("P54", (0.15, 0.65, 0.2)),
-    ("P55", (0.15, 0.55, 0.4)), ("P56", (0.15, 0.55, 0.6)), ("P57", (0.6, 0.3, 0.15)),
-    ("P58", (0.6, 0.55, 0.15)), ("P59", (0.6, 0.15, 0.55)), ("P60", (0.6, 0.55, 0.55)),
-)
-
-
 def synthetic_dataset() -> LabeledScoreSet:
-    """The embedded 60-person, 3-modality synthetic benchmark."""
-    return LabeledScoreSet(
-        client_ids=tuple(pid for pid, _ in _SYNTHETIC_CLIENTS),
-        client_scores=np.array([s for _, s in _SYNTHETIC_CLIENTS]),
-        impostor_ids=tuple(pid for pid, _ in _SYNTHETIC_IMPOSTORS),
-        impostor_scores=np.array([s for _, s in _SYNTHETIC_IMPOSTORS]),
-    )
+    """The packaged 60-person, 3-modality synthetic benchmark.
+
+    30 clients (P1-P30) and 30 impostors (P31-P60) scored by three virtual
+    modalities, built to cover the combinations a score-fusion module can
+    face (agreeing/contradicting modalities, borderline cases).  Read from
+    ``synthetic_csv_path()``.
+    """
+    return load_csv(synthetic_csv_path())
 
 
 def synthetic_csv_path():
-    """Path of the packaged CSV fixture mirroring ``synthetic_dataset()``."""
+    """Path of the packaged CSV file holding ``synthetic_dataset()``."""
     return resources.files(__package__).joinpath("synthetic.csv")
 
 
@@ -117,7 +78,7 @@ def load_csv(path, normalize: bool = False) -> LabeledScoreSet:
                 f"person_id,label,m1,...,mk"
             )
         column_names = header[2:]
-        records: list[ScoreRecord] = []
+        records: list[tuple[str, str, tuple[float, ...]]] = []
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -154,25 +115,25 @@ def load_csv(path, normalize: bool = False) -> LabeledScoreSet:
                         f"outside [0, 1] (use normalize=True for raw scores)"
                     )
                 scores.append(value)
-            records.append(ScoreRecord(pid, label, tuple(scores)))
+            records.append((pid, label, tuple(scores)))
 
     if not records:
         raise DataFormatError(f"{path}: no data rows")
-    matrix = np.array([r.scores for r in records])
+    matrix = np.array([scores for _, _, scores in records])
     if normalize:
         matrix = np.column_stack(
             [normalize_minmax(matrix[:, j]) for j in range(matrix.shape[1])]
         )
-    client_rows = [i for i, r in enumerate(records) if r.label == "client"]
-    impostor_rows = [i for i, r in enumerate(records) if r.label == "impostor"]
+    client_rows = [i for i, (_, label, _) in enumerate(records) if label == "client"]
+    impostor_rows = [i for i, (_, label, _) in enumerate(records) if label == "impostor"]
     for label, rows in (("client", client_rows), ("impostor", impostor_rows)):
         if not rows:
             raise DataFormatError(f"{path}: no {label} rows")
     try:
         return LabeledScoreSet(
-            client_ids=tuple(records[i].person_id for i in client_rows),
+            client_ids=tuple(records[i][0] for i in client_rows),
             client_scores=matrix[client_rows],
-            impostor_ids=tuple(records[i].person_id for i in impostor_rows),
+            impostor_ids=tuple(records[i][0] for i in impostor_rows),
             impostor_scores=matrix[impostor_rows],
         )
     except ValueError as exc:

@@ -12,8 +12,8 @@ client/impostor set, to be minimized.  One generation:
 3. non-uniform mutation: each gene moves by +-y * (1 - s)^(g / g_max)
    with s ~ U[0, 1], so the expected step anneals as generations advance;
 4. survivor selection pools parents with offspring and keeps the best N
-   (with the configured number of elites always retained), which makes
-   the best-fitness trace monotone.
+   (the best parent always retained), which makes the best-fitness trace
+   monotone.
 
 Random streams are partitioned per generation and per offspring from the
 master seed, so results are reproducible and independent of evaluation
@@ -43,7 +43,6 @@ __all__ = [
     "init_population",
     "linear_crossover",
     "mutation_offsets",
-    "nonuniform_mutation",
     "population_fitness",
     "select_parents",
 ]
@@ -81,24 +80,18 @@ class Population:
         if len(self.members) < 2:
             raise ValueError("population needs at least 2 members")
 
-    def best(self) -> Chromosome:
-        return min(
-            (c for c in self.members if c.fitness is not None),
-            key=lambda c: c.fitness,
-        )
-
 
 @dataclass(frozen=True)
 class GaConfig:
     """Run parameters for the measure optimizer.
 
-    ``offspring_per_generation`` defaults to the population size; crossover
-    events each yield three offspring, so ceil(offspring / 3) events run and
-    the surplus is truncated.  ``mutation_bound`` is the upper bound y of
-    the per-gene perturbation; the default is the gene-domain half-width,
-    which leaves the annealed steps small enough for late-run refinement
-    (at the full domain width the expected step never drops below half the
-    domain and the search degenerates to corner sampling).
+    Each generation breeds ``population_size`` offspring; crossover events
+    each yield three, so ceil(offspring / 3) events run and the surplus is
+    truncated.  ``mutation_bound`` is the upper bound y of the per-gene
+    perturbation; the default is the gene-domain half-width, which leaves
+    the annealed steps small enough for late-run refinement (at the full
+    domain width the expected step never drops below half the domain and
+    the search degenerates to corner sampling).
     """
 
     population_size: int = 30
@@ -106,8 +99,6 @@ class GaConfig:
     eer_stop_threshold: float = 0.04
     mutation_bound: float = 0.5
     rng_seed: int = 0
-    offspring_per_generation: int | None = None
-    elitism_count: int = 1
 
     def __post_init__(self):
         if self.population_size < 2:
@@ -118,14 +109,10 @@ class GaConfig:
             raise ValueError("eer_stop_threshold must lie in [0, 1]")
         if self.mutation_bound <= 0.0:
             raise ValueError("mutation_bound must be positive")
-        if self.offspring_per_generation is not None and self.offspring_per_generation < 1:
-            raise ValueError("offspring_per_generation must be positive")
-        if not 0 <= self.elitism_count <= self.population_size:
-            raise ValueError("elitism_count must lie in [0, population_size]")
 
     @property
     def offspring_count(self) -> int:
-        return self.offspring_per_generation or self.population_size
+        return self.population_size
 
 
 @dataclass(frozen=True)
@@ -208,21 +195,17 @@ def select_parents(
     return members[int(i)], members[int(j)]
 
 
-def _crossover(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The three clamped linear offspring of parent genes ``a``, ``b``: (..., 3, n)."""
-    return _clamp(np.stack([0.5 * (a + b), 1.5 * a - 0.5 * b, 0.5 * a + 1.5 * b], axis=-2))
+def linear_crossover(a, b) -> np.ndarray:
+    """The three linear offspring of parent genes ``a``, ``b``, clamped into the box.
 
-
-def linear_crossover(
-    parent_a: Chromosome, parent_b: Chromosome
-) -> tuple[Chromosome, Chromosome, Chromosome]:
-    """Componentwise linear recombination, clamped back into the gene box."""
-    a = np.asarray(parent_a.genes)
-    b = np.asarray(parent_b.genes)
+    0.5*(a + b), 1.5*a - 0.5*b and 0.5*a + 1.5*b, componentwise; parents of
+    shape (..., n) give offspring of shape (..., 3, n).
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"gene length mismatch: {a.shape} vs {b.shape}")
-    h1, h2, h3 = (Chromosome(tuple(row)) for row in _crossover(a, b).tolist())
-    return h1, h2, h3
+    return _clamp(np.stack([0.5 * (a + b), 1.5 * a - 0.5 * b, 0.5 * a + 1.5 * b], axis=-2))
 
 
 def mutation_offsets(
@@ -244,31 +227,19 @@ def mutation_offsets(
     return signs * cfg.mutation_bound * (1.0 - s) ** exponent
 
 
-def nonuniform_mutation(
-    chromosome: Chromosome,
-    generation: int,
-    cfg: GaConfig,
-    rng: np.random.Generator,
-) -> Chromosome:
-    """Perturb every gene by an annealed random step, clamped to the box."""
-    genes = np.asarray(chromosome.genes)
-    offsets = mutation_offsets(genes.size, generation, cfg, rng)
-    return Chromosome(tuple(_clamp(genes + offsets)))
+# A scored member: (EER, minimum sweep error) for ranking, and the chromosome.
+_Ranked = tuple[tuple[float, float], Chromosome]
 
 
-def _next_population(
-    current: list[Chromosome],
-    offspring: list[Chromosome],
-    cfg: GaConfig,
-    key: Callable[[Chromosome], tuple],
-) -> list[Chromosome]:
-    elites = sorted(current, key=key)[: cfg.elitism_count]
-    elite_ids = {id(c) for c in elites}
-    rest = [c for c in current + offspring if id(c) not in elite_ids]
-    rest.sort(key=key)
-    survivors = elites + rest[: cfg.population_size - len(elites)]
-    survivors.sort(key=key)
-    return survivors
+def _rank(member: _Ranked) -> tuple[float, float]:
+    return member[0]
+
+
+def _next_population(current: list[_Ranked], offspring: list[_Ranked], size: int) -> list[_Ranked]:
+    """The first best of ``current`` (the elite), then the best of the rest, ranked."""
+    elite = min(current, key=_rank)
+    rest = sorted((m for m in current + offspring if m is not elite), key=_rank)
+    return sorted([elite] + rest[: size - 1], key=_rank)
 
 
 def evolve(
@@ -282,34 +253,21 @@ def evolve(
     Stops as soon as the best EER reaches ``cfg.eer_stop_threshold`` or
     after ``cfg.max_generations`` generations.  Fully deterministic for a
     fixed ``cfg.rng_seed``.  Each generation's offspring are built as one
-    array and their new gene vectors scored as one batch.
+    array and scored as one batch.
     """
     cfg = cfg or GaConfig()
     score = _fitness_kernel(data)
     n_genes = data.n_modalities
 
-    # (EER, min sweep error) per distinct gene vector, so repeated offspring
-    # (boundary clamping makes them) are not scored again.  The pairs take
-    # few distinct values, being error counts; the memo shares one tuple
-    # per value, which keeps it small over a long run.
-    memo: dict[tuple[float, ...], tuple[float, float]] = {}
-    shared: dict[tuple[float, float], tuple[float, float]] = {}
-
-    def evaluate(genes: np.ndarray) -> list[Chromosome]:
-        keys = [tuple(row) for row in genes.tolist()]
-        fresh = list(dict.fromkeys(k for k in keys if k not in memo))
-        if fresh:
-            eers, min_errors = score(np.array(fresh))
-            for key, pair in zip(fresh, zip(eers.tolist(), min_errors.tolist())):
-                memo[key] = shared.setdefault(pair, pair)
-        return [Chromosome(k, memo[k][0]) for k in keys]
-
-    def rank(c: Chromosome) -> tuple[float, float]:
-        return memo[c.genes]
+    def evaluate(genes: np.ndarray) -> list[_Ranked]:
+        eers, min_errors = (v.tolist() for v in score(genes))
+        return [((e, m), Chromosome(tuple(g), e))
+                for g, e, m in zip(genes.tolist(), eers, min_errors)]
 
     initial = init_population(cfg, n_genes=n_genes, seeds=seeds).members
-    population = Population(members=evaluate(np.array([c.genes for c in initial])))
-    best = min(population.members, key=rank)
+    live = evaluate(np.array([c.genes for c in initial]))
+    population = Population(members=[c for _, c in live])
+    best = min(live, key=_rank)[1]
     history = [GenerationRecord(0, best.fitness, best.genes)]
     if on_generation is not None:
         on_generation(population, best)
@@ -320,18 +278,16 @@ def evolve(
             break
         selection_rng = _rng(cfg.rng_seed, generation, 0)
         pairs = [select_parents(population, selection_rng) for _ in range(events)]
-        children = _crossover(
-            np.array([a.genes for a, _ in pairs]), np.array([b.genes for _, b in pairs])
+        children = linear_crossover(
+            [a.genes for a, _ in pairs], [b.genes for _, b in pairs]
         ).reshape(-1, n_genes)[: cfg.offspring_count]
         offsets = [
             mutation_offsets(n_genes, generation, cfg, _rng(cfg.rng_seed, generation, k + 1))
             for k in range(len(children))
         ]
-        offspring = evaluate(_clamp(children + np.array(offsets)))
-        population = Population(
-            members=_next_population(population.members, offspring, cfg, rank),
-            generation=generation,
-        )
+        live = _next_population(live, evaluate(_clamp(children + np.array(offsets))),
+                                cfg.population_size)
+        population = Population(members=[c for _, c in live], generation=generation)
         best = population.members[0]
         history.append(GenerationRecord(generation, best.fitness, best.genes))
         if on_generation is not None:

@@ -32,7 +32,6 @@ __all__ = [
     "lambda_tables",
     "solve_lambda",
     "solve_lambda_batch",
-    "subset_measure",
     "validate_measure",
 ]
 
@@ -270,33 +269,30 @@ class LambdaMeasure:
     def __post_init__(self):
         densities = _as_densities(self.densities)
         object.__setattr__(self, "densities", densities)
+        # One consistency rule, as in lambda_tables: the full set measures 1
+        # within BOUNDARY_TOL.  A solved lambda that misses it is a solver
+        # failure, a supplied one a caller error.
         if self.lam is None:
             object.__setattr__(self, "lam", solve_lambda(densities))
+            error = ConvergenceError
         else:
             lam = float(self.lam)
             if lam <= -1.0:
                 raise ValueError(f"lambda must exceed -1, got {lam}")
-            prod = 1.0
-            for m in densities:
-                prod *= 1.0 + lam * m
-            if abs(prod - lam - 1.0) > BOUNDARY_TOL:
-                raise ValueError(
-                    f"lambda {lam!r} is inconsistent with the densities: "
-                    f"residual {prod - lam - 1.0:.3e}"
-                )
             object.__setattr__(self, "lam", lam)
+            error = ValueError
+        full = 0.0
+        for m in densities:
+            full = _combine(full, m, self.lam)
+        if not abs(full - 1.0) <= BOUNDARY_TOL:
+            raise error(
+                f"lambda {self.lam!r} gives the full set the measure {full!r}, "
+                f"not 1 within {BOUNDARY_TOL}"
+            )
         if self.n <= _TABLE_MAX_N:
             table = lambda_tables([densities], [self.lam])[0]
             table.flags.writeable = False
             object.__setattr__(self, "_table", table)
-            return
-        full = 0.0
-        for m in self.densities:
-            full = _combine(full, m, self.lam)
-        if abs(full - 1.0) > BOUNDARY_TOL:
-            raise ConvergenceError(
-                f"full-set measure {full!r} deviates from 1 beyond {BOUNDARY_TOL}"
-            )
 
     @property
     def n(self) -> int:
@@ -324,22 +320,20 @@ class TableMeasure:
 
     Covers measures outside the Sugeno family (e.g. the max- and
     min-degenerate measures).  Construction validates the boundary and
-    monotonicity conditions unless ``validate=False``.
+    monotonicity conditions.
     """
 
     values: Mapping[frozenset[int] | tuple[int, ...] | int, float]
-    validate: bool = True
     _table: np.ndarray = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
     _n: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self):
         n, table = _dense_from_mapping(self.values)
-        if self.validate:
-            violations = validate_measure(self.values)
-            if violations:
-                raise ValueError(
-                    "invalid fuzzy measure: " + "; ".join(str(v) for v in violations)
-                )
+        violations = validate_measure(self.values)
+        if violations:
+            raise ValueError(
+                "invalid fuzzy measure: " + "; ".join(str(v) for v in violations)
+            )
         table.flags.writeable = False
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_n", n)
@@ -354,11 +348,6 @@ class TableMeasure:
 
     def value_of(self, subset: Iterable[int] | int) -> float:
         return float(self._table[_subset_mask(subset, self.n)])
-
-
-def subset_measure(measure: LambdaMeasure | TableMeasure, subset: Iterable[int] | int) -> float:
-    """Measure of ``subset``; function-style alias for ``measure.value_of``."""
-    return measure.value_of(subset)
 
 
 @dataclass(frozen=True)

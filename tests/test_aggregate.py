@@ -7,7 +7,6 @@ from choqfuse.aggregate import (
     FusionRule,
     choquet_fuse,
     choquet_fuse_batch,
-    rule_fuse,
     rule_fuse_batch,
 )
 from choqfuse.data import synthetic_dataset
@@ -168,30 +167,30 @@ class TestChoquetFuse:
 class TestFusionRules:
     def test_score_rules(self):
         a = (0.2, 0.6, 0.7)
-        assert rule_fuse(a, FusionRule("mean")) == pytest.approx(0.5)
-        assert rule_fuse(a, FusionRule("prod")) == pytest.approx(0.084)
-        assert rule_fuse(a, FusionRule("min")) == 0.2
-        assert rule_fuse(a, FusionRule("max")) == 0.7
+        assert rule_fuse_batch([a], FusionRule("mean"))[0] == pytest.approx(0.5)
+        assert rule_fuse_batch([a], FusionRule("prod"))[0] == pytest.approx(0.084)
+        assert rule_fuse_batch([a], FusionRule("min"))[0] == 0.2
+        assert rule_fuse_batch([a], FusionRule("max"))[0] == 0.7
         w = FusionRule("weighted_sum", weights=(0.5, 0.25, 0.25))
-        assert rule_fuse(a, w) == pytest.approx(0.425)
+        assert rule_fuse_batch([a], w)[0] == pytest.approx(0.425)
 
     def test_product_of_identical_high_scores(self):
-        fused = rule_fuse((0.98, 0.98, 0.98), FusionRule("prod"))
+        fused = rule_fuse_batch([(0.98, 0.98, 0.98)], FusionRule("prod"))[0]
         assert fused == pytest.approx(0.98**3, abs=1e-15)  # oracle: direct power
         assert abs(fused - 0.941) <= 1e-3
 
     def test_majority_vote(self):
         vote = FusionRule("majority_vote")
-        assert rule_fuse((0.9, 0.8, 0.1), vote) == 1.0
-        assert rule_fuse((0.9, 0.2, 0.1), vote) == 0.0
+        assert rule_fuse_batch([(0.9, 0.8, 0.1)], vote)[0] == 1.0
+        assert rule_fuse_batch([(0.9, 0.2, 0.1)], vote)[0] == 0.0
         # even n: strict majority required
-        assert rule_fuse((0.9, 0.8, 0.1, 0.2), vote) == 0.0
+        assert rule_fuse_batch([(0.9, 0.8, 0.1, 0.2)], vote)[0] == 0.0
 
     def test_and_or_rules(self):
-        assert rule_fuse((0.6, 0.55, 0.55), FusionRule("and")) == 1.0
-        assert rule_fuse((0.6, 0.45, 0.55), FusionRule("and")) == 0.0
-        assert rule_fuse((0.1, 0.45, 0.55), FusionRule("or")) == 1.0
-        assert rule_fuse((0.1, 0.45, 0.35), FusionRule("or")) == 0.0
+        assert rule_fuse_batch([(0.6, 0.55, 0.55)], FusionRule("and"))[0] == 1.0
+        assert rule_fuse_batch([(0.6, 0.45, 0.55)], FusionRule("and"))[0] == 0.0
+        assert rule_fuse_batch([(0.1, 0.45, 0.55)], FusionRule("or"))[0] == 1.0
+        assert rule_fuse_batch([(0.1, 0.45, 0.35)], FusionRule("or"))[0] == 0.0
 
     def test_and_accepts_exactly_one_synthetic_impostor(self):
         # brute force over the embedded impostor table
@@ -199,7 +198,7 @@ class TestFusionRules:
         accepted = [
             pid
             for pid, scores in data.impostors
-            if rule_fuse(scores, FusionRule("and")) == 1.0
+            if rule_fuse_batch([scores], FusionRule("and"))[0] == 1.0
         ]
         assert accepted == ["P60"]
 
@@ -212,13 +211,13 @@ class TestFusionRules:
 
     def test_per_modality_thresholds(self):
         rule = FusionRule("and", threshold=(0.5, 0.9, 0.1))
-        assert rule_fuse((0.6, 0.95, 0.2), rule) == 1.0
-        assert rule_fuse((0.6, 0.85, 0.2), rule) == 0.0
+        assert rule_fuse_batch([(0.6, 0.95, 0.2)], rule)[0] == 1.0
+        assert rule_fuse_batch([(0.6, 0.85, 0.2)], rule)[0] == 0.0
 
     def test_choquet_rule_dispatch(self):
         m = LambdaMeasure((0.35, 0.25, 0.3))
         rule = FusionRule("choquet", measure=m)
-        assert rule_fuse((0.7, 0.8, 0.9), rule) == choquet_fuse((0.7, 0.8, 0.9), m)
+        assert rule_fuse_batch([(0.7, 0.8, 0.9)], rule)[0] == choquet_fuse((0.7, 0.8, 0.9), m)
 
     def test_invalid_rules_rejected(self):
         with pytest.raises(ValueError):
@@ -226,8 +225,8 @@ class TestFusionRules:
         with pytest.raises(ValueError):
             FusionRule("choquet")
         with pytest.raises(ValueError):
-            rule_fuse((0.5, 0.5), FusionRule("weighted_sum", weights=(0.9, 0.3)))
+            rule_fuse_batch([(0.5, 0.5)], FusionRule("weighted_sum", weights=(0.9, 0.3)))[0]
         with pytest.raises(ValueError):
-            rule_fuse((0.5, 0.5), FusionRule("weighted_sum", weights=(-0.5, 1.5)))
+            rule_fuse_batch([(0.5, 0.5)], FusionRule("weighted_sum", weights=(-0.5, 1.5)))[0]
         with pytest.raises(ValueError):
-            rule_fuse((0.5, 0.5), FusionRule("and", threshold=1.5))
+            rule_fuse_batch([(0.5, 0.5)], FusionRule("and", threshold=1.5))[0]

@@ -1,4 +1,6 @@
-"""Embedded synthetic dataset and CSV round-tripping."""
+"""Packaged synthetic dataset and CSV round-tripping."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -34,8 +36,19 @@ class TestSyntheticDataset:
         assert a == b
         assert a is not b
 
-    def test_packaged_csv_round_trips_exactly(self):
-        assert load_csv(synthetic_csv_path()) == synthetic_dataset()
+    def test_packaged_csv_is_pinned(self):
+        path = synthetic_csv_path()
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "8d0bee502d3b039cc484b23adedf6d56929949d0d9ed9c57816a0e80fde9a4b7"
+        data = load_csv(path)
+        assert data.client_scores.shape == data.impostor_scores.shape == (30, 3)
+        assert data.client_ids == tuple(f"P{i}" for i in range(1, 31))
+        assert data.impostor_ids == tuple(f"P{i}" for i in range(31, 61))
+
+    def test_packaged_csv_round_trips_exactly(self, tmp_path):
+        path = tmp_path / "synthetic.csv"
+        write_csv(synthetic_dataset(), path)
+        assert path.read_bytes() == synthetic_csv_path().read_bytes()
 
 
 class TestCsvRoundTrip:

@@ -17,7 +17,6 @@ from choqfuse.ga import (
     init_population,
     linear_crossover,
     mutation_offsets,
-    nonuniform_mutation,
     population_fitness,
     select_parents,
 )
@@ -181,48 +180,58 @@ class TestSelectParents:
 
 class TestLinearCrossover:
     def test_componentwise_formulas(self):
-        h1, h2, h3 = linear_crossover(
-            Chromosome((0.4, 0.4, 0.4)), Chromosome((0.6, 0.6, 0.6))
-        )
-        assert h1.genes == pytest.approx((0.5, 0.5, 0.5))
-        assert h2.genes == pytest.approx((0.3, 0.3, 0.3))
+        h1, h2, h3 = linear_crossover((0.4, 0.4, 0.4), (0.6, 0.6, 0.6))
+        assert h1 == pytest.approx((0.5, 0.5, 0.5))
+        assert h2 == pytest.approx((0.3, 0.3, 0.3))
         # 0.5*0.4 + 1.5*0.6 = 1.1 clamps to the box ceiling
-        assert h3.genes == pytest.approx((1 - GENE_EPS,) * 3)
+        assert h3 == pytest.approx((1 - GENE_EPS,) * 3)
 
     def test_equal_parents(self):
         # h1 and h2 reproduce the parent; h3 = 0.5*c + 1.5*c doubles it
         # (the recombination coefficients of h3 sum to 2, not 1)
-        c = Chromosome((0.42, 0.17, 0.89))
+        c = (0.42, 0.17, 0.89)
         h1, h2, h3 = linear_crossover(c, c)
-        assert h1.genes == pytest.approx(c.genes)
-        assert h2.genes == pytest.approx(c.genes)
-        assert h3.genes == pytest.approx((0.84, 0.34, 1 - GENE_EPS))
+        assert h1 == pytest.approx(c)
+        assert h2 == pytest.approx(c)
+        assert h3 == pytest.approx((0.84, 0.34, 1 - GENE_EPS))
 
     def test_lower_clamp(self):
-        h1, h2, h3 = linear_crossover(Chromosome((0.2,)), Chromosome((0.8,)))
-        assert h1.genes == pytest.approx((0.5,))
-        assert h2.genes == (GENE_EPS,)  # 1.5*0.2 - 0.5*0.8 = -0.1
-        assert h3.genes == pytest.approx((1 - GENE_EPS,))  # 0.1 + 1.2 = 1.3
+        h1, h2, h3 = linear_crossover((0.2,), (0.8,))
+        assert h1 == pytest.approx((0.5,))
+        assert h2.tolist() == [GENE_EPS]  # 1.5*0.2 - 0.5*0.8 = -0.1
+        assert h3 == pytest.approx((1 - GENE_EPS,))  # 0.1 + 1.2 = 1.3
+
+    def test_pairs_of_parent_arrays(self):
+        a = np.array([[0.4, 0.4, 0.4], [0.42, 0.17, 0.89]])
+        b = np.array([[0.6, 0.6, 0.6], [0.42, 0.17, 0.89]])
+        children = linear_crossover(a, b)
+        assert children.shape == (2, 3, 3)
+        for k in range(2):
+            assert np.array_equal(children[k], linear_crossover(a[k], b[k]))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            linear_crossover(Chromosome((0.5, 0.5)), Chromosome((0.5,)))
+            linear_crossover((0.5, 0.5), (0.5,))
 
 
 class TestNonuniformMutation:
+    @staticmethod
+    def mutate(genes, generation, cfg, rng):
+        offsets = mutation_offsets(len(genes), generation, cfg, rng)
+        return np.clip(np.asarray(genes) + offsets, GENE_EPS, 1 - GENE_EPS).tolist()
+
     def test_unit_draw_leaves_genes_unchanged(self):
         cfg = GaConfig(max_generations=100)
         rng = StubRng([1.0, 1.0, 1.0], [1, 0, 1])
-        c = nonuniform_mutation(Chromosome((0.3, 0.5, 0.7)), 1, cfg, rng)
-        assert c.genes == (0.3, 0.5, 0.7)
+        assert self.mutate((0.3, 0.5, 0.7), 1, cfg, rng) == [0.3, 0.5, 0.7]
 
     def test_maximal_step_at_generation_zero_clamps(self):
         # (1 - 0)^0 = 1, so the first-generation step is the full bound
         cfg = GaConfig(max_generations=100, mutation_bound=1.0)
-        up = nonuniform_mutation(Chromosome((0.5,)), 0, cfg, StubRng([0.0], [1]))
-        down = nonuniform_mutation(Chromosome((0.5,)), 0, cfg, StubRng([0.0], [0]))
-        assert up.genes == (1 - GENE_EPS,)
-        assert down.genes == (GENE_EPS,)
+        up = self.mutate((0.5,), 0, cfg, StubRng([0.0], [1]))
+        down = self.mutate((0.5,), 0, cfg, StubRng([0.0], [0]))
+        assert up == [1 - GENE_EPS]
+        assert down == [GENE_EPS]
 
     @pytest.mark.parametrize("bound", [1.0, 0.5])
     @pytest.mark.parametrize("generation,denominator", [(1, 1.25), (2, 1.5), (4, 2.0)])
@@ -328,8 +337,6 @@ class TestConfigValidation:
             {"max_generations": 0},
             {"eer_stop_threshold": 1.5},
             {"mutation_bound": 0.0},
-            {"offspring_per_generation": 0},
-            {"elitism_count": 31},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -14,7 +14,6 @@ from choqfuse.measures import (
     lambda_tables,
     solve_lambda,
     solve_lambda_batch,
-    subset_measure,
     validate_measure,
 )
 
@@ -241,10 +240,6 @@ class TestLambdaMeasure:
         assert m.value_of(0b011) == m.value_of([0, 1])
         assert m.value_of(0b101) == m.value_of((0, 2))
 
-    def test_subset_measure_alias(self):
-        m = LambdaMeasure((0.3, 0.4, 0.2))
-        assert subset_measure(m, [0, 2]) == m.value_of([0, 2])
-
     def test_out_of_range_subsets_rejected(self):
         m = LambdaMeasure((0.3, 0.4, 0.2))
         with pytest.raises(IndexError):
@@ -263,6 +258,15 @@ class TestLambdaMeasure:
             LambdaMeasure(d, 0.25)
         with pytest.raises(ValueError):
             LambdaMeasure(d, -1.5)
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    @pytest.mark.parametrize("density", [GENE_EPS, 1.0 - GENE_EPS])
+    def test_solved_lambda_round_trips_at_the_clamp_corners(self, n, density):
+        # lambda ~ 1e9 at (1e-6,)*n and ~ -1 at (1 - 1e-6,)*n
+        m = LambdaMeasure((density,) * n)
+        again = LambdaMeasure(m.densities, m.lam)
+        assert again.lam == m.lam
+        assert np.array_equal(again.dense_table(), m.dense_table())
 
     def test_large_n_uses_on_demand_evaluation(self):
         rng = np.random.default_rng(41)
@@ -350,7 +354,3 @@ class TestTableMeasure:
                 (): 0.0, (0,): 0.7, (1,): 0.1, (2,): 0.2,
                 (0, 1): 0.5, (0, 2): 0.8, (1, 2): 0.8, (0, 1, 2): 1.0,
             })
-
-    def test_validation_can_be_disabled(self):
-        t = TableMeasure({(): 0.0, (0,): 0.7, (1,): 0.1, (0, 1): 0.5}, validate=False)
-        assert t.value_of([0]) == 0.7
