@@ -24,7 +24,7 @@ from .aggregate import FusionRule, choquet_fuse_batch, rule_fuse_batch
 from .data import DataFormatError, load_csv, synthetic_dataset
 from .ga import GaConfig, evolve
 from .measures import ConvergenceError, LambdaMeasure
-from .metrics import LabeledScoreSet, evaluate_scores, write_roc_csv
+from .metrics import EvalReport, LabeledScoreSet, evaluate_scores, write_roc_csv
 
 __all__ = ["main"]
 
@@ -316,31 +316,30 @@ def _cmd_compare(args) -> int:
 
     rows: list[tuple[str, float]] = []
 
-    def add_row(name: str, fused_clients, fused_impostors, error_rate: float):
+    def add_row(name: str, report: EvalReport, error_rate: float):
         rows.append((name, 100.0 * error_rate))
-        report = evaluate_scores(fused_clients, fused_impostors)
         write_roc_csv(report, out / f"roc_{name}.csv")
 
     for j in range(n):
-        fc, fi = dataset.client_scores[:, j], dataset.impostor_scores[:, j]
-        rate = evaluate_scores(fc, fi).error_rate_at(threshold)
-        add_row(f"m{j + 1}", fc, fi, rate)
+        report = evaluate_scores(dataset.client_scores[:, j], dataset.impostor_scores[:, j])
+        add_row(f"m{j + 1}", report, report.error_rate_at(threshold))
 
     for tag in _COMPARE_RULES:
         rule = FusionRule(tag=tag, threshold=threshold)
-        fc, fi = _rule_row(dataset, rule)
+        report = evaluate_scores(*_rule_row(dataset, rule))
         # Decision rules emit 0/1 decisions scored at the fixed 0.5 level;
         # score rules are thresholded at the requested level.
         at = 0.5 if rule.is_decision else threshold
-        add_row(tag, fc, fi, evaluate_scores(fc, fi).error_rate_at(at))
+        add_row(tag, report, report.error_rate_at(at))
 
     if measure is not None:
         fc = choquet_fuse_batch(dataset.client_scores, measure)
         fi = choquet_fuse_batch(dataset.impostor_scores, measure)
+        report = evaluate_scores(fc, fi)
         # Reported at its best operating point (minimum total error over the
         # threshold sweep).
-        rate, _ = evaluate_scores(fc, fi).min_error_rate()
-        add_row("choquet", fc, fi, rate)
+        rate, _ = report.min_error_rate()
+        add_row("choquet", report, rate)
     else:
         print("note: no --densities/--measure-file given; skipping the choquet row")
 

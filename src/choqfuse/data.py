@@ -5,14 +5,19 @@ CSV schema (UTF-8, '.' decimal separator):
     person_id,label,m1,m2,...,mk
 
 with ``label`` either ``client`` or ``impostor`` (case-insensitive) and one
-score column per modality.  ``write_csv`` emits the identical schema, so
+score column per modality.  ``load_csv`` strips whitespace around person ids
+and rejects empty ones; ``write_csv`` emits the identical schema and refuses
+ids that would not survive that, so whenever it writes a file
 ``load_csv(write_csv(s)) == s`` round-trips exactly.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+from array import array
 from importlib import resources
+from itertools import compress, islice
 
 import numpy as np
 
@@ -48,7 +53,17 @@ def synthetic_csv_path():
 
 
 def write_csv(dataset: LabeledScoreSet, path) -> None:
-    """Write a labeled score set using the package CSV schema."""
+    """Write a labeled score set using the package CSV schema.
+
+    Raises ``ValueError``, before opening ``path``, for person ids that
+    ``load_csv`` would not read back as themselves: ids with leading or
+    trailing whitespace, or empty ones.
+    """
+    bad = [pid for pid in dataset.client_ids + dataset.impostor_ids
+           if not pid or pid != pid.strip()]
+    if bad:
+        raise ValueError(f"person ids would not round-trip through load_csv "
+                         f"(empty or with surrounding whitespace): {bad!r}")
     n = dataset.n_modalities
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -63,7 +78,9 @@ def load_csv(path, normalize: bool = False) -> LabeledScoreSet:
 
     With ``normalize=True`` each score column is min-max normalized over all
     rows (clients and impostors together); otherwise raw values outside
-    [0, 1] are rejected with the offending row and column named.
+    [0, 1] are rejected with the offending row and column named.  Of several
+    faults the first in file order is reported, row by row and, within a
+    row, column by column.
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -78,63 +95,92 @@ def load_csv(path, normalize: bool = False) -> LabeledScoreSet:
                 f"person_id,label,m1,...,mk"
             )
         column_names = header[2:]
-        records: list[tuple[str, str, tuple[float, ...]]] = []
+        # Columnar: one id and one class flag per row, the scores in one flat
+        # buffer, so no Python object is kept per row or per cell.
+        ids: list[str] = []
+        is_client = bytearray()
+        values = array("d")
+
+        def fail(message: str):
+            # A bad score in an earlier row comes first in file order.
+            _check_scores(path, column_names, values, normalize)
+            raise DataFormatError(f"{path}: {message}")
+
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}: row {line_no} has {len(row)} fields, header has "
-                    f"{len(header)}"
-                )
+                fail(f"row {line_no} has {len(row)} fields, header has {len(header)}")
             pid = row[0].strip()
             if not pid:
-                raise DataFormatError(f"{path}: row {line_no} has an empty person_id")
+                fail(f"row {line_no} has an empty person_id")
             label = row[1].strip().lower()
             if label not in ("client", "impostor"):
-                raise DataFormatError(
-                    f"{path}: row {line_no} has unknown label {row[1]!r}"
-                )
-            scores = []
-            for col, cell in zip(column_names, row[2:]):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}: row {line_no}, column {col}: non-numeric "
-                        f"score {cell!r}"
-                    ) from None
-                if not np.isfinite(value):
-                    raise DataFormatError(
-                        f"{path}: row {line_no}, column {col}: non-finite "
-                        f"score {cell!r}"
-                    )
-                if not normalize and not 0.0 <= value <= 1.0:
-                    raise DataFormatError(
-                        f"{path}: row {line_no}, column {col}: score {value!r} "
-                        f"outside [0, 1] (use normalize=True for raw scores)"
-                    )
-                scores.append(value)
-            records.append((pid, label, tuple(scores)))
+                fail(f"row {line_no} has unknown label {row[1]!r}")
+            try:
+                values.extend(map(float, row[2:]))
+            except ValueError:
+                # The cells before the failing one stay in ``values``, in
+                # file order, so ``fail`` checks them first.
+                errors = (_cell_error(line_no, col, cell, normalize)
+                          for col, cell in zip(column_names, row[2:]))
+                fail(next(e for e in errors if e))
+            ids.append(pid)
+            is_client.append(label == "client")
 
-    if not records:
+    _check_scores(path, column_names, values, normalize)
+    if not ids:
         raise DataFormatError(f"{path}: no data rows")
-    matrix = np.array([scores for _, _, scores in records])
+    matrix = np.frombuffer(values).reshape(len(ids), len(column_names))
     if normalize:
         matrix = np.column_stack(
             [normalize_minmax(matrix[:, j]) for j in range(matrix.shape[1])]
         )
-    client_rows = [i for i, (_, label, _) in enumerate(records) if label == "client"]
-    impostor_rows = [i for i, (_, label, _) in enumerate(records) if label == "impostor"]
-    for label, rows in (("client", client_rows), ("impostor", impostor_rows)):
-        if not rows:
+    client = np.frombuffer(is_client, dtype=bool)
+    for label, rows in (("client", client), ("impostor", ~client)):
+        if not rows.any():
             raise DataFormatError(f"{path}: no {label} rows")
     try:
         return LabeledScoreSet(
-            client_ids=tuple(records[i][0] for i in client_rows),
-            client_scores=matrix[client_rows],
-            impostor_ids=tuple(records[i][0] for i in impostor_rows),
-            impostor_scores=matrix[impostor_rows],
+            client_ids=tuple(compress(ids, client)),
+            client_scores=matrix[client],
+            impostor_ids=tuple(compress(ids, ~client)),
+            impostor_scores=matrix[~client],
         )
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
+
+
+def _cell_error(line_no: int, col: str, cell: str, normalize: bool) -> str | None:
+    """What is wrong with one score cell, or None."""
+    try:
+        value = float(cell)
+    except ValueError:
+        return f"row {line_no}, column {col}: non-numeric score {cell!r}"
+    if not math.isfinite(value):
+        return f"row {line_no}, column {col}: non-finite score {cell!r}"
+    if not normalize and not 0.0 <= value <= 1.0:
+        return (f"row {line_no}, column {col}: score {value!r} "
+                f"outside [0, 1] (use normalize=True for raw scores)")
+    return None
+
+
+def _check_scores(path, column_names, values: array, normalize: bool) -> None:
+    """Raise the ``DataFormatError`` of the first bad cell of the parsed rows.
+
+    A cell is bad when it is not finite or, without ``normalize``, outside
+    [0, 1].  Only the failing row is read again, for its line number and
+    its cell text.
+    """
+    x = np.frombuffer(values)
+    ok = np.isfinite(x) if normalize else (x >= 0.0) & (x <= 1.0)
+    if ok.all():
+        return
+    row_index, j = divmod(int(np.argmin(ok)), len(column_names))
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        rows = ((n, r) for n, r in enumerate(reader, start=2) if r)
+        line_no, row = next(islice(rows, row_index, None))
+    message = _cell_error(line_no, column_names[j], row[2 + j], normalize)
+    raise DataFormatError(f"{path}: {message}")

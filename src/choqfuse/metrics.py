@@ -14,7 +14,7 @@ Conventions, fixed across the package:
 
 from __future__ import annotations
 
-import csv
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,13 +223,25 @@ def evaluate_scores(fused_clients, fused_impostors) -> EvalReport:
     )
 
 
+# One ROC row as csv.writer writes it: the "excel" dialect ends rows with
+# \r\n and quotes none of these fields.
+_ROC_ROW = "{:.6g},{:.6g},{:.6g}\r\n"
+_ROC_BLOCK_ROWS = 8192
+
+
 def write_roc_csv(report: EvalReport, path) -> None:
-    """Write the threshold/FAR/FRR series as CSV (6 significant digits)."""
+    """Write the threshold/FAR/FRR series as CSV (6 significant digits).
+
+    Rows are formatted and written ``_ROC_BLOCK_ROWS`` at a time, so no
+    Python object is kept per row.
+    """
+    columns = [np.asarray(c, dtype=float)
+               for c in (report.thresholds, report.far_curve, report.frr_curve)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "far", "frr"])
-        for t, far, frr in zip(report.thresholds, report.far_curve, report.frr_curve):
-            writer.writerow([f"{t:.6g}", f"{far:.6g}", f"{frr:.6g}"])
+        fh.write("threshold,far,frr\r\n")
+        for start in range(0, len(columns[0]), _ROC_BLOCK_ROWS):
+            block = [c[start:start + _ROC_BLOCK_ROWS].tolist() for c in columns]
+            fh.write("".join(map(_ROC_ROW.format, *block)))
 
 
 @dataclass(frozen=True)
@@ -265,7 +277,7 @@ class LabeledScoreSet:
             )
         all_ids = self.client_ids + self.impostor_ids
         if len(set(all_ids)) != len(all_ids):
-            dupes = sorted({i for i in all_ids if all_ids.count(i) > 1})
+            dupes = sorted(i for i, count in Counter(all_ids).items() if count > 1)
             raise ValueError(f"duplicate person ids: {dupes}")
         cs.flags.writeable = False
         imp.flags.writeable = False

@@ -68,6 +68,25 @@ class TestCsvRoundTrip:
         write_csv(data, path)
         assert load_csv(path) == data
 
+    @pytest.mark.parametrize("ids", [(" a", "b"), ("a", "b\t"), ("a ", "a"), ("", "b"),
+                                     ("a", " ")])
+    def test_ids_that_would_not_round_trip_are_refused(self, tmp_path, ids):
+        data = LabeledScoreSet(ids[:1], [[0.5]], ids[1:], [[0.25]])
+        path = tmp_path / "scores.csv"
+        with pytest.raises(ValueError, match="round-trip"):
+            write_csv(data, path)
+        assert not path.exists()
+
+    def test_interleaved_labels_keep_row_order(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_text("person_id,label,m1,m2\n"
+                        "a,impostor,0.1,0.2\nb,client,0.9,0.8\n\n"
+                        "c,impostor,0.3,0.4\nd,client,0.7,0.6\n")
+        data = load_csv(path)
+        assert data.client_ids == ("b", "d") and data.impostor_ids == ("a", "c")
+        np.testing.assert_array_equal(data.client_scores, [[0.9, 0.8], [0.7, 0.6]])
+        np.testing.assert_array_equal(data.impostor_scores, [[0.1, 0.2], [0.3, 0.4]])
+
     def test_minimal_two_row_file(self, tmp_path):
         path = tmp_path / "tiny.csv"
         path.write_text("person_id,label,m1\nalice,client,0.9\nmallory,impostor,0.2\n")
@@ -105,7 +124,53 @@ class TestNormalization:
         assert data.client_scores[0, 0] == 1.0
 
 
+# Files with several faults, the normalize flag, and the whole message after
+# "<path>: ": the first fault in file order (row, then column) is reported.
+MULTI_FAULT_FILES = {
+    "range_row_2_before_field_count_row_4": (
+        "person_id,label,m1,m2\na,client,1.5,0.2\nb,impostor,0.1,0.2\nc,client,0.3\n", False,
+        "row 2, column m1: score 1.5 outside [0, 1] (use normalize=True for raw scores)"),
+    "label_row_3_before_non_numeric_row_5": (
+        "person_id,label,m1,m2\na,client,0.5,0.2\nb,genuine,0.1,0.2\n"
+        "c,client,0.3,0.4\nd,impostor,high,0.1\n", False,
+        "row 3 has unknown label 'genuine'"),
+    "range_m1_before_non_numeric_m2": (
+        "person_id,label,m1,m2\na,client,0.5,0.2\nb,impostor,-0.25,x\n", False,
+        "row 3, column m1: score -0.25 outside [0, 1] (use normalize=True for raw scores)"),
+    "non_numeric_m2_before_range_m3": (
+        "person_id,label,m1,m2,m3\na,client,0.5,x,2.0\nb,impostor,0.1,0.2,0.3\n", False,
+        "row 2, column m2: non-numeric score 'x'"),
+    "range_before_empty_person_id": (
+        "person_id,label,m1\na,client,0.5\nb,impostor,-0.0001\n,client,0.2\n", False,
+        "row 3, column m1: score -0.0001 outside [0, 1] (use normalize=True for raw scores)"),
+    "range_after_blank_lines": (
+        "person_id,label,m1\na,client,0.5\n\n\nb,impostor,1.0000001\n", False,
+        "row 5, column m1: score 1.0000001 outside [0, 1] (use normalize=True for raw scores)"),
+    "nan_cell": (
+        "person_id,label,m1,m2\na,client,0.5,0.2\n\nb,impostor,0.1, NaN\n", False,
+        "row 4, column m2: non-finite score ' NaN'"),
+    "inf_cell": (
+        "person_id,label,m1,m2\na,client,0.5,0.2\nb,impostor,-inf,0.3\n", False,
+        "row 3, column m1: non-finite score '-inf'"),
+    "overflowing_cell_before_range": (
+        "person_id,label,m1,m2\na,client,0.5,1e999\nb,impostor,2.0,0.3\n", False,
+        "row 2, column m2: non-finite score '1e999'"),
+    "normalize_inf_before_non_numeric": (
+        "person_id,label,m1,m2\na,client,5,7\nb,impostor,12,inf\nc,client,3,x\n", True,
+        "row 3, column m2: non-finite score 'inf'"),
+}
+
+
 class TestLoadErrors:
+    @pytest.mark.parametrize("name", sorted(MULTI_FAULT_FILES))
+    def test_first_fault_in_file_order_is_reported(self, tmp_path, name):
+        body, normalize, message = MULTI_FAULT_FILES[name]
+        path = tmp_path / "bad.csv"
+        path.write_text(body)
+        with pytest.raises(DataFormatError) as exc:
+            load_csv(path, normalize=normalize)
+        assert str(exc.value) == f"{path}: {message}"
+
     def _write(self, tmp_path, body):
         path = tmp_path / "bad.csv"
         path.write_text(body)

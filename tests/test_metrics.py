@@ -8,8 +8,10 @@ import pytest
 
 from choqfuse.aggregate import FusionRule, choquet_fuse_batch, rule_fuse_batch
 from choqfuse.data import synthetic_dataset
+from choqfuse import metrics
 from choqfuse.measures import LambdaMeasure
 from choqfuse.metrics import (
+    EvalReport,
     LabeledScoreSet,
     eer,
     error_rate_at,
@@ -203,7 +205,52 @@ class TestEvalReport:
         assert report.error_rate_at(threshold) == pytest.approx(rate, abs=1e-12)
 
 
+def _csv_writer_roc(report, path):
+    """The row-by-row csv.writer export: the reference for ROC file bytes."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["threshold", "far", "frr"])
+        for t, far, frr in zip(report.thresholds, report.far_curve, report.frr_curve):
+            writer.writerow([f"{t:.6g}", f"{far:.6g}", f"{frr:.6g}"])
+
+
+def _curves_of_length(rows):
+    """A report whose grid has ``rows`` points, around a block boundary."""
+    rng = np.random.default_rng(rows)
+    grid = np.concatenate([[-1.0], np.sort(rng.uniform(0, 1, rows - 2)), [2.0]])
+    far = np.linspace(1.0, 0.0, rows)
+    return EvalReport(thresholds=grid, far_curve=far, frr_curve=far[::-1], eer=0.5,
+                      eer_threshold=0.5, n_clients=rows, n_impostors=rows)
+
+
+_BLOCK = metrics._ROC_BLOCK_ROWS
+ROC_REPORTS = {
+    # Scores on a 0.1 grid including exact 0 and 1: sentinels -1 and 2.
+    "heavy_ties": lambda rng: evaluate_scores(rng.integers(0, 11, 500) / 10,
+                                              rng.integers(0, 11, 700) / 10),
+    # Thresholds below 1e-4 print in exponent form, e.g. 3.5e-07; half the
+    # impostors score exactly 0.
+    "tiny_scores": lambda rng: evaluate_scores(
+        rng.uniform(0, 1e-4, 300), np.r_[rng.uniform(0, 1e-6, 150), np.zeros(150)]),
+    # FAR steps of 5e-05, FRR steps of 3.33333e-05; seven blocks of rows.
+    "many_rows": lambda rng: evaluate_scores(rng.uniform(size=30_000), rng.uniform(size=20_000)),
+    "block_minus_one": lambda rng: _curves_of_length(_BLOCK - 1),
+    "one_block": lambda rng: _curves_of_length(_BLOCK),
+    "block_plus_one": lambda rng: _curves_of_length(_BLOCK + 1),
+    "two_blocks": lambda rng: _curves_of_length(2 * _BLOCK),
+}
+
+
 class TestRocExport:
+    @pytest.mark.parametrize("name", sorted(ROC_REPORTS))
+    def test_bytes_equal_the_csv_writer_loop(self, tmp_path, name):
+        report = ROC_REPORTS[name](np.random.default_rng(3))
+        write_roc_csv(report, tmp_path / "blocks.csv")
+        _csv_writer_roc(report, tmp_path / "rows.csv")
+        written = (tmp_path / "blocks.csv").read_bytes()
+        assert written == (tmp_path / "rows.csv").read_bytes()
+        assert written.count(b"\r\n") == 1 + len(report.thresholds)
+
     def test_csv_format(self, tmp_path):
         report = evaluate_scores([0.8, 0.62, 0.9], [0.1, 0.33333333, 0.2])
         path = tmp_path / "roc.csv"
@@ -265,6 +312,15 @@ class TestLabeledScoreSet:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             LabeledScoreSet(("a",), [[0.5]], ("a",), [[0.4]])
+
+    def test_one_duplicate_among_1e5_ids_is_named(self):
+        ids = [f"P{i}" for i in range(100_000)]
+        ids[-1] = "P4321"
+        half = len(ids) // 2
+        with pytest.raises(ValueError) as exc:
+            LabeledScoreSet(ids[:half], np.full((half, 1), 0.5),
+                            ids[half:], np.full((half, 1), 0.25))
+        assert str(exc.value) == "duplicate person ids: ['P4321']"
 
     def test_mismatched_modalities_rejected(self):
         with pytest.raises(ValueError):
