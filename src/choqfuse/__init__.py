@@ -29,7 +29,6 @@ from .ga import (
     GenerationRecord,
     Population,
     evolve,
-    fitness,
     init_population,
     linear_crossover,
     mutation_offsets,
@@ -82,7 +81,6 @@ __all__ = [
     "evaluate_scores",
     "evolve",
     "far_frr",
-    "fitness",
     "init_population",
     "lambda_tables",
     "linear_crossover",

@@ -32,6 +32,9 @@ __all__ = ["main"]
 # uniform weights just duplicates the mean row.
 _COMPARE_RULES = ("and", "or", "prod", "mean", "min", "max", "majority_vote")
 
+# fused_scores.csv is written this many rows per str.join.
+_FUSED_BLOCK_ROWS = 8192
+
 
 class UsageError(Exception):
     """Bad flags or config; maps to exit code 1."""
@@ -218,6 +221,13 @@ def _print_measure(measure: LambdaMeasure) -> None:
         print(f"m({_subset_label(mask, measure.n)}) = {table[mask]:.6f}")
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it (excel dialect, minimal quoting)."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _cmd_fuse(args) -> int:
     dataset = _load_dataset(args)
     measure = _load_measure(args)
@@ -230,15 +240,16 @@ def _cmd_fuse(args) -> int:
     out = _out_dir(args)
     fused_path = out / "fused_scores.csv"
     with open(fused_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["person_id", "label", "fused"])
+        fh.write("person_id,label,fused\r\n")
         for label, ids, scores in (
             ("client", dataset.client_ids, dataset.client_scores),
             ("impostor", dataset.impostor_ids, dataset.impostor_scores),
         ):
-            fused = choquet_fuse_batch(scores, measure)
-            for pid, value in zip(ids, fused):
-                writer.writerow([pid, label, repr(float(value))])
+            fused = choquet_fuse_batch(scores, measure).tolist()
+            row = "{}," + label + ",{!r}\r\n"
+            for start in range(0, len(ids), _FUSED_BLOCK_ROWS):
+                block = map(_csv_field, ids[start:start + _FUSED_BLOCK_ROWS])
+                fh.write("".join(map(row.format, block, fused[start:start + _FUSED_BLOCK_ROWS])))
     print(f"wrote {fused_path}")
     return 0
 

@@ -15,15 +15,24 @@ client/impostor set, to be minimized.  One generation:
    (the best parent always retained), which makes the best-fitness trace
    monotone.
 
-Random streams are partitioned per generation and per offspring from the
-master seed, so results are reproducible and independent of evaluation
+Each generation is array work driven by one generator, spawned from the
+master seed with the key (generation, 0); the initial population uses the
+key (0, 0).  A generation of k offspring from e = ceil(k / 3) crossover
+events draws, in this order:
+
+1. the e first-parent indices;
+2. the e second-parent indices;
+3. the mutation draws s, shape (k, n);
+4. the mutation signs, shape (k, n).
+
+So a seed fixes the whole run, and results do not depend on evaluation
 order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -39,7 +48,6 @@ __all__ = [
     "GenerationRecord",
     "Population",
     "evolve",
-    "fitness",
     "init_population",
     "linear_crossover",
     "mutation_offsets",
@@ -58,7 +66,12 @@ def _clamp(genes: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Chromosome:
-    """A candidate density vector with its cached fitness (EER), if known."""
+    """A candidate density vector with its fitness (EER), if scored.
+
+    ``evolve`` keeps its population as arrays and builds chromosomes, with
+    their EERs, only for what it hands out: the best member and the
+    populations given to ``on_generation``.
+    """
 
     genes: tuple[float, ...]
     fitness: float | None = None
@@ -138,6 +151,9 @@ def init_population(
     if n_genes < 2:
         raise ValueError("need at least 2 genes per chromosome")
     seeded = [Chromosome(tuple(_clamp(np.asarray(s, dtype=float)))) for s in (seeds or [])]
+    for c in seeded:
+        if len(c.genes) != n_genes:
+            raise ValueError(f"a seed has {len(c.genes)} genes, the population {n_genes}")
     if len(seeded) > cfg.population_size:
         raise ValueError(
             f"{len(seeded)} seeds exceed the population size {cfg.population_size}"
@@ -156,8 +172,11 @@ def _fitness_kernel(
     """Scorer of (P, n) gene arrays on ``data``; the score sort is done once here."""
     clients = SortedScores(data.client_scores)
     impostors = SortedScores(data.impostor_scores)
+    n = data.n_modalities
 
     def score(genes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if genes.ndim == 2 and genes.shape[1] != n:
+            raise ValueError(f"genomes have {genes.shape[1]} genes, the data {n} modalities")
         tables = lambda_tables(genes)
         return sweep_errors(clients.fuse(tables), impostors.fuse(tables))
 
@@ -174,25 +193,35 @@ def population_fitness(genes, data: LabeledScoreSet) -> tuple[np.ndarray, np.nda
     orders chromosomes whose EERs tie: the EER estimator is quantized at
     half error counts, so whole plateaus of measures share one fitness
     value while differing in the error rate they can actually operate at.
+    Raises ``ValueError`` when the rows are not ``data.n_modalities`` wide.
     """
     return _fitness_kernel(data)(np.asarray(genes, dtype=float))
 
 
-def fitness(chromosome: Chromosome, data: LabeledScoreSet) -> float:
-    """EER of Choquet fusion under the chromosome's densities (cached)."""
-    if chromosome.fitness is None:
-        chromosome.fitness = float(population_fitness([chromosome.genes], data)[0][0])
-    return chromosome.fitness
+def _pair_indices(
+    n_members: int, n_pairs: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Member indices of ``n_pairs`` parent pairs, uniform and distinct within a pair.
+
+    All first parents are drawn, then all second parents: ``j`` is uniform
+    over the ``n_members - 1`` indices other than ``i``.
+    """
+    first = rng.integers(0, n_members, size=n_pairs)
+    second = rng.integers(0, n_members - 1, size=n_pairs)
+    return first, second + (second >= first)
 
 
 def select_parents(
     population: Population | Sequence[Chromosome],
     rng: np.random.Generator,
 ) -> tuple[Chromosome, Chromosome]:
-    """Two members drawn uniformly (1/N each), distinct within the pair."""
+    """Two members drawn uniformly (1/N each), distinct within the pair.
+
+    The one-pair case of the draw ``evolve`` makes for a whole generation.
+    """
     members = population.members if isinstance(population, Population) else population
-    i, j = rng.choice(len(members), size=2, replace=False)
-    return members[int(i)], members[int(j)]
+    (i,), (j,) = _pair_indices(len(members), 1, rng)
+    return members[i], members[j]
 
 
 def linear_crossover(a, b) -> np.ndarray:
@@ -209,37 +238,23 @@ def linear_crossover(a, b) -> np.ndarray:
 
 
 def mutation_offsets(
-    n_genes: int,
+    shape: int | tuple[int, ...],
     generation: int,
     cfg: GaConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Signed pre-clamp perturbations: +-y * (1 - s)^(generation / g_max).
+    """Signed pre-clamp perturbations of the given shape: +-y * (1 - s)^(generation / g_max).
 
-    Per gene, independently: s ~ U[0, 1] and a fair-coin sign.  The expected
-    magnitude is y / (1 + generation / g_max), shrinking as the run ages.
+    Per gene, independently: s ~ U[0, 1] and a fair-coin sign; all of s is
+    drawn before the signs.  The expected magnitude is
+    y / (1 + generation / g_max), shrinking as the run ages.
     """
     if not 0 <= generation <= cfg.max_generations:
         raise ValueError("generation must lie in [0, max_generations]")
-    s = rng.random(n_genes)
-    signs = rng.integers(0, 2, size=n_genes) * 2 - 1
+    s = rng.random(shape)
+    signs = rng.integers(0, 2, size=shape) * 2 - 1
     exponent = generation / cfg.max_generations
     return signs * cfg.mutation_bound * (1.0 - s) ** exponent
-
-
-# A scored member: (EER, minimum sweep error) for ranking, and the chromosome.
-_Ranked = tuple[tuple[float, float], Chromosome]
-
-
-def _rank(member: _Ranked) -> tuple[float, float]:
-    return member[0]
-
-
-def _next_population(current: list[_Ranked], offspring: list[_Ranked], size: int) -> list[_Ranked]:
-    """The first best of ``current`` (the elite), then the best of the rest, ranked."""
-    elite = min(current, key=_rank)
-    rest = sorted((m for m in current + offspring if m is not elite), key=_rank)
-    return sorted([elite] + rest[: size - 1], key=_rank)
 
 
 def evolve(
@@ -252,44 +267,54 @@ def evolve(
 
     Stops as soon as the best EER reaches ``cfg.eer_stop_threshold`` or
     after ``cfg.max_generations`` generations.  Fully deterministic for a
-    fixed ``cfg.rng_seed``.  Each generation's offspring are built as one
-    array and scored as one batch.
+    fixed ``cfg.rng_seed``: each generation draws from its own generator
+    (see the module docstring).  The population is a (P, n) gene array with
+    its EERs and minimum sweep errors, kept sorted by (EER, minimum error);
+    each generation's offspring are built as one array and scored as one
+    batch.  Survivors: the first best parent (the one elite), then the best
+    P - 1 of the other parents and the offspring, parents first on ties.
     """
     cfg = cfg or GaConfig()
     score = _fitness_kernel(data)
-    n_genes = data.n_modalities
+    size, n_genes = cfg.population_size, data.n_modalities
 
-    def evaluate(genes: np.ndarray) -> list[_Ranked]:
-        eers, min_errors = (v.tolist() for v in score(genes))
-        return [((e, m), Chromosome(tuple(g), e))
-                for g, e, m in zip(genes.tolist(), eers, min_errors)]
+    def ranked(genes, eers, min_errors):
+        order = np.lexsort((min_errors, eers))  # stable: earlier rows first on ties
+        return genes[order], eers[order], min_errors[order]
+
+    history: list[GenerationRecord] = []
+
+    def report(generation: int, genes: np.ndarray, eers: np.ndarray) -> Chromosome:
+        """Record the best of a ranked population; hand the population to the callback."""
+        best = Chromosome(tuple(genes[0].tolist()), float(eers[0]))
+        history.append(GenerationRecord(generation, best.fitness, best.genes))
+        if on_generation is not None:
+            population = Population(
+                members=[Chromosome(tuple(g), e) for g, e in zip(genes.tolist(), eers.tolist())],
+                generation=generation,
+            )
+            on_generation(population, population.members[0])
+        return best
 
     initial = init_population(cfg, n_genes=n_genes, seeds=seeds).members
-    live = evaluate(np.array([c.genes for c in initial]))
-    population = Population(members=[c for _, c in live])
-    best = min(live, key=_rank)[1]
-    history = [GenerationRecord(0, best.fitness, best.genes)]
-    if on_generation is not None:
-        on_generation(population, best)
+    genes = np.array([c.genes for c in initial])
+    genes, eers, min_errors = ranked(genes, *score(genes))
+    best = report(0, genes, eers)
 
     events = math.ceil(cfg.offspring_count / 3)
     for generation in range(1, cfg.max_generations + 1):
         if best.fitness <= cfg.eer_stop_threshold:
             break
-        selection_rng = _rng(cfg.rng_seed, generation, 0)
-        pairs = [select_parents(population, selection_rng) for _ in range(events)]
-        children = linear_crossover(
-            [a.genes for a, _ in pairs], [b.genes for _, b in pairs]
-        ).reshape(-1, n_genes)[: cfg.offspring_count]
-        offsets = [
-            mutation_offsets(n_genes, generation, cfg, _rng(cfg.rng_seed, generation, k + 1))
-            for k in range(len(children))
-        ]
-        live = _next_population(live, evaluate(_clamp(children + np.array(offsets))),
-                                cfg.population_size)
-        population = Population(members=[c for _, c in live], generation=generation)
-        best = population.members[0]
-        history.append(GenerationRecord(generation, best.fitness, best.genes))
-        if on_generation is not None:
-            on_generation(population, best)
-    return replace(best), history
+        rng = _rng(cfg.rng_seed, generation, 0)
+        first, second = _pair_indices(size, events, rng)
+        children = linear_crossover(genes[first], genes[second]).reshape(-1, n_genes)
+        children = children[: cfg.offspring_count]
+        children = _clamp(children + mutation_offsets(children.shape, generation, cfg, rng))
+        child_eers, child_min_errors = score(children)
+        # Row 0 is the elite; rows 1.. are the other parents, then the offspring.
+        pool = (np.concatenate([genes, children]), np.concatenate([eers, child_eers]),
+                np.concatenate([min_errors, child_min_errors]))
+        rest = 1 + np.lexsort((pool[2][1:], pool[1][1:]))[: size - 1]
+        genes, eers, min_errors = ranked(*(a[np.concatenate([[0], rest])] for a in pool))
+        best = report(generation, genes, eers)
+    return best, history

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from choqfuse.aggregate import choquet_fuse
+from choqfuse.aggregate import choquet_fuse, choquet_fuse_batch
 from choqfuse.cli import main
 from choqfuse.data import synthetic_dataset, write_csv
 from choqfuse.measures import LambdaMeasure
@@ -64,6 +64,40 @@ class TestFuse:
         code, _, err = run(capsys, "fuse", "--synthetic", "--out", str(tmp_path))
         assert code == 1
         assert "densities" in err
+
+    @pytest.mark.parametrize("ids,n_clients,n_impostors", [
+        (["a,b", 'say "hi"', "x\ny", "cr\rlf", '"', "P1", "plain id", "semi;colon"], 5, 3),
+        (None, 8191, 1),
+        (None, 8192, 8193),
+        (None, 3, 16385),
+    ])
+    def test_bytes_equal_the_csv_writer_loop(self, capsys, tmp_path, ids, n_clients,
+                                             n_impostors):
+        rng = np.random.default_rng(n_clients + n_impostors)
+        total = n_clients + n_impostors
+        ids = ids or [f"p{i}" if i % 7 else f'p,{i}"q' for i in range(total)]
+        scores = rng.choice([0.0, 1.0, 0.25, 0.5], (total, 3))
+        scores[::3] = rng.uniform(0.0, 1.0, (len(scores[::3]), 3))
+        data = LabeledScoreSet(ids[:n_clients], scores[:n_clients],
+                               ids[n_clients:], scores[n_clients:])
+        source = tmp_path / "scores.csv"
+        write_csv(data, source)
+        code, _, _ = run(capsys, "fuse", "--input", str(source),
+                         "--densities", "0.35,0.25,0.3", "--out", str(tmp_path))
+        assert code == 0
+        # The writer the CLI used before it wrote in blocks, kept as the reference.
+        measure = LambdaMeasure((0.35, 0.25, 0.3))
+        with open(tmp_path / "rows.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["person_id", "label", "fused"])
+            for label, pids, rows in (("client", data.client_ids, data.client_scores),
+                                      ("impostor", data.impostor_ids, data.impostor_scores)):
+                for pid, value in zip(pids, choquet_fuse_batch(rows, measure)):
+                    writer.writerow([pid, label, repr(float(value))])
+        written = (tmp_path / "fused_scores.csv").read_bytes()
+        assert written == (tmp_path / "rows.csv").read_bytes()
+        with open(tmp_path / "fused_scores.csv", newline="", encoding="utf-8") as fh:
+            assert [row[0] for row in csv.reader(fh)][1:] == list(ids)
 
 
 class TestOptimize:

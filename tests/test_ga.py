@@ -13,7 +13,6 @@ from choqfuse.ga import (
     GaConfig,
     Population,
     evolve,
-    fitness,
     init_population,
     linear_crossover,
     mutation_offsets,
@@ -77,30 +76,36 @@ class TestInitPopulation:
             init_population(cfg, 2, seeds=[(0.5, 0.5)] * 3)
 
 
+def eer_of(genes, data):
+    """EER of one genome: the one-row case of ``population_fitness``."""
+    return float(population_fitness([genes], data)[0][0])
+
+
 class TestFitness:
     def test_reference_optimum_densities(self):
         data = synthetic_dataset()
-        c = Chromosome((0.411, 0.547, 0.362))
-        value = fitness(c, data)
+        value = eer_of((0.411, 0.547, 0.362), data)
         # the FAR/FRR curves cross exactly at 2/30 for these densities
         assert value == pytest.approx(2 / 30, abs=1e-12)
-        assert c.fitness == value
 
     def test_identical_genes_identical_fitness(self):
         data = synthetic_dataset()
-        a = Chromosome((0.3, 0.4, 0.2))
-        b = Chromosome((0.3, 0.4, 0.2))
-        assert fitness(a, data) == fitness(b, data)
+        assert eer_of((0.3, 0.4, 0.2), data) == eer_of((0.3, 0.4, 0.2), data)
 
-    def test_cache_matches_recomputation(self):
+    def test_recomputation_is_identical(self):
         data = synthetic_dataset()
-        c = Chromosome((0.25, 0.5, 0.3))
-        first = fitness(c, data)
-        assert fitness(c, data) == first
-        assert fitness(Chromosome(c.genes), data) == first
+        genes = (0.25, 0.5, 0.3)
+        first = eer_of(genes, data)
+        assert eer_of(genes, data) == first
+        assert population_fitness([genes, genes], data)[0].tolist() == [first, first]
 
     def test_separable_toy_set_reaches_zero(self):
-        assert fitness(Chromosome((0.4, 0.3, 0.3)), toy_separable()) == 0.0
+        assert eer_of((0.4, 0.3, 0.3), toy_separable()) == 0.0
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_genome_width_must_match_the_data(self, width):
+        with pytest.raises(ValueError, match=f"{width} genes, the data 3 modalities"):
+            population_fitness([(0.5,) * width] * 2, synthetic_dataset())
 
 
 class TestPopulationFitness:
@@ -140,7 +145,7 @@ class TestPopulationFitness:
         data = synthetic_dataset()
         genes = np.random.default_rng(229).uniform(GENE_EPS, 1.0 - GENE_EPS, (20, 3))
         eers, _ = population_fitness(genes, data)
-        assert [fitness(Chromosome(tuple(g)), data) for g in genes] == eers.tolist()
+        assert [eer_of(g, data) for g in genes] == eers.tolist()
 
 
 class TestSelectParents:
@@ -170,6 +175,18 @@ class TestSelectParents:
         for _ in range(200):
             a, b = select_parents(members, rng)
             assert a is not b
+
+    def test_ordered_pairs_are_uniform(self):
+        members = [Chromosome((0.2 + 0.1 * i, 0.5)) for i in range(4)]
+        rng = np.random.default_rng(2029)
+        counts = {}
+        draws = 12_000  # 1000 per ordered pair
+        for _ in range(draws):
+            a, b = select_parents(members, rng)
+            key = (members.index(a), members.index(b))
+            counts[key] = counts.get(key, 0) + 1
+        assert len(counts) == 12
+        assert all(800 <= c <= 1200 for c in counts.values())
 
     def test_reproducible_pair_sequence(self):
         members = [Chromosome((0.2 + 0.1 * i, 0.5)) for i in range(5)]
@@ -255,8 +272,109 @@ class TestNonuniformMutation:
         with pytest.raises(ValueError):
             mutation_offsets(3, 11, cfg, np.random.default_rng(0))
 
+    def test_shape_draws_all_steps_then_all_signs(self):
+        cfg = GaConfig(max_generations=10, mutation_bound=0.5)
+        offsets = mutation_offsets((4, 3), 5, cfg, np.random.default_rng(103))
+        rng = np.random.default_rng(103)
+        s = rng.random((4, 3))
+        signs = rng.integers(0, 2, size=(4, 3)) * 2 - 1
+        assert offsets.shape == (4, 3)
+        assert np.array_equal(offsets, signs * 0.5 * (1.0 - s) ** 0.5)
+
+
+def reference_populations(data, cfg):
+    """The documented generation as plain loops over Python tuples.
+
+    Each generation's stream is spawned from the seed with key
+    (generation, 0) and drawn as: all first-parent indices, all second-parent
+    indices, the mutation draws s, the mutation signs.  Survivors: the first
+    best parent, then the best of the other parents and the offspring, parents
+    first on ties.  Returns every population as (genes, EER) pairs, ranked.
+    """
+    def rank(genes):
+        eers, min_errors = population_fitness([genes], data)
+        return float(eers[0]), float(min_errors[0])
+
+    def clamp(g):
+        return min(max(g, GENE_EPS), 1.0 - GENE_EPS)
+
+    size, n = cfg.population_size, data.n_modalities
+    pool = sorted(((rank(c.genes), c.genes)
+                   for c in init_population(cfg, n).members), key=lambda m: m[0])
+    populations = [pool]
+    events = -(-size // 3)
+    for generation in range(1, cfg.max_generations + 1):
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(cfg.rng_seed, spawn_key=(generation, 0))))
+        first = rng.integers(0, size, size=events).tolist()
+        second = rng.integers(0, size - 1, size=events).tolist()
+        # numpy's vectorized pow may differ from the scalar one in the last place.
+        steps = ((1.0 - rng.random((size, n))) ** (generation / cfg.max_generations)).tolist()
+        bits = rng.integers(0, 2, size=(size, n)).tolist()
+        children = []
+        for i, j in zip(first, second):
+            a, b = pool[i][1], pool[j + (j >= i)][1]
+            children += [[clamp(0.5 * (x + y)) for x, y in zip(a, b)],
+                         [clamp(1.5 * x - 0.5 * y) for x, y in zip(a, b)],
+                         [clamp(0.5 * x + 1.5 * y) for x, y in zip(a, b)]]
+        offspring = []
+        for child, child_steps, signs in zip(children[:size], steps, bits):
+            genes = tuple(clamp(g + (2 * sign - 1) * cfg.mutation_bound * step)
+                          for g, step, sign in zip(child, child_steps, signs))
+            offspring.append((rank(genes), genes))
+        rest = sorted(pool[1:] + offspring, key=lambda m: m[0])
+        pool = sorted([pool[0]] + rest[: size - 1], key=lambda m: m[0])
+        populations.append(pool)
+    return [[(genes, r[0]) for r, genes in p] for p in populations]
+
 
 class TestEvolve:
+    @pytest.mark.parametrize("size,seed", [(8, 17), (30, 0), (7, 3)])
+    def test_populations_equal_the_loop_reference(self, size, seed):
+        data = synthetic_dataset()
+        cfg = GaConfig(population_size=size, max_generations=15, eer_stop_threshold=0.0,
+                       rng_seed=seed)
+        seen = []
+
+        def record(population, best):
+            assert best is population.members[0]
+            seen.append([(c.genes, c.fitness) for c in population.members])
+
+        best, history = evolve(data, cfg, on_generation=record)
+        expected = reference_populations(data, cfg)
+        assert seen == expected
+        assert [(r.best_genes, r.best_eer) for r in history] == [p[0] for p in expected]
+        assert (best.genes, best.fitness) == expected[-1][0]
+
+    def test_one_generator_per_generation_and_no_chromosome_per_offspring(self, monkeypatch):
+        import choqfuse.ga as ga
+
+        counts = {"rng": 0, "chromosome": 0}
+        rng, chromosome_init = ga._rng, ga.Chromosome.__post_init__
+
+        def counting_rng(*args):
+            counts["rng"] += 1
+            return rng(*args)
+
+        def counting_init(self):
+            counts["chromosome"] += 1
+            chromosome_init(self)
+
+        monkeypatch.setattr(ga, "_rng", counting_rng)
+        monkeypatch.setattr(ga.Chromosome, "__post_init__", counting_init)
+        cfg = GaConfig(population_size=30, max_generations=12, eer_stop_threshold=0.0)
+        _, history = evolve(synthetic_dataset(), cfg)
+        assert len(history) == 13
+        assert counts["rng"] == 13  # init_population's stream, then one per generation
+        assert counts["chromosome"] == 30 + 13  # init_population, then one best per record
+
+    def test_seed_width_must_match_the_data(self):
+        data, cfg = synthetic_dataset(), GaConfig(population_size=4, max_generations=2)
+        with pytest.raises(ValueError, match="a seed has 4 genes, the population 3"):
+            evolve(data, cfg, seeds=[(0.5,) * 4] * 4)
+        with pytest.raises(ValueError, match="a seed has 2 genes, the population 3"):
+            evolve(data, cfg, seeds=[(0.5,) * 3, (0.5,) * 2])
+
     def test_separable_toy_set_stops_immediately(self):
         best, history = evolve(toy_separable(), GaConfig(population_size=6, rng_seed=3))
         assert best.fitness == 0.0
@@ -294,7 +412,7 @@ class TestEvolve:
     def test_best_fitness_matches_recomputation(self):
         data = synthetic_dataset()
         best, _ = evolve(data, GaConfig(population_size=8, max_generations=20, rng_seed=13))
-        assert fitness(Chromosome(best.genes), data) == best.fitness
+        assert eer_of(best.genes, data) == best.fitness
 
     def test_first_fifty_generations_of_seed_zero_are_pinned(self):
         # Best EER and genes, and a digest of every population's genes and
@@ -316,17 +434,32 @@ class TestEvolve:
             evolve(synthetic_dataset(), GaConfig(rng_seed=0), on_generation=record)
         assert changes == [
             (0, 0.1, (0.5232042497357765, 0.21073541982518593, 0.3799502984857669)),
-            (3, 0.06666666666666667,
-             (0.5004630232093378, 0.47121000732683394, 0.3455619529669682)),
+            (2, 0.06666666666666667,
+             (0.5001915402511592, 0.5009124225883117, 0.3569701487658584)),
         ]
         assert digest.hexdigest() == (
-            "183274183517dd7d164fa41f1f0541616da4bfb39a5362a126667e19f52831f5")
+            "a237fbe90551bfff4bbdd71894bb45cc7632a3fa43609406359fd95a9031cbe1")
 
     def test_seeded_run_keeps_seed_if_unbeaten(self):
         data = toy_separable()
         seed = (0.25, 0.5, 0.25)
         best, _ = evolve(data, GaConfig(population_size=5, rng_seed=0), seeds=[seed])
         assert best.fitness == 0.0  # the seed already separates the toy set
+
+
+def test_ga_ranks_no_worse_than_a_density_grid_optimum():
+    """Landscape oracle: the best of 33^3 interior densities k/34 bounds the GA."""
+    data = synthetic_dataset()
+    levels = np.arange(1, 34) / 34
+    grid = np.stack(np.meshgrid(levels, levels, levels, indexing="ij"), axis=-1).reshape(-1, 3)
+    eers, min_errors = population_fitness(grid, data)
+    best = np.lexsort((min_errors, eers))[0]
+    grid_best = (float(eers[best]), float(min_errors[best]))
+    assert grid_best == (1 / 15, 0.05)  # near (0.32, 0.29, 0.21)
+    for seed in range(3):
+        genes = evolve(data, GaConfig(rng_seed=seed))[0].genes
+        found = population_fitness([genes], data)
+        assert (float(found[0][0]), float(found[1][0])) <= grid_best, seed
 
 
 class TestConfigValidation:
