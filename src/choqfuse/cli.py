@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .aggregate import FusionRule, choquet_fuse_batch, rule_fuse_batch
-from .data import DataFormatError, load_csv, synthetic_dataset
+from .data import DataFormatError, load_csv, synthetic_dataset, write_rows
 from .ga import GaConfig, evolve
 from .measures import ConvergenceError, LambdaMeasure
 from .metrics import EvalReport, LabeledScoreSet, evaluate_scores, write_roc_csv
@@ -31,9 +31,6 @@ __all__ = ["main"]
 # weighted_sum is omitted: compare has no weights source, and synthesizing
 # uniform weights just duplicates the mean row.
 _COMPARE_RULES = ("and", "or", "prod", "mean", "min", "max", "majority_vote")
-
-# fused_scores.csv is written this many rows per str.join.
-_FUSED_BLOCK_ROWS = 8192
 
 
 class UsageError(Exception):
@@ -221,13 +218,6 @@ def _print_measure(measure: LambdaMeasure) -> None:
         print(f"m({_subset_label(mask, measure.n)}) = {table[mask]:.6f}")
 
 
-def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer`` writes it (excel dialect, minimal quoting)."""
-    if "," in text or '"' in text or "\r" in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _cmd_fuse(args) -> int:
     dataset = _load_dataset(args)
     measure = _load_measure(args)
@@ -245,11 +235,7 @@ def _cmd_fuse(args) -> int:
             ("client", dataset.client_ids, dataset.client_scores),
             ("impostor", dataset.impostor_ids, dataset.impostor_scores),
         ):
-            fused = choquet_fuse_batch(scores, measure).tolist()
-            row = "{}," + label + ",{!r}\r\n"
-            for start in range(0, len(ids), _FUSED_BLOCK_ROWS):
-                block = map(_csv_field, ids[start:start + _FUSED_BLOCK_ROWS])
-                fh.write("".join(map(row.format, block, fused[start:start + _FUSED_BLOCK_ROWS])))
+            write_rows(fh, label, ids, choquet_fuse_batch(scores, measure)[:, None])
     print(f"wrote {fused_path}")
     return 0
 

@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 
+# Lines formatted per write by ``write_rows``.
+_BLOCK_ROWS = 8192
+
+
 class DataFormatError(ValueError):
     """A score file does not conform to the CSV schema."""
 
@@ -66,11 +70,31 @@ def write_csv(dataset: LabeledScoreSet, path) -> None:
                          f"(empty or with surrounding whitespace): {bad!r}")
     n = dataset.n_modalities
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["person_id", "label"] + [f"m{i + 1}" for i in range(n)])
-        for label, rows in (("client", dataset.clients), ("impostor", dataset.impostors)):
-            for pid, scores in rows:
-                writer.writerow([pid, label] + [repr(float(s)) for s in scores])
+        fh.write(",".join(["person_id", "label"] + [f"m{i + 1}" for i in range(n)]) + "\r\n")
+        write_rows(fh, "client", dataset.client_ids, dataset.client_scores)
+        write_rows(fh, "impostor", dataset.impostor_ids, dataset.impostor_scores)
+
+
+def write_rows(fh, label: str, ids, values: np.ndarray) -> None:
+    """Write one ``id,label,v1,...,vk`` line per row of the (N, k) array ``values``.
+
+    The bytes are those ``csv.writer`` writes for ``[id, label] + [repr(v)
+    for v in row]`` (excel dialect; ``label`` needs no quoting).  Lines are
+    formatted and written ``_BLOCK_ROWS`` at a time, so no Python object is
+    kept per row.
+    """
+    line = "{}," + label + ",{!r}" * values.shape[1] + "\r\n"
+    for start in range(0, len(ids), _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        fields = map(_csv_field, ids[start:stop])
+        fh.write("".join(map(line.format, fields, *values[start:stop].T.tolist())))
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it (excel dialect, minimal quoting)."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def load_csv(path, normalize: bool = False) -> LabeledScoreSet:

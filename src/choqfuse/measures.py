@@ -39,9 +39,11 @@ __all__ = [
 ADDITIVE_TOL = 1e-12
 # Residual |f(lambda)| the solved root must satisfy.
 ROOT_RESIDUAL_TOL = 1e-10
-# Iteration budget of the root solver.  Newton typically converges in under
-# 10 steps; extreme roots (densities at the 1e-6 clamp bounds, n <= 16)
-# took at most 32 with bisection steps mixed in.
+# Iteration budget of the root solver.  From the quadratic start Newton
+# converges in one step for n <= 3 (the start is the exact root) and
+# typically in under 10 for n > 3; rows with n >= 8 and lambda near -1, and
+# extreme roots (densities at the 1e-6 clamp bounds, n <= 16), took at most
+# 32 with bisection steps mixed in.
 _MAX_ITER = 200
 _EPS = np.finfo(float).eps
 # Boundary check tolerances for measures (empty/full set, monotonicity).
@@ -119,16 +121,26 @@ def _solve(d: np.ndarray) -> np.ndarray:
     if rows.size == 0:
         return roots
     d, total = d[rows], total[rows]
-    # g(lam) >= sum(m_i) - 1 + e2 * lam for lam > 0 (e2 = sum of pairwise
-    # products, all higher terms are positive), so the positive root lies in
-    # (0, (1 - sum) / e2]; a negative root lies in (-1, 0).  Newton starts
-    # at that linear estimate, on the negative side no lower than -0.5.
-    e2 = (np.cumsum(d, axis=1)[:, :-1] * d[:, 1:]).sum(axis=1)
-    linear = (1.0 - total) / e2
-    positive = total < 1.0
+    # g(lam) = c + e2*lam + e3*lam^2 + ... + e_n*lam^(n-1) with c = sum(m_i) - 1
+    # and e_k the k-th elementary symmetric sum of the densities.  For lam > 0
+    # every term past the linear one is positive, so the positive root lies
+    # in (0, -c / e2]; a negative root lies in (-1, 0).  Newton starts at the
+    # root of the quadratic truncation c + e2*lam + e3*lam^2, written in the
+    # cancellation-free form: the exact root for n <= 3 (e3 = 0 for n = 2),
+    # and for n > 3 a tighter upper bound than -c / e2 on the positive side.
+    # On the negative side it is only a guess; outside (-1, 0) the start is
+    # the linear estimate, no lower than -0.5.
+    pairs = np.cumsum(d, axis=1)[:, :-1] * d[:, 1:]
+    e2 = pairs.sum(axis=1)
+    e3 = (np.cumsum(pairs, axis=1)[:, :-1] * d[:, 2:]).sum(axis=1)
+    c = total - 1.0
+    linear = -c / e2
+    quadratic = -2.0 * c / (e2 + np.sqrt(np.maximum(e2 * e2 - 4.0 * e3 * c, 0.0)))
+    positive = c < 0.0
     lo = np.where(positive, 0.0, -1.0)
     hi = np.where(positive, linear, 0.0)
-    x = np.where(positive, linear, np.maximum(linear, -0.5))
+    inside = (quadratic > -1.0) & (quadratic < 0.0)
+    x = np.where(positive | inside, quadratic, np.maximum(linear, -0.5))
     last_step = hi - lo
     done = np.zeros(len(d), dtype=bool)
     for _ in range(_MAX_ITER):
@@ -180,8 +192,11 @@ def solve_lambda_batch(densities) -> np.ndarray:
     give exactly 0.0 (additive measure).  The root lies on the side dictated
     by the density sum (positive when the sum is below 1, inside (-1, 0)
     when above); it is found by Newton steps on the lambda-normalized
-    residual, safeguarded by bisection of that bracket.  Rows are solved
-    independently: a row's root does not depend on the other rows.
+    residual, safeguarded by bisection of that bracket.  Newton starts at
+    the root of the equation's quadratic truncation: the exact root for
+    n <= 3, so one step converges, and an upper bound of a positive root
+    for n > 3.  Rows are solved independently: a row's root does not depend
+    on the other rows.
 
     Raises ``ValueError`` for rows of fewer than two densities or densities
     outside (0, 1), and ``ConvergenceError`` if a root misses the residual
@@ -430,18 +445,19 @@ def validate_measure(values: Mapping) -> list[MeasureViolation]:
         )
     # Monotone over all covering pairs A < A + {j} implies monotone over
     # every inclusion chain, so covers are sufficient and name the
-    # tightest offending pair.
-    for mask in range(1 << n):
-        for j in range(n):
-            if mask >> j & 1:
-                continue
-            wider = mask | (1 << j)
-            if table[mask] > table[wider] + MONOTONE_TOL:
-                violations.append(
-                    MeasureViolation(
-                        "monotonicity", _mask_to_set(mask), _mask_to_set(wider),
-                        f"m({set(_mask_to_set(mask)) or '{}'}) = {table[mask]!r} exceeds "
-                        f"m({set(_mask_to_set(wider))}) = {table[wider]!r}",
-                    )
-                )
+    # tightest offending pair.  Row-major np.nonzero lists them by (A, j).
+    masks = np.arange(1 << n)[:, None]
+    bits = 1 << np.arange(n)
+    covers = masks | bits
+    broken = ((masks & bits) == 0) & (table[masks] > table[covers] + MONOTONE_TOL)
+    for mask, j in zip(*np.nonzero(broken)):
+        mask = int(mask)
+        wider = mask | 1 << int(j)
+        violations.append(
+            MeasureViolation(
+                "monotonicity", _mask_to_set(mask), _mask_to_set(wider),
+                f"m({set(_mask_to_set(mask)) or '{}'}) = {table[mask]!r} exceeds "
+                f"m({set(_mask_to_set(wider))}) = {table[wider]!r}",
+            )
+        )
     return violations

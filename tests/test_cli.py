@@ -1,6 +1,7 @@
 """Command-line interface behavior and exit codes."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -128,6 +129,15 @@ class TestOptimize:
             assert code == 0
         assert (out_a / "history.csv").read_bytes() == (out_b / "history.csv").read_bytes()
         assert (out_a / "measure.json").read_bytes() == (out_b / "measure.json").read_bytes()
+
+    def test_default_seed_zero_history_is_pinned(self, capsys, tmp_path):
+        # The full 1000-generation trajectory of the default run: any change
+        # to a fitness value, a random stream or an operator shows here.
+        code, _, _ = run(capsys, "optimize", "--synthetic", "--seed", "0",
+                         "--out", str(tmp_path))
+        assert code == 0
+        digest = hashlib.sha256((tmp_path / "history.csv").read_bytes()).hexdigest()
+        assert digest == "d07eeed64b82db94bd8d9dd1f2bb53276be0f56e0a0827d55818e2fa711f0468"
 
     def test_separable_input_stops_on_threshold(self, capsys, tmp_path):
         data = LabeledScoreSet(

@@ -1,5 +1,6 @@
 """Packaged synthetic dataset and CSV round-tripping."""
 
+import csv
 import hashlib
 
 import numpy as np
@@ -67,6 +68,32 @@ class TestCsvRoundTrip:
         path = tmp_path / "scores.csv"
         write_csv(data, path)
         assert load_csv(path) == data
+
+    @pytest.mark.parametrize("ids,n_clients,n_impostors,n", [
+        (["a,b", 'say "hi"', "x\ny", "cr\rlf", '"', "P1", "plain id", "semi;colon"], 5, 3, 4),
+        (None, 8191, 2, 1),
+        (None, 8192, 8193, 3),
+        (None, 2, 8193, 2),
+    ])
+    def test_bytes_equal_the_csv_writer_loop(self, tmp_path, ids, n_clients, n_impostors, n):
+        rng = np.random.default_rng(n_clients + n_impostors)
+        total = n_clients + n_impostors
+        ids = ids or [f"p{i}" if i % 7 else f'p,{i}"q' for i in range(total)]
+        scores = rng.choice([0.0, 1.0, 0.25, 0.5], (total, n))
+        scores[::3] = rng.uniform(0.0, 1.0, (len(scores[::3]), n))
+        data = LabeledScoreSet(ids[:n_clients], scores[:n_clients],
+                               ids[n_clients:], scores[n_clients:])
+        write_csv(data, tmp_path / "blocks.csv")
+        # The one-row-per-person csv.writer loop write_csv used before it
+        # wrote in blocks, kept as the reference.
+        with open(tmp_path / "rows.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["person_id", "label"] + [f"m{i + 1}" for i in range(n)])
+            for label, rows in (("client", data.clients), ("impostor", data.impostors)):
+                for pid, row in rows:
+                    writer.writerow([pid, label] + [repr(float(s)) for s in row])
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        assert load_csv(tmp_path / "blocks.csv") == data
 
     @pytest.mark.parametrize("ids", [(" a", "b"), ("a", "b\t"), ("a ", "a"), ("", "b"),
                                      ("a", " ")])

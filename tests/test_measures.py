@@ -6,10 +6,14 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from choqfuse import measures
 from choqfuse.ga import GENE_EPS
 from choqfuse.measures import (
+    BOUNDARY_TOL,
+    MONOTONE_TOL,
     ConvergenceError,
     LambdaMeasure,
+    MeasureViolation,
     TableMeasure,
     lambda_tables,
     solve_lambda,
@@ -144,6 +148,26 @@ class TestSolveLambdaBatch:
                 assert -1.0 < lam < 0.0
             residual = abs(math.prod(1.0 + lam * m for m in d) - lam - 1.0)
             assert residual <= max(1e-10, 64.0 * abs(lam) * 2.3e-16 * n), (d, lam)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_two_and_three_densities_take_one_newton_step(self, n, monkeypatch):
+        # The start is the exact root of the at most quadratic equation, so
+        # one iteration converges: one residual in the loop, one in the
+        # contract check.
+        calls, residual = [], measures._residual
+
+        def counted(d, lam):
+            calls.append(len(lam))
+            return residual(d, lam)
+
+        monkeypatch.setattr(measures, "_residual", counted)
+        rng = np.random.default_rng(300 + n)
+        rows = clamp_corner_rows(rng, n, 1000)
+        rows[0], rows[1] = GENE_EPS, 1.0 - GENE_EPS
+        lams = solve_lambda_batch(rows)
+        solved = np.count_nonzero(lams)  # additive rows are not solved
+        assert solved > 700 and calls == [solved, solved]
+        assert np.count_nonzero(lams > 0) > 100 and np.count_nonzero(lams < 0) > 100
 
     def test_additive_rows_are_exactly_zero(self):
         rows = [[0.5, 0.5], [0.25, 0.75], [0.3, 0.7]]
@@ -338,6 +362,54 @@ class TestValidateMeasure:
     def test_accepts_bitmask_keys(self):
         values = {0: 0.0, 1: 0.6, 2: 0.5, 3: 1.0}
         assert validate_measure(values) == []
+
+
+def loop_violations(table):
+    """The covering-pair loop validate_measure ran before it was vectorized."""
+    n = len(table).bit_length() - 1
+    sets = [frozenset(i for i in range(n) if mask >> i & 1) for mask in range(len(table))]
+    found = []
+    if abs(table[0]) > BOUNDARY_TOL:
+        found.append(MeasureViolation("empty", frozenset(), None,
+                                      f"m(empty set) = {table[0]!r}, must be 0"))
+    if abs(table[-1] - 1.0) > BOUNDARY_TOL:
+        found.append(MeasureViolation("full", sets[-1], None,
+                                      f"m(full set) = {table[-1]!r}, must be 1"))
+    for mask in range(1 << n):
+        for j in range(n):
+            if mask >> j & 1:
+                continue
+            wider = mask | (1 << j)
+            if table[mask] > table[wider] + MONOTONE_TOL:
+                found.append(MeasureViolation(
+                    "monotonicity", sets[mask], sets[wider],
+                    f"m({set(sets[mask]) or '{}'}) = {table[mask]!r} exceeds "
+                    f"m({set(sets[wider])}) = {table[wider]!r}",
+                ))
+    return found
+
+
+class TestValidateMeasureAgainstTheLoop:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_broken_tables_give_the_loop_violations(self, n):
+        rng = np.random.default_rng(400 + n)
+        sizes = np.array([bin(mask).count("1") for mask in range(1 << n)])
+        kinds = set()
+        for trial in range(4):
+            table = sizes / n + rng.uniform(-0.5, 0.5, 1 << n) / n
+            for mask in rng.integers(0, 1 << n, 8):
+                for j in range(n):
+                    if not mask >> j & 1:
+                        # Clear drops, or ties within a few MONOTONE_TOL.
+                        drop = 0.1 if trial % 2 == 0 else rng.integers(0, 3) * MONOTONE_TOL
+                        table[mask | 1 << j] = table[mask] - drop
+            # Valid boundaries, clear faults, then faults and ties at BOUNDARY_TOL.
+            table[0] = [0.0, 0.2, 2e-9, -1e-9][trial]
+            table[-1] = [1.0, 0.1, 1.0 + 2e-9, 1.0 - 1e-9][trial]
+            violations = validate_measure(dict(enumerate(table)))
+            assert violations == loop_violations(table)
+            kinds.update(v.kind for v in violations)
+        assert kinds == {"empty", "full", "monotonicity"}
 
 
 class TestTableMeasure:

@@ -1,7 +1,9 @@
-"""Property tests: Choquet axioms, EER rescaling invariance, CSV round trips.
+"""Property tests: lambda roots, Choquet axioms, EER rescaling invariance, CSV round trips.
 
 Derandomized, so every run draws the same examples.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from choqfuse.aggregate import choquet_fuse
 from choqfuse.data import load_csv, write_csv
 from choqfuse.ga import GENE_EPS
-from choqfuse.measures import LambdaMeasure
+from choqfuse.measures import ADDITIVE_TOL, LambdaMeasure, solve_lambda, solve_lambda_batch
 from choqfuse.metrics import LabeledScoreSet, evaluate_scores
 
 properties = settings(derandomize=True, deadline=None, database=None)
@@ -25,6 +27,30 @@ def measures_and_scores(draw):
     n = draw(st.integers(2, 6))
     measure = LambdaMeasure(tuple(draw(st.lists(density, min_size=n, max_size=n))))
     return measure, draw(st.lists(unit, min_size=n, max_size=n))
+
+
+@st.composite
+def density_batches(draw):
+    n = draw(st.integers(2, 16))
+    rows = st.lists(density, min_size=n, max_size=n)
+    return draw(st.lists(rows, min_size=1, max_size=6))
+
+
+class TestLambdaRoots:
+    @properties
+    @given(density_batches())
+    def test_sign_round_trip_and_batch_equals_one_row(self, rows):
+        roots = solve_lambda_batch(rows).tolist()
+        for d, lam in zip(rows, roots):
+            total = math.fsum(d)
+            if abs(total - 1.0) <= ADDITIVE_TOL:
+                assert lam == 0.0
+            elif total < 1.0:
+                assert lam > 0.0
+            else:
+                assert -1.0 < lam < 0.0
+            assert LambdaMeasure(d, lam) == LambdaMeasure(d)
+            assert solve_lambda(d) == lam
 
 
 class TestChoquetAxioms:
