@@ -18,7 +18,9 @@ from .aggregate import (
 )
 from .data import (
     DataFormatError,
+    LabeledScoreSet,
     load_csv,
+    normalize_minmax,
     synthetic_csv_path,
     synthetic_dataset,
     write_csv,
@@ -47,12 +49,10 @@ from .measures import (
 )
 from .metrics import (
     EvalReport,
-    LabeledScoreSet,
     eer,
     error_rate_at,
     evaluate_scores,
     far_frr,
-    normalize_minmax,
     sweep_errors,
     write_roc_csv,
 )

@@ -76,20 +76,18 @@ class SortedScores:
         self.masks = np.cumsum(bits[:, ::-1], axis=1)[:, ::-1]
 
     def fuse(self, tables: np.ndarray) -> np.ndarray:
-        """Choquet integral of every row under every table: (P, 2^n) -> (P, N)."""
-        return _choquet_sum(self.diffs, tables[:, self.masks])
+        """Choquet integral of every row under every table: (P, 2^n) -> (P, N).
 
-
-def _choquet_sum(diffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Sum of increment times coalition weight, left to right over sorted positions.
-
-    The order ``(d0*w0 + d1*w1) + d2*w2 ...`` is fixed here, not left to a
-    library reduction, so fused scores do not depend on the numpy build.
-    """
-    total = diffs[:, 0] * weights[..., 0]
-    for i in range(1, diffs.shape[1]):
-        total += diffs[:, i] * weights[..., i]
-    return total
+        Increments times coalition weights are summed left to right over
+        the sorted positions, ``(d0*w0 + d1*w1) + d2*w2 ...``: the order is
+        fixed here, not left to a library reduction, so fused scores do not
+        depend on the numpy build.
+        """
+        weights = tables[:, self.masks]
+        total = self.diffs[:, 0] * weights[..., 0]
+        for i in range(1, self.diffs.shape[1]):
+            total += self.diffs[:, i] * weights[..., i]
+        return total
 
 
 def choquet_fuse(scores, measure: LambdaMeasure | TableMeasure) -> float:
@@ -106,14 +104,8 @@ def choquet_fuse(scores, measure: LambdaMeasure | TableMeasure) -> float:
 
 def choquet_fuse_batch(scores, measure: LambdaMeasure | TableMeasure) -> np.ndarray:
     """Choquet integral of each row of a score matrix. Vectorized."""
-    rows = SortedScores(scores, measure.n)
     table = measure.dense_table()
-    if table is not None:
-        return rows.fuse(table[np.newaxis])[0]
-    # Measures too large for a table: look up each distinct coalition once.
-    masks, inverse = np.unique(rows.masks, return_inverse=True)
-    values = np.array([measure.value_of(int(m)) for m in masks])
-    return _choquet_sum(rows.diffs, values[inverse].reshape(rows.masks.shape))
+    return SortedScores(scores, measure.n).fuse(table[np.newaxis])[0]
 
 
 def _normalized_weights(weights, n: int) -> np.ndarray:
@@ -135,7 +127,7 @@ def _thresholds_array(threshold, n: int) -> np.ndarray:
         t = np.full(n, float(t))
     if t.shape != (n,):
         raise ValueError(f"expected a scalar or {n} per-modality thresholds")
-    if np.any(t < 0.0) or np.any(t > 1.0):
+    if not np.all((t >= 0.0) & (t <= 1.0)):
         raise ValueError("decision thresholds must lie in [0, 1]")
     return t
 

@@ -13,24 +13,24 @@ numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .aggregate import FusionRule, choquet_fuse_batch, rule_fuse_batch
-from .data import DataFormatError, load_csv, synthetic_dataset, write_rows
+from .data import (DataFormatError, LabeledScoreSet, csv_fields, load_csv,
+                   synthetic_dataset, write_rows)
 from .ga import GaConfig, evolve
 from .measures import ConvergenceError, LambdaMeasure
-from .metrics import EvalReport, LabeledScoreSet, evaluate_scores, write_roc_csv
+from .metrics import EvalReport, evaluate_scores, write_roc_csv
 
 __all__ = ["main"]
 
 # weighted_sum is omitted: compare has no weights source, and synthesizing
 # uniform weights just duplicates the mean row.
 _COMPARE_RULES = ("and", "or", "prod", "mean", "min", "max", "majority_vote")
+# Measures of at most this many criteria are printed and reported subset by subset.
+_DISPLAY_MAX_N = 6
 
 
 class UsageError(Exception):
@@ -183,6 +183,20 @@ def _load_measure(args) -> LambdaMeasure | None:
     return None
 
 
+def _threshold(args) -> float:
+    """The --threshold value (default 0.5), checked before any output is written."""
+    threshold = 0.5 if args.threshold is None else args.threshold
+    if not 0.0 <= threshold <= 1.0:
+        raise UsageError(f"--threshold must lie in [0, 1], got {threshold!r}")
+    return threshold
+
+
+def _evaluate(dataset: LabeledScoreSet, rule: FusionRule) -> EvalReport:
+    """Fuse both classes of ``dataset`` under ``rule`` and evaluate the scores."""
+    return evaluate_scores(rule_fuse_batch(dataset.client_scores, rule),
+                           rule_fuse_batch(dataset.impostor_scores, rule))
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -199,7 +213,7 @@ def _measure_json(measure: LambdaMeasure) -> dict:
         "lambda": measure.lam,
         "n_modalities": measure.n,
     }
-    if measure.n <= 6:
+    if measure.n <= _DISPLAY_MAX_N:
         table = measure.dense_table()
         payload["subset_measures"] = {
             _subset_label(mask, measure.n): float(table[mask])
@@ -210,7 +224,7 @@ def _measure_json(measure: LambdaMeasure) -> dict:
 
 def _print_measure(measure: LambdaMeasure) -> None:
     print(f"lambda = {measure.lam:.6f}")
-    if measure.n > 6:
+    if measure.n > _DISPLAY_MAX_N:
         return
     table = measure.dense_table()
     masks = sorted(range(1, 1 << measure.n), key=lambda m: (bin(m).count("1"), m))
@@ -235,7 +249,8 @@ def _cmd_fuse(args) -> int:
             ("client", dataset.client_ids, dataset.client_scores),
             ("impostor", dataset.impostor_ids, dataset.impostor_scores),
         ):
-            write_rows(fh, label, ids, choquet_fuse_batch(scores, measure)[:, None])
+            write_rows(fh, "{}," + label + ",{!r}\r\n",
+                       [csv_fields(ids), choquet_fuse_batch(scores, measure)])
     print(f"wrote {fused_path}")
     return 0
 
@@ -255,17 +270,15 @@ def _cmd_optimize(args) -> int:
 
     out = _out_dir(args)
     history_path = out / "history.csv"
+    n = dataset.n_modalities
     with open(history_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        n = dataset.n_modalities
-        writer.writerow(["generation", "best_eer"] + [f"gene{i + 1}" for i in range(n)])
-        for record in history:
-            writer.writerow([record.generation, repr(record.best_eer)]
-                            + [repr(g) for g in record.best_genes])
+        fh.write(",".join(["generation", "best_eer"] + [f"gene{i + 1}" for i in range(n)])
+                 + "\r\n")
+        write_rows(fh, "{},{!r}" + ",{!r}" * n + "\r\n",
+                   [[r.generation for r in history], [r.best_eer for r in history],
+                    *zip(*(r.best_genes for r in history))])
 
-    fused_clients = choquet_fuse_batch(dataset.client_scores, measure)
-    fused_impostors = choquet_fuse_batch(dataset.impostor_scores, measure)
-    report = evaluate_scores(fused_clients, fused_impostors)
+    report = _evaluate(dataset, FusionRule("choquet", measure))
     min_rate, min_threshold = report.min_error_rate()
     payload = _measure_json(measure)
     payload.update({
@@ -295,16 +308,10 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def _rule_row(dataset: LabeledScoreSet, rule: FusionRule) -> tuple[np.ndarray, np.ndarray]:
-    fused_clients = rule_fuse_batch(dataset.client_scores, rule)
-    fused_impostors = rule_fuse_batch(dataset.impostor_scores, rule)
-    return fused_clients, fused_impostors
-
-
 def _cmd_compare(args) -> int:
     dataset = _load_dataset(args)
     measure = _load_measure(args)
-    threshold = args.threshold if args.threshold is not None else 0.5
+    threshold = _threshold(args)
     n = dataset.n_modalities
     if measure is not None and measure.n != n:
         raise UsageError(f"measure has {measure.n} densities but the data "
@@ -323,16 +330,14 @@ def _cmd_compare(args) -> int:
 
     for tag in _COMPARE_RULES:
         rule = FusionRule(tag=tag, threshold=threshold)
-        report = evaluate_scores(*_rule_row(dataset, rule))
+        report = _evaluate(dataset, rule)
         # Decision rules emit 0/1 decisions scored at the fixed 0.5 level;
         # score rules are thresholded at the requested level.
         at = 0.5 if rule.is_decision else threshold
         add_row(tag, report, report.error_rate_at(at))
 
     if measure is not None:
-        fc = choquet_fuse_batch(dataset.client_scores, measure)
-        fi = choquet_fuse_batch(dataset.impostor_scores, measure)
-        report = evaluate_scores(fc, fi)
+        report = _evaluate(dataset, FusionRule("choquet", measure))
         # Reported at its best operating point (minimum total error over the
         # threshold sweep).
         rate, _ = report.min_error_rate()
@@ -347,10 +352,8 @@ def _cmd_compare(args) -> int:
 
     table_path = out / "comparison.csv"
     with open(table_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rule", "error_rate_percent"])
-        for name, rate in rows:
-            writer.writerow([name, f"{rate:.2f}"])
+        fh.write("rule,error_rate_percent\r\n")
+        write_rows(fh, "{},{:.2f}\r\n", list(zip(*rows)))
     print(f"wrote {table_path} and per-rule ROC CSVs")
     return 0
 
@@ -358,7 +361,7 @@ def _cmd_compare(args) -> int:
 def _cmd_eval(args) -> int:
     dataset = _load_dataset(args)
     measure = _load_measure(args)
-    threshold = args.threshold if args.threshold is not None else 0.5
+    threshold = _threshold(args)
     tag = args.rule or "choquet"
     n = dataset.n_modalities
     if tag == "choquet":
@@ -370,9 +373,7 @@ def _cmd_eval(args) -> int:
         weights = tuple([1.0 / n] * n) if tag == "weighted_sum" else None
         rule = FusionRule(tag=tag, weights=weights, threshold=threshold)
 
-    fused_clients = rule_fuse_batch(dataset.client_scores, rule)
-    fused_impostors = rule_fuse_batch(dataset.impostor_scores, rule)
-    report = evaluate_scores(fused_clients, fused_impostors)
+    report = _evaluate(dataset, rule)
     operating = 0.5 if rule.is_decision else threshold
     min_rate, min_threshold = report.min_error_rate()
 

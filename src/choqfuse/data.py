@@ -1,4 +1,4 @@
-"""Labeled score datasets: the packaged synthetic benchmark and CSV I/O.
+"""Labeled score sets: the packaged synthetic benchmark, normalization, CSV I/O.
 
 CSV schema (UTF-8, '.' decimal separator):
 
@@ -8,7 +8,8 @@ with ``label`` either ``client`` or ``impostor`` (case-insensitive) and one
 score column per modality.  ``load_csv`` strips whitespace around person ids
 and rejects empty ones; ``write_csv`` emits the identical schema and refuses
 ids that would not survive that, so whenever it writes a file
-``load_csv(write_csv(s)) == s`` round-trips exactly.
+``load_csv(write_csv(s)) == s`` round-trips exactly.  Every CSV file the
+package writes goes through the block row writer ``write_rows``.
 """
 
 from __future__ import annotations
@@ -16,16 +17,18 @@ from __future__ import annotations
 import csv
 import math
 from array import array
+from collections import Counter
+from dataclasses import dataclass
 from importlib import resources
 from itertools import compress, islice
 
 import numpy as np
 
-from .metrics import LabeledScoreSet, normalize_minmax
-
 __all__ = [
     "DataFormatError",
+    "LabeledScoreSet",
     "load_csv",
+    "normalize_minmax",
     "synthetic_csv_path",
     "synthetic_dataset",
     "write_csv",
@@ -38,6 +41,86 @@ _BLOCK_ROWS = 8192
 
 class DataFormatError(ValueError):
     """A score file does not conform to the CSV schema."""
+
+
+@dataclass(frozen=True)
+class LabeledScoreSet:
+    """Client and impostor score vectors: the fusion/evaluation substrate.
+
+    Score matrices are one row per person, one column per modality, all
+    values already normalized into [0, 1].  Person ids are unique across
+    both classes.  Instances are immutable and safe to share.
+    """
+
+    client_ids: tuple[str, ...]
+    client_scores: np.ndarray
+    impostor_ids: tuple[str, ...]
+    impostor_scores: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "client_ids", tuple(str(i) for i in self.client_ids))
+        object.__setattr__(self, "impostor_ids", tuple(str(i) for i in self.impostor_ids))
+        cs = np.array(self.client_scores, dtype=float)
+        imp = np.array(self.impostor_scores, dtype=float)
+        for name, ids, arr in (("client", self.client_ids, cs),
+                               ("impostor", self.impostor_ids, imp)):
+            if arr.ndim != 2 or arr.shape[0] == 0:
+                raise ValueError(f"{name} scores must be a non-empty matrix")
+            if arr.shape[0] != len(ids):
+                raise ValueError(f"{len(ids)} {name} ids for {arr.shape[0]} score rows")
+            if np.any(~np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
+                raise ValueError(f"{name} scores must lie in [0, 1]")
+        if cs.shape[1] != imp.shape[1]:
+            raise ValueError(
+                f"clients have {cs.shape[1]} modalities, impostors {imp.shape[1]}"
+            )
+        all_ids = self.client_ids + self.impostor_ids
+        if len(set(all_ids)) != len(all_ids):
+            dupes = sorted(i for i, count in Counter(all_ids).items() if count > 1)
+            raise ValueError(f"duplicate person ids: {dupes}")
+        cs.flags.writeable = False
+        imp.flags.writeable = False
+        object.__setattr__(self, "client_scores", cs)
+        object.__setattr__(self, "impostor_scores", imp)
+
+    @property
+    def n_modalities(self) -> int:
+        return int(self.client_scores.shape[1])
+
+    @property
+    def clients(self) -> list[tuple[str, np.ndarray]]:
+        return list(zip(self.client_ids, self.client_scores))
+
+    @property
+    def impostors(self) -> list[tuple[str, np.ndarray]]:
+        return list(zip(self.impostor_ids, self.impostor_scores))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LabeledScoreSet):
+            return NotImplemented
+        return (
+            self.client_ids == other.client_ids
+            and self.impostor_ids == other.impostor_ids
+            and np.array_equal(self.client_scores, other.client_scores)
+            and np.array_equal(self.impostor_scores, other.impostor_scores)
+        )
+
+
+def normalize_minmax(raw) -> np.ndarray:
+    """Affinely map values onto [0, 1]: x -> (x - min) / (max - min).
+
+    A degenerate input (max == min) maps everything to 0.5 rather than
+    erroring out, so batch pipelines survive constant columns.
+    """
+    x = np.asarray(raw, dtype=float)
+    if x.size == 0:
+        raise ValueError("cannot normalize an empty list")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("cannot normalize non-finite values")
+    lo, hi = x.min(), x.max()
+    if hi == lo:
+        return np.full_like(x, 0.5)
+    return (x - lo) / (hi - lo)
 
 
 def synthetic_dataset() -> LabeledScoreSet:
@@ -71,30 +154,29 @@ def write_csv(dataset: LabeledScoreSet, path) -> None:
     n = dataset.n_modalities
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(["person_id", "label"] + [f"m{i + 1}" for i in range(n)]) + "\r\n")
-        write_rows(fh, "client", dataset.client_ids, dataset.client_scores)
-        write_rows(fh, "impostor", dataset.impostor_ids, dataset.impostor_scores)
+        for label, ids, scores in (("client", dataset.client_ids, dataset.client_scores),
+                                   ("impostor", dataset.impostor_ids, dataset.impostor_scores)):
+            write_rows(fh, "{}," + label + ",{!r}" * n + "\r\n", [csv_fields(ids), *scores.T])
 
 
-def write_rows(fh, label: str, ids, values: np.ndarray) -> None:
-    """Write one ``id,label,v1,...,vk`` line per row of the (N, k) array ``values``.
+def write_rows(fh, line: str, columns) -> None:
+    """Write ``line.format(*row)`` for each row of the equal-length ``columns``.
 
-    The bytes are those ``csv.writer`` writes for ``[id, label] + [repr(v)
-    for v in row]`` (excel dialect; ``label`` needs no quoting).  Lines are
-    formatted and written ``_BLOCK_ROWS`` at a time, so no Python object is
-    kept per row.
+    Lines are formatted and written ``_BLOCK_ROWS`` at a time.  Array
+    columns turn into Python numbers one block at a time, so no number
+    object is kept per row and ``{!r}`` writes the ``repr`` that the
+    standard ``csv`` module's writer writes for a float.
     """
-    line = "{}," + label + ",{!r}" * values.shape[1] + "\r\n"
-    for start in range(0, len(ids), _BLOCK_ROWS):
-        stop = start + _BLOCK_ROWS
-        fields = map(_csv_field, ids[start:stop])
-        fh.write("".join(map(line.format, fields, *values[start:stop].T.tolist())))
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [c[start:start + _BLOCK_ROWS] for c in columns]
+        fh.write("".join(map(line.format, *(
+            b.tolist() if isinstance(b, np.ndarray) else b for b in block))))
 
 
-def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer`` writes it (excel dialect, minimal quoting)."""
-    if "," in text or '"' in text or "\r" in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
+def csv_fields(texts) -> list[str]:
+    """``texts`` as the ``csv`` module's writer writes them (excel dialect, minimal quoting)."""
+    return ['"' + t.replace('"', '""') + '"' if "," in t or '"' in t or "\r" in t or "\n" in t
+            else t for t in texts]
 
 
 def load_csv(path, normalize: bool = False) -> LabeledScoreSet:

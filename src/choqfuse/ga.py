@@ -38,8 +38,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .aggregate import SortedScores
+from .data import LabeledScoreSet
 from .measures import lambda_tables
-from .metrics import LabeledScoreSet, sweep_errors
+from .metrics import sweep_errors
 
 __all__ = [
     "Chromosome",

@@ -49,8 +49,8 @@ _EPS = np.finfo(float).eps
 # Boundary check tolerances for measures (empty/full set, monotonicity).
 BOUNDARY_TOL = 1e-9
 MONOTONE_TOL = 1e-12
-# Power-set tables are precomputed up to this criterion count (2^16 floats);
-# larger measures evaluate subsets on demand.
+# Every measure is held as its power-set table (2^n floats), so both measure
+# kinds take at most this many criteria.
 _TABLE_MAX_N = 16
 
 
@@ -235,7 +235,7 @@ def lambda_tables(densities, lams=None) -> np.ndarray:
         below, m = table[:, : 1 << i], d[:, i : i + 1]
         table[:, 1 << i : 2 << i] = below + m + lam * below * m
     full = table[:, -1]
-    off = np.abs(full - 1.0) > BOUNDARY_TOL
+    off = ~(np.abs(full - 1.0) <= BOUNDARY_TOL)  # a NaN lambda fails too
     if off.any():
         raise ConvergenceError(
             f"full-set measure {float(full[np.argmax(off)])!r} deviates from 1 "
@@ -248,12 +248,8 @@ def lambda_tables(densities, lams=None) -> np.ndarray:
     return table
 
 
-def _combine(a: float, b: float, lam: float) -> float:
-    return a + b + lam * a * b
-
-
 def _subset_mask(subset: Iterable[int] | int, n: int) -> int:
-    """Normalize a subset given as an index iterable or a bitmask."""
+    """Normalize a subset of n criteria given as an index iterable or a bitmask."""
     if isinstance(subset, (int, np.integer)):
         mask = int(subset)
         if mask < 0 or mask >= (1 << n):
@@ -268,82 +264,76 @@ def _subset_mask(subset: Iterable[int] | int, n: int) -> int:
     return mask
 
 
+class _PowerSetTable:
+    """Subset queries of a measure held as its read-only table ``_table``."""
+
+    _table: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self._table.size.bit_length() - 1
+
+    def dense_table(self) -> np.ndarray:
+        """Power-set table indexed by bitmask: 2^n entries, n <= 16."""
+        return self._table
+
+    def value_of(self, subset: Iterable[int] | int) -> float:
+        """Measure of a criteria subset (index iterable or bitmask): a table lookup."""
+        return float(self._table[_subset_mask(subset, self.n)])
+
+
 @dataclass(frozen=True)
-class LambdaMeasure:
+class LambdaMeasure(_PowerSetTable):
     """A Sugeno lambda-measure: singleton densities plus the solved lambda.
 
-    Instances are immutable and safe to share across threads.  For up to
-    16 criteria the full power-set table is precomputed at construction so
-    subset queries are array lookups.
+    Instances are immutable and safe to share across threads.  The full
+    power-set table is built at construction (``lambda_tables``), so subset
+    queries are array lookups and a measure has at most 16 criteria; more
+    raise ``ValueError``.
     """
 
     densities: tuple[float, ...]
     lam: float = None  # type: ignore[assignment]  # solved in __post_init__
-    _table: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _table: np.ndarray = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
 
     def __post_init__(self):
         densities = _as_densities(self.densities)
-        object.__setattr__(self, "densities", densities)
-        # One consistency rule, as in lambda_tables: the full set measures 1
-        # within BOUNDARY_TOL.  A solved lambda that misses it is a solver
-        # failure, a supplied one a caller error.
-        if self.lam is None:
-            object.__setattr__(self, "lam", solve_lambda(densities))
-            error = ConvergenceError
-        else:
+        supplied = self.lam is not None
+        if supplied:
             lam = float(self.lam)
             if lam <= -1.0:
                 raise ValueError(f"lambda must exceed -1, got {lam}")
-            object.__setattr__(self, "lam", lam)
-            error = ValueError
-        full = 0.0
-        for m in densities:
-            full = _combine(full, m, self.lam)
-        if not abs(full - 1.0) <= BOUNDARY_TOL:
-            raise error(
-                f"lambda {self.lam!r} gives the full set the measure {full!r}, "
-                f"not 1 within {BOUNDARY_TOL}"
-            )
-        if self.n <= _TABLE_MAX_N:
-            table = lambda_tables([densities], [self.lam])[0]
-            table.flags.writeable = False
-            object.__setattr__(self, "_table", table)
-
-    @property
-    def n(self) -> int:
-        return len(self.densities)
-
-    def dense_table(self) -> np.ndarray | None:
-        """Power-set table indexed by bitmask, or None above 16 criteria."""
-        return self._table
-
-    def value_of(self, subset: Iterable[int] | int) -> float:
-        """Measure of a criteria subset (index iterable or bitmask)."""
-        mask = _subset_mask(subset, self.n)
-        if self._table is not None:
-            return float(self._table[mask])
-        value = 0.0
-        for i in range(self.n):
-            if mask >> i & 1:
-                value = _combine(value, self.densities[i], self.lam)
-        return min(max(value, 0.0), 1.0) if mask != (1 << self.n) - 1 else 1.0
+        else:
+            lam = solve_lambda(densities)
+        # lambda_tables checks that the full set measures 1 within
+        # BOUNDARY_TOL: a solved lambda that misses it is a solver failure
+        # (ConvergenceError), a supplied one a caller error.
+        try:
+            table = lambda_tables([densities], [lam])[0]
+        except ConvergenceError as exc:
+            if supplied:
+                raise ValueError(f"lambda {lam!r}: {exc}") from None
+            raise
+        table.flags.writeable = False
+        object.__setattr__(self, "densities", densities)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "_table", table)
 
 
 @dataclass(frozen=True)
-class TableMeasure:
+class TableMeasure(_PowerSetTable):
     """A fuzzy measure given by an explicit power-set table.
 
     Covers measures outside the Sugeno family (e.g. the max- and
-    min-degenerate measures).  Construction validates the boundary and
-    monotonicity conditions.
+    min-degenerate measures), up to 16 criteria.  Construction validates
+    the boundary and monotonicity conditions.
     """
 
     values: Mapping[frozenset[int] | tuple[int, ...] | int, float]
     _table: np.ndarray = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
-    _n: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self):
-        n, table = _dense_from_mapping(self.values)
+        table = _dense_from_mapping(self.values)
         violations = validate_measure(self.values)
         if violations:
             raise ValueError(
@@ -351,18 +341,7 @@ class TableMeasure:
             )
         table.flags.writeable = False
         object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_n", n)
         object.__setattr__(self, "values", dict(self.values))
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    def dense_table(self) -> np.ndarray:
-        return self._table
-
-    def value_of(self, subset: Iterable[int] | int) -> float:
-        return float(self._table[_subset_mask(subset, self.n)])
 
 
 @dataclass(frozen=True)
@@ -378,33 +357,24 @@ class MeasureViolation:
         return self.detail
 
 
-def _key_to_mask(key) -> int:
-    if isinstance(key, (int, np.integer)):
-        return int(key)
-    mask = 0
-    for idx in key:
-        mask |= 1 << int(idx)
-    return mask
-
-
 def _mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _dense_from_mapping(values: Mapping) -> tuple[int, np.ndarray]:
+def _dense_from_mapping(values: Mapping) -> np.ndarray:
     by_mask: dict[int, float] = {}
     union = 0
     for key, val in values.items():
-        mask = _key_to_mask(key)
-        if mask < 0:
-            raise ValueError(f"negative subset mask {mask}")
+        try:
+            mask = _subset_mask(key, _TABLE_MAX_N)
+        except IndexError:
+            raise ValueError(f"subset {key!r} lies outside the {_TABLE_MAX_N} criteria "
+                             f"a measure table supports") from None
         by_mask[mask] = float(val)
         union |= mask
     n = union.bit_length()
     if n < 1:
         raise ValueError("measure table has no non-empty subset")
-    if n > 12:
-        raise ValueError(f"explicit tables support at most 12 criteria, got {n}")
     missing = [m for m in range(1 << n) if m not in by_mask]
     if missing:
         raise ValueError(
@@ -414,19 +384,20 @@ def _dense_from_mapping(values: Mapping) -> tuple[int, np.ndarray]:
     table = np.empty(1 << n)
     for mask, val in by_mask.items():
         table[mask] = val
-    return n, table
+    return table
 
 
 def validate_measure(values: Mapping) -> list[MeasureViolation]:
     """Check boundary and monotonicity conditions of an explicit measure.
 
     ``values`` must map every subset of {0..n-1} (as a frozenset/tuple of
-    indices or a bitmask) to its measure, for n <= 12.  Returns an empty
+    indices or a bitmask) to its measure, for n <= 16.  Returns an empty
     list iff m(empty) = 0, m(full) = 1 and m(A) <= m(B) whenever A is a
     subset of B; otherwise one entry per violated covering pair.  Missing
     entries raise ``ValueError``.
     """
-    n, table = _dense_from_mapping(values)
+    table = _dense_from_mapping(values)
+    n = table.size.bit_length() - 1
     violations: list[MeasureViolation] = []
     if abs(table[0]) > BOUNDARY_TOL:
         violations.append(

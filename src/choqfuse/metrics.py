@@ -1,4 +1,4 @@
-"""Score normalization and verification-error evaluation.
+"""Verification-error evaluation of fused scores.
 
 Conventions, fixed across the package:
 
@@ -14,39 +14,21 @@ Conventions, fixed across the package:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import write_rows
+
 __all__ = [
     "EvalReport",
-    "LabeledScoreSet",
     "eer",
     "error_rate_at",
     "evaluate_scores",
     "far_frr",
-    "normalize_minmax",
     "sweep_errors",
     "write_roc_csv",
 ]
-
-
-def normalize_minmax(raw) -> np.ndarray:
-    """Affinely map values onto [0, 1]: x -> (x - min) / (max - min).
-
-    A degenerate input (max == min) maps everything to 0.5 rather than
-    erroring out, so batch pipelines survive constant columns.
-    """
-    x = np.asarray(raw, dtype=float)
-    if x.size == 0:
-        raise ValueError("cannot normalize an empty list")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("cannot normalize non-finite values")
-    lo, hi = x.min(), x.max()
-    if hi == lo:
-        return np.full_like(x, 0.5)
-    return (x - lo) / (hi - lo)
 
 
 def _as_scores(values, name: str) -> np.ndarray:
@@ -223,85 +205,14 @@ def evaluate_scores(fused_clients, fused_impostors) -> EvalReport:
     )
 
 
-# One ROC row as csv.writer writes it: the "excel" dialect ends rows with
-# \r\n and quotes none of these fields.
-_ROC_ROW = "{:.6g},{:.6g},{:.6g}\r\n"
-_ROC_BLOCK_ROWS = 8192
-
-
 def write_roc_csv(report: EvalReport, path) -> None:
     """Write the threshold/FAR/FRR series as CSV (6 significant digits).
 
-    Rows are formatted and written ``_ROC_BLOCK_ROWS`` at a time, so no
-    Python object is kept per row.
+    The bytes are those the standard ``csv`` module's writer (excel
+    dialect) writes for the ``f"{v:.6g}"`` texts, formatted in blocks by
+    ``data.write_rows``.
     """
-    columns = [np.asarray(c, dtype=float)
-               for c in (report.thresholds, report.far_curve, report.frr_curve)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("threshold,far,frr\r\n")
-        for start in range(0, len(columns[0]), _ROC_BLOCK_ROWS):
-            block = [c[start:start + _ROC_BLOCK_ROWS].tolist() for c in columns]
-            fh.write("".join(map(_ROC_ROW.format, *block)))
-
-
-@dataclass(frozen=True)
-class LabeledScoreSet:
-    """Client and impostor score vectors: the fusion/evaluation substrate.
-
-    Score matrices are one row per person, one column per modality, all
-    values already normalized into [0, 1].  Person ids are unique across
-    both classes.  Instances are immutable and safe to share.
-    """
-
-    client_ids: tuple[str, ...]
-    client_scores: np.ndarray
-    impostor_ids: tuple[str, ...]
-    impostor_scores: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "client_ids", tuple(str(i) for i in self.client_ids))
-        object.__setattr__(self, "impostor_ids", tuple(str(i) for i in self.impostor_ids))
-        cs = np.array(self.client_scores, dtype=float)
-        imp = np.array(self.impostor_scores, dtype=float)
-        for name, ids, arr in (("client", self.client_ids, cs),
-                               ("impostor", self.impostor_ids, imp)):
-            if arr.ndim != 2 or arr.shape[0] == 0:
-                raise ValueError(f"{name} scores must be a non-empty matrix")
-            if arr.shape[0] != len(ids):
-                raise ValueError(f"{len(ids)} {name} ids for {arr.shape[0]} score rows")
-            if np.any(~np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
-                raise ValueError(f"{name} scores must lie in [0, 1]")
-        if cs.shape[1] != imp.shape[1]:
-            raise ValueError(
-                f"clients have {cs.shape[1]} modalities, impostors {imp.shape[1]}"
-            )
-        all_ids = self.client_ids + self.impostor_ids
-        if len(set(all_ids)) != len(all_ids):
-            dupes = sorted(i for i, count in Counter(all_ids).items() if count > 1)
-            raise ValueError(f"duplicate person ids: {dupes}")
-        cs.flags.writeable = False
-        imp.flags.writeable = False
-        object.__setattr__(self, "client_scores", cs)
-        object.__setattr__(self, "impostor_scores", imp)
-
-    @property
-    def n_modalities(self) -> int:
-        return int(self.client_scores.shape[1])
-
-    @property
-    def clients(self) -> list[tuple[str, np.ndarray]]:
-        return list(zip(self.client_ids, self.client_scores))
-
-    @property
-    def impostors(self) -> list[tuple[str, np.ndarray]]:
-        return list(zip(self.impostor_ids, self.impostor_scores))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LabeledScoreSet):
-            return NotImplemented
-        return (
-            self.client_ids == other.client_ids
-            and self.impostor_ids == other.impostor_ids
-            and np.array_equal(self.client_scores, other.client_scores)
-            and np.array_equal(self.impostor_scores, other.impostor_scores)
-        )
+        write_rows(fh, "{:.6g},{:.6g},{:.6g}\r\n",
+                   [report.thresholds, report.far_curve, report.frr_curve])

@@ -131,14 +131,13 @@ class TestChoquetFuse:
         assert fused.tolist() == np.array(expected)[differ].tolist()
         assert [choquet_fuse(row, m) for row in a[differ][:50]] == fused[:50].tolist()
 
-    def test_batch_above_the_table_cap_uses_on_demand_subsets(self):
+    def test_batch_at_the_table_cap_matches_the_python_loop(self):
         rng = np.random.default_rng(59)
-        m = LambdaMeasure(tuple(rng.uniform(0.01, 0.2, 17)))
-        assert m.dense_table() is None
-        a = rng.uniform(0, 1, (5, 17))
+        m = LambdaMeasure(tuple(rng.uniform(0.01, 0.2, 16)))
+        a = rng.uniform(0, 1, (5, 16))
         for row, fused in zip(a.tolist(), choquet_fuse_batch(a, m).tolist()):
-            order = sorted(range(17), key=lambda i: (row[i], i))
-            remaining, prev, total = (1 << 17) - 1, 0.0, 0.0
+            order = sorted(range(16), key=lambda i: (row[i], i))
+            remaining, prev, total = (1 << 16) - 1, 0.0, 0.0
             for i in order:
                 total += (row[i] - prev) * m.value_of(remaining)
                 prev = row[i]
@@ -228,5 +227,6 @@ class TestFusionRules:
             rule_fuse_batch([(0.5, 0.5)], FusionRule("weighted_sum", weights=(0.9, 0.3)))[0]
         with pytest.raises(ValueError):
             rule_fuse_batch([(0.5, 0.5)], FusionRule("weighted_sum", weights=(-0.5, 1.5)))[0]
-        with pytest.raises(ValueError):
-            rule_fuse_batch([(0.5, 0.5)], FusionRule("and", threshold=1.5))[0]
+        for threshold in (1.5, float("nan"), (0.5, float("nan"))):
+            with pytest.raises(ValueError):
+                rule_fuse_batch([(0.5, 0.5)], FusionRule("and", threshold=threshold))[0]

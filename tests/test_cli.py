@@ -9,9 +9,9 @@ import pytest
 
 from choqfuse.aggregate import choquet_fuse, choquet_fuse_batch
 from choqfuse.cli import main
-from choqfuse.data import synthetic_dataset, write_csv
+from choqfuse.data import LabeledScoreSet, synthetic_dataset, write_csv
+from choqfuse.ga import GaConfig, evolve
 from choqfuse.measures import LambdaMeasure
-from choqfuse.metrics import LabeledScoreSet
 
 
 def run(capsys, *args):
@@ -139,6 +139,24 @@ class TestOptimize:
         digest = hashlib.sha256((tmp_path / "history.csv").read_bytes()).hexdigest()
         assert digest == "d07eeed64b82db94bd8d9dd1f2bb53276be0f56e0a0827d55818e2fa711f0468"
 
+    def test_short_history_bytes_equal_the_csv_writer_loop(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "optimize", "--synthetic", "--seed", "5", "--generations",
+                         "12", "--population", "8", "--out", str(tmp_path))
+        assert code == 0
+        # The writer the CLI used before it wrote in blocks, kept as the reference.
+        _, history = evolve(synthetic_dataset(),
+                            GaConfig(population_size=8, max_generations=12, rng_seed=5))
+        with open(tmp_path / "rows.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["generation", "best_eer", "gene1", "gene2", "gene3"])
+            for record in history:
+                writer.writerow([record.generation, repr(record.best_eer)]
+                                + [repr(g) for g in record.best_genes])
+        written = (tmp_path / "history.csv").read_bytes()
+        assert written == (tmp_path / "rows.csv").read_bytes()
+        digest = hashlib.sha256(written).hexdigest()
+        assert digest == "344fc6b29c192409f26b2446e3ce2553869c980ac04193fc1bb43c556e2376a2"
+
     def test_separable_input_stops_on_threshold(self, capsys, tmp_path):
         data = LabeledScoreSet(
             ("c1", "c2"), [[0.9, 0.95, 0.9], [0.85, 0.9, 0.95]],
@@ -186,6 +204,25 @@ class TestCompare:
             assert roc.exists()
             header = roc.read_text().splitlines()[0]
             assert header == "threshold,far,frr"
+
+    def test_comparison_bytes_equal_the_csv_writer_loop(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "compare", "--synthetic", "--densities", "0.35,0.25,0.3",
+                           "--out", str(tmp_path))
+        assert code == 0
+        printed = [line.split() for line in out.splitlines()[1:-1]]
+        # The writer the CLI used before it wrote in blocks, kept as the reference.
+        with open(tmp_path / "rows.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["rule", "error_rate_percent"])
+            for name, rate in printed:
+                writer.writerow([name, f"{float(rate):.2f}"])
+        written = (tmp_path / "comparison.csv").read_bytes()
+        assert written == (tmp_path / "rows.csv").read_bytes()
+        assert written == (
+            b"rule,error_rate_percent\r\nm1,13.33\r\nm2,20.00\r\nm3,38.33\r\n"
+            b"and,28.33\r\nor,30.00\r\nprod,40.00\r\nmean,8.33\r\nmin,28.33\r\n"
+            b"max,30.00\r\nmajority_vote,13.33\r\nchoquet,6.67\r\n"
+        )
 
     def test_without_measure_skips_choquet_row(self, capsys, tmp_path):
         code, out, _ = run(capsys, "compare", "--synthetic", "--out", str(tmp_path))
@@ -299,6 +336,16 @@ class TestFailuresWriteNothing:
             capsys, "compare", "--synthetic", "--densities", "0.3,0.3", "--out", str(out),
         )
         assert code == 1 and "2 densities" in err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("threshold", ["1.5", "-0.1", "nan"])
+    @pytest.mark.parametrize("command", [["compare"], ["eval", "--rule", "mean"]])
+    def test_threshold_outside_the_unit_interval_writes_no_file(self, capsys, tmp_path,
+                                                                command, threshold):
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *command, "--synthetic", "--densities", "0.35,0.25,0.3",
+                           f"--threshold={threshold}", "--out", str(out))
+        assert code == 1 and "--threshold" in err
         assert not out.exists() or not any(out.iterdir())
 
     def test_config_value_of_wrong_type_is_a_usage_error(self, capsys, tmp_path):

@@ -8,12 +8,12 @@ import pytest
 
 from choqfuse.data import (
     DataFormatError,
+    LabeledScoreSet,
     load_csv,
     synthetic_csv_path,
     synthetic_dataset,
     write_csv,
 )
-from choqfuse.metrics import LabeledScoreSet
 
 
 class TestSyntheticDataset:

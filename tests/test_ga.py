@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from choqfuse.aggregate import choquet_fuse_batch
-from choqfuse.data import synthetic_dataset
+from choqfuse.data import LabeledScoreSet, synthetic_dataset
 from choqfuse.ga import (
     GENE_EPS,
     Chromosome,
@@ -20,7 +20,7 @@ from choqfuse.ga import (
     select_parents,
 )
 from choqfuse.measures import LambdaMeasure
-from choqfuse.metrics import LabeledScoreSet, evaluate_scores
+from choqfuse.metrics import evaluate_scores
 
 
 class StubRng:

@@ -201,9 +201,11 @@ class TestLambdaTables:
         for d, table in zip(rows, lambda_tables(rows)):
             assert np.array_equal(table, LambdaMeasure(tuple(d)).dense_table())
 
-    def test_inconsistent_lambda_fails_the_boundary_check(self):
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("lam", [0.25, math.nan, math.inf])
+    def test_inconsistent_lambda_fails_the_boundary_check(self, lam):
         with pytest.raises(ConvergenceError):
-            lambda_tables([[0.35, 0.25, 0.3]], [0.25])
+            lambda_tables([[0.35, 0.25, 0.3]], [lam])
 
 
 class TestLambdaMeasure:
@@ -273,15 +275,15 @@ class TestLambdaMeasure:
         with pytest.raises(IndexError):
             m.value_of(1 << 3)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_explicit_lambda_must_be_consistent(self):
         d = (0.35, 0.25, 0.3)
         lam = solve_lambda(d)
         m = LambdaMeasure(d, lam)
         assert m.lam == lam
-        with pytest.raises(ValueError):
-            LambdaMeasure(d, 0.25)
-        with pytest.raises(ValueError):
-            LambdaMeasure(d, -1.5)
+        for wrong in (0.25, -1.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                LambdaMeasure(d, wrong)
 
     @pytest.mark.parametrize("n", range(2, 17))
     @pytest.mark.parametrize("density", [GENE_EPS, 1.0 - GENE_EPS])
@@ -292,15 +294,14 @@ class TestLambdaMeasure:
         assert again.lam == m.lam
         assert np.array_equal(again.dense_table(), m.dense_table())
 
-    def test_large_n_uses_on_demand_evaluation(self):
-        rng = np.random.default_rng(41)
-        d = tuple(rng.uniform(0.01, 0.2, 17))
-        m = LambdaMeasure(d)
-        assert m.dense_table() is None
-        assert m.value_of([]) == 0.0
-        assert m.value_of([5]) == pytest.approx(d[5], abs=1e-15)
-        assert abs(m.value_of(range(17)) - 1.0) <= 1e-9
-        assert abs(m.value_of([1, 4, 9]) - fold(d, m.lam, (1, 4, 9))) <= 1e-12
+    def test_seventeen_criteria_are_refused(self):
+        d = tuple(np.random.default_rng(41).uniform(0.01, 0.2, 17))
+        with pytest.raises(ValueError, match="at most 16 criteria"):
+            LambdaMeasure(d)
+        with pytest.raises(ValueError, match="at most 16 criteria"):
+            LambdaMeasure(d, solve_lambda(d))
+        with pytest.raises(ValueError, match="at most 16 criteria"):
+            lambda_tables([d])
 
     def test_immutability(self):
         m = LambdaMeasure((0.3, 0.4, 0.2))
@@ -413,6 +414,24 @@ class TestValidateMeasureAgainstTheLoop:
 
 
 class TestTableMeasure:
+    def test_thirteen_criteria_are_accepted(self):
+        # Additive uniform measure: m(A) = |A| / 13, a multiple of 1/13.
+        sizes = [bin(mask).count("1") for mask in range(1 << 13)]
+        values = {mask: size / 13 for mask, size in enumerate(sizes)}
+        assert validate_measure(values) == []
+        t = TableMeasure(values)
+        assert t.n == 13
+        assert t.value_of(range(13)) == 1.0
+        assert t.value_of([0, 12]) == 2 / 13
+
+    def test_seventeen_criteria_are_refused(self):
+        sizes = [bin(mask).count("1") for mask in range(1 << 17)]
+        values = {mask: size / 17 for mask, size in enumerate(sizes)}
+        with pytest.raises(ValueError, match="16 criteria"):
+            TableMeasure(values)
+        with pytest.raises(ValueError, match="16 criteria"):
+            validate_measure({(): 0.0, (16,): 1.0})
+
     def test_valid_table_round_trips(self):
         values = {(): 0.0, (0,): 0.6, (1,): 0.5, (0, 1): 1.0}
         t = TableMeasure(values)

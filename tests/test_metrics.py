@@ -7,17 +7,14 @@ import numpy as np
 import pytest
 
 from choqfuse.aggregate import FusionRule, choquet_fuse_batch, rule_fuse_batch
-from choqfuse.data import synthetic_dataset
-from choqfuse import metrics
+from choqfuse.data import _BLOCK_ROWS, LabeledScoreSet, normalize_minmax, synthetic_dataset
 from choqfuse.measures import LambdaMeasure
 from choqfuse.metrics import (
     EvalReport,
-    LabeledScoreSet,
     eer,
     error_rate_at,
     evaluate_scores,
     far_frr,
-    normalize_minmax,
     sweep_errors,
     write_roc_csv,
 )
@@ -223,7 +220,7 @@ def _curves_of_length(rows):
                       eer_threshold=0.5, n_clients=rows, n_impostors=rows)
 
 
-_BLOCK = metrics._ROC_BLOCK_ROWS
+_BLOCK = _BLOCK_ROWS
 ROC_REPORTS = {
     # Scores on a 0.1 grid including exact 0 and 1: sentinels -1 and 2.
     "heavy_ties": lambda rng: evaluate_scores(rng.integers(0, 11, 500) / 10,

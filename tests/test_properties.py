@@ -1,20 +1,27 @@
-"""Property tests: lambda roots, Choquet axioms, EER rescaling invariance, CSV round trips.
+"""Property tests: lambda roots, Choquet axioms, EER rescaling invariance, CSV
+round trips, and CLI runs on drawn flag and config values.
 
 Derandomized, so every run draws the same examples.
 """
 
+import contextlib
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choqfuse.aggregate import choquet_fuse
-from choqfuse.data import load_csv, write_csv
+from choqfuse.aggregate import RULE_TAGS, choquet_fuse
+from choqfuse.cli import main
+from choqfuse.data import LabeledScoreSet, load_csv, write_csv
 from choqfuse.ga import GENE_EPS
 from choqfuse.measures import ADDITIVE_TOL, LambdaMeasure, solve_lambda, solve_lambda_batch
-from choqfuse.metrics import LabeledScoreSet, evaluate_scores
+from choqfuse.metrics import evaluate_scores
 
 properties = settings(derandomize=True, deadline=None, database=None)
 
@@ -125,3 +132,71 @@ class TestCsvRoundTrip:
         else:
             with pytest.raises(ValueError, match="round-trip"):
                 write_csv(data, path)
+
+
+# Config values of every JSON type; json.dumps writes non-finite floats as
+# NaN / Infinity, which json.load reads back.  Integers stay small, so a
+# drawn population or generation count keeps a run short.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=2),
+    max_leaves=4,
+)
+CONFIG_KEYS = ("threshold", "densities", "rule", "seed", "stop_eer", "normalize",
+               "synthetic", "generations", "population", "measure_file", "mystery")
+thresholds = st.floats() | unit | st.sampled_from([math.nan, math.inf, -math.inf, -0.1, 1.5])
+density_strings = (
+    st.lists(st.floats(), max_size=4).map(lambda v: ",".join(map(repr, v)))
+    | st.lists(st.floats(0.01, 0.99), min_size=3, max_size=3).map(
+        lambda v: ",".join(map(repr, v)))
+    | st.text(max_size=10)
+)
+
+
+@st.composite
+def cli_runs(draw):
+    command = draw(st.sampled_from(["fuse", "compare", "eval", "optimize"]))
+    argv = [command, "--synthetic"]
+    if command == "optimize":
+        argv += ["--generations", str(draw(st.integers(0, 3)))]
+        if draw(st.booleans()):
+            argv += ["--population", str(draw(st.integers(0, 6)))]
+    else:
+        if draw(st.booleans()):
+            argv.append("--densities=" + draw(density_strings))
+        if command != "fuse" and draw(st.booleans()):
+            argv.append(f"--threshold={draw(thresholds)!r}")
+        if command == "eval" and draw(st.booleans()):
+            argv += ["--rule", draw(st.sampled_from(RULE_TAGS + ("bogus",)))]
+    config = draw(st.none() | st.just({})
+                  | st.dictionaries(st.sampled_from(CONFIG_KEYS), json_values, max_size=2))
+    return argv, config
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestCliFuzz:
+    @settings(properties, max_examples=150)
+    @given(cli_runs())
+    def test_exit_codes_outputs_and_json(self, run):
+        argv, config = run
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            argv = argv + ["--out", str(out)]
+            if config is not None:
+                (Path(tmp) / "config.json").write_text(json.dumps(config))
+                argv += ["--config", str(Path(tmp) / "config.json")]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2, 3), (argv, config)
+            assert "Traceback" not in err.getvalue()
+            written = sorted(out.iterdir()) if out.exists() else []
+            if code != 0:
+                assert written == [], (argv, config, err.getvalue())
+            for path in written:
+                if path.suffix == ".json":
+                    json.loads(path.read_text(), parse_constant=_reject_constant)
