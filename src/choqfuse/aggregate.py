@@ -68,12 +68,18 @@ class SortedScores:
 
     def __init__(self, scores, n: int | None = None):
         a = _as_score_matrix(scores, n)
-        order = np.argsort(a, axis=1, kind="stable")
-        self.diffs = np.diff(np.take_along_axis(a, order, axis=1), axis=1, prepend=0.0)
-        # Mask of criteria whose sorted position is >= i: reversed cumulative
-        # OR (sum works because each bit appears once per row).
-        bits = np.left_shift(1, order.astype(np.int64, copy=False))
-        self.masks = np.cumsum(bits[:, ::-1], axis=1)[:, ::-1]
+        order = np.argsort(a, axis=1, kind="stable").astype(np.int64, copy=False)
+        n = order.shape[1]
+        # Increments in place, right to left, so each column still reads
+        # its left neighbour's sorted score (a_(0) = 0 leaves column 0).
+        self.diffs = np.take_along_axis(a, order, axis=1)
+        for i in range(n - 1, 0, -1):
+            self.diffs[:, i] -= self.diffs[:, i - 1]
+        # Mask of criteria whose sorted position is >= i: a running OR from
+        # the right (sum works because each bit appears once per row).
+        self.masks = np.left_shift(1, order, out=order)
+        for i in range(n - 2, -1, -1):
+            self.masks[:, i] += self.masks[:, i + 1]
 
     def fuse(self, tables: np.ndarray) -> np.ndarray:
         """Choquet integral of every row under every table: (P, 2^n) -> (P, N).

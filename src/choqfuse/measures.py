@@ -46,6 +46,7 @@ ROOT_RESIDUAL_TOL = 1e-10
 # 32 with bisection steps mixed in.
 _MAX_ITER = 200
 _EPS = np.finfo(float).eps
+_FLOAT_MAX = np.finfo(float).max
 # Boundary check tolerances for measures (empty/full set, monotonicity).
 BOUNDARY_TOL = 1e-9
 MONOTONE_TOL = 1e-12
@@ -134,6 +135,16 @@ def _solve(d: np.ndarray) -> np.ndarray:
     e2 = pairs.sum(axis=1)
     e3 = (np.cumsum(pairs, axis=1)[:, :-1] * d[:, 2:]).sum(axis=1)
     c = total - 1.0
+    # Where the bound -c / e2 passes the largest float, so may the root.  The
+    # raw residual prod(1 + lam*m_i) - lam - 1 is negative between 0 and a
+    # positive root: still negative at the largest float (compared in logs,
+    # where nothing overflows), the row has no float lambda.
+    beyond = e2 < -c / _FLOAT_MAX
+    if beyond.any():
+        huge = np.log1p(_FLOAT_MAX * d[beyond]).sum(axis=1) < np.log1p(_FLOAT_MAX)
+        if huge.any():
+            raise ValueError(f"densities {d[beyond][np.argmax(huge)].tolist()} are too "
+                             f"small: their lambda exceeds the largest float")
     linear = -c / e2
     quadratic = -2.0 * c / (e2 + np.sqrt(np.maximum(e2 * e2 - 4.0 * e3 * c, 0.0)))
     positive = c < 0.0
@@ -198,9 +209,9 @@ def solve_lambda_batch(densities) -> np.ndarray:
     for n > 3.  Rows are solved independently: a row's root does not depend
     on the other rows.
 
-    Raises ``ValueError`` for rows of fewer than two densities or densities
-    outside (0, 1), and ``ConvergenceError`` if a root misses the residual
-    contract.
+    Raises ``ValueError`` for rows of fewer than two densities, densities
+    outside (0, 1) or densities so small that lambda exceeds the largest
+    float, and ``ConvergenceError`` if a root misses the residual contract.
     """
     return _solve(_as_density_matrix(densities))
 
@@ -334,7 +345,7 @@ class TableMeasure(_PowerSetTable):
 
     def __post_init__(self):
         table = _dense_from_mapping(self.values)
-        violations = validate_measure(self.values)
+        violations = _violations(table)
         if violations:
             raise ValueError(
                 "invalid fuzzy measure: " + "; ".join(str(v) for v in violations)
@@ -396,7 +407,11 @@ def validate_measure(values: Mapping) -> list[MeasureViolation]:
     subset of B; otherwise one entry per violated covering pair.  Missing
     entries raise ``ValueError``.
     """
-    table = _dense_from_mapping(values)
+    return _violations(_dense_from_mapping(values))
+
+
+def _violations(table: np.ndarray) -> list[MeasureViolation]:
+    """The broken measure conditions of a power-set table; see validate_measure."""
     n = table.size.bit_length() - 1
     violations: list[MeasureViolation] = []
     if abs(table[0]) > BOUNDARY_TOL:

@@ -5,16 +5,21 @@ Conventions, fixed across the package:
 * a sample is accepted at threshold t iff its (fused) score >= t;
 * FAR(t) = fraction of impostor scores accepted, FRR(t) = fraction of
   client scores rejected;
-* the equal error rate is located by sweeping the sorted union of all
-  observed scores as candidate thresholds and linearly interpolating the
-  FAR/FRR crossing between the two adjacent candidates where FAR - FRR
+* the equal error rate is located by one threshold sweep: the client and
+  impostor scores are ranked together by one stable sort (``_rank``), each
+  run of tied scores is one candidate threshold with the error counts
+  below its first position, and the FAR/FRR crossing is linearly
+  interpolated between the two adjacent candidates where FAR - FRR
   changes sign.  When the classes are perfectly separated the reported
-  threshold is the midpoint of the separating gap.
+  threshold is the midpoint of the separating gap;
+* ``EvalReport.error_rate_at`` reads the counts off the curves at the
+  first candidate at or above the threshold;
+* scores must be finite and thresholds not NaN (``ValueError``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,13 +40,25 @@ def _as_scores(values, name: str) -> np.ndarray:
     x = np.asarray(values, dtype=float).ravel()
     if x.size == 0:
         raise ValueError(f"{name} scores must not be empty")
+    _require_finite(x, name)
     return x
+
+
+def _require_finite(scores: np.ndarray, name: str) -> None:
+    if not np.isfinite(scores).all():
+        raise ValueError(f"{name} scores must be finite, got NaN or infinity")
+
+
+def _require_threshold(threshold) -> None:
+    if np.isnan(threshold):
+        raise ValueError("the threshold must not be NaN")
 
 
 def far_frr(fused_clients, fused_impostors, threshold: float) -> tuple[float, float]:
     """(FAR, FRR) at one decision threshold, accepting scores >= threshold."""
     clients = _as_scores(fused_clients, "client")
     impostors = _as_scores(fused_impostors, "impostor")
+    _require_threshold(threshold)
     far = float(np.count_nonzero(impostors >= threshold)) / impostors.size
     frr = float(np.count_nonzero(clients < threshold)) / clients.size
     return far, frr
@@ -51,22 +68,30 @@ def error_rate_at(fused_clients, fused_impostors, threshold: float) -> float:
     """Total error rate: (false accepts + false rejects) / all samples."""
     clients = _as_scores(fused_clients, "client")
     impostors = _as_scores(fused_impostors, "impostor")
+    _require_threshold(threshold)
     fa = int(np.count_nonzero(impostors >= threshold))
     fr = int(np.count_nonzero(clients < threshold))
     return (fa + fr) / (clients.size + impostors.size)
 
 
-def _threshold_grid(clients: np.ndarray, impostors: np.ndarray) -> np.ndarray:
-    """Candidate thresholds: sorted unique scores plus below/above sentinels."""
-    cand = np.unique(np.concatenate([clients, impostors]))
-    return np.concatenate([[cand[0] - 1.0], cand, [cand[-1] + 1.0]])
+def _rank(scores: np.ndarray, n_clients: int):
+    """Rank each row of (P, Nc + Ni) scores, clients first, in one stable sort.
 
-
-def _curves(clients: np.ndarray, impostors: np.ndarray, grid: np.ndarray):
-    """FAR and FRR on the grid; ``clients`` and ``impostors`` sorted ascending."""
-    frr = np.searchsorted(clients, grid, side="left") / clients.size
-    far = (impostors.size - np.searchsorted(impostors, grid, side="left")) / impostors.size
-    return far, frr
+    Returns the ranked scores, the number of clients strictly below each
+    ranked position's run of tied scores (valid at the run's first
+    position) and the flags of those first positions.
+    """
+    order = np.argsort(scores, axis=1, kind="stable")
+    ranked = np.take_along_axis(scores, order, axis=1)
+    is_client = order < n_clients
+    del order
+    clients_below = np.cumsum(is_client, axis=1)
+    clients_below -= is_client
+    del is_client
+    first = np.empty(ranked.shape, dtype=bool)
+    first[:, 0] = True
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
+    return ranked, clients_below, first
 
 
 def _crossing(grid: np.ndarray, far: np.ndarray, frr: np.ndarray):
@@ -117,21 +142,16 @@ def sweep_errors(fused_clients, fused_impostors) -> tuple[np.ndarray, np.ndarray
     if n_clients == 0 or n_impostors == 0:
         raise ValueError("client and impostor scores must not be empty")
     scores = np.concatenate([clients, impostors], axis=1)
-    order = np.argsort(scores, axis=1, kind="stable")
-    ranked = np.take_along_axis(scores, order, axis=1)
-    is_client = order < n_clients
-    clients_below = np.cumsum(is_client, axis=1) - is_client
+    _require_finite(scores, "client and impostor")
+    ranked, clients_below, first = _rank(scores, n_clients)
     # A run of tied scores is one candidate threshold: every position takes
     # the counts below the run's first position.
-    position = np.arange(scores.shape[1])
-    first = np.empty(ranked.shape, dtype=bool)
-    first[:, 0] = True
-    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
+    position = np.arange(ranked.shape[1])
     run_start = np.maximum.accumulate(np.where(first, position, 0), axis=1)
     rejected = np.take_along_axis(clients_below, run_start, axis=1)
     accepted = n_impostors - (run_start - rejected)
     # Sentinels below and above every score, as on the evaluate_scores grid.
-    rows = len(scores)
+    rows = len(ranked)
     rejected = np.hstack([np.zeros((rows, 1), dtype=int), rejected,
                           np.full((rows, 1), n_clients)])
     accepted = np.hstack([np.full((rows, 1), n_impostors), accepted,
@@ -153,18 +173,27 @@ class EvalReport:
     eer_threshold: float
     n_clients: int
     n_impostors: int
-    _clients: np.ndarray = field(repr=False, compare=False, default=None)  # type: ignore[assignment]
-    _impostors: np.ndarray = field(repr=False, compare=False, default=None)  # type: ignore[assignment]
+
+    def _errors(self, k):
+        """False accepts + false rejects at grid index (or slice) ``k``."""
+        # The true counts are integers; rint clears the rate-to-count rounding.
+        return np.rint(self.far_curve[k] * self.n_impostors
+                       + self.frr_curve[k] * self.n_clients)
 
     def error_rate_at(self, threshold: float) -> float:
-        """Exact total error rate at an arbitrary threshold."""
-        return error_rate_at(self._clients, self._impostors, threshold)
+        """Exact total error rate at an arbitrary threshold.
+
+        Read at the first grid point >= ``threshold``: no score lies between
+        the two, so the counts are those at ``threshold``; above the top
+        score the top sentinel (everything rejected) stands for it.
+        """
+        _require_threshold(threshold)
+        k = min(int(np.searchsorted(self.thresholds, threshold)), self.thresholds.size - 1)
+        return float(self._errors(k)) / (self.n_clients + self.n_impostors)
 
     def min_error_rate(self) -> tuple[float, float]:
         """Smallest total error rate over the grid and a threshold reaching it."""
-        # The true counts are integers; rint clears the rate-to-count rounding.
-        counts = np.rint(self.far_curve * self.n_impostors
-                         + self.frr_curve * self.n_clients)
+        counts = self._errors(slice(None))
         k = int(np.argmin(counts))
         total = self.n_clients + self.n_impostors
         return float(counts[k]) / total, float(self.thresholds[k])
@@ -178,15 +207,47 @@ class EvalReport:
 def evaluate_scores(fused_clients, fused_impostors) -> EvalReport:
     """Full evaluation of fused scores: curves on the candidate grid + EER.
 
-    When the classes are perfectly separated the EER is 0 and its
-    threshold the midpoint of the separating gap.
+    Each class is sorted, and the two sorted runs are merged by the stable
+    rank of ``sweep_errors``; the grid is the first score of every tied
+    run, between a sentinel below and one above every score.  When the
+    classes are perfectly separated the EER is 0 and its threshold the
+    midpoint of the separating gap.
     """
-    clients = np.sort(_as_scores(fused_clients, "client"))
-    impostors = np.sort(_as_scores(fused_impostors, "impostor"))
-    grid = _threshold_grid(clients, impostors)
-    far, frr = _curves(clients, impostors, grid)
-    if clients[0] > impostors[-1]:
-        eer_value, eer_threshold = 0.0, float(impostors[-1] + clients[0]) / 2.0
+    # Each intermediate is dropped once used: at a million scores they, not
+    # the returned curves, would set the peak memory.
+    clients = _as_scores(fused_clients, "client")
+    impostors = _as_scores(fused_impostors, "impostor")
+    n_clients, n_impostors = clients.size, impostors.size
+    scores = np.concatenate([clients, impostors])[np.newaxis]
+    del clients, impostors
+    scores[0, :n_clients].sort()
+    scores[0, n_clients:].sort()
+    lowest_client, highest_impostor = scores[0, 0], scores[0, -1]
+    # Presorted halves: the stable rank is one merge.
+    ranked, clients_below, first = _rank(scores, n_clients)
+    del scores
+    starts = np.flatnonzero(first[0])
+    del first
+    size = starts.size + 2
+    grid = np.empty(size)
+    grid[0], grid[-1] = ranked[0, 0] - 1.0, ranked[0, -1] + 1.0
+    grid[1:-1] = ranked[0, starts]
+    del ranked
+    rejected = clients_below[0, starts]
+    del clients_below
+    frr = np.empty(size)
+    frr[0], frr[-1] = 0.0, 1.0
+    np.divide(rejected, n_clients, out=frr[1:-1])
+    # Impostors accepted at a run start: all but those ranked below it.
+    starts -= rejected
+    np.subtract(n_impostors, starts, out=starts)
+    del rejected
+    far = np.empty(size)
+    far[0], far[-1] = 1.0, 0.0
+    np.divide(starts, n_impostors, out=far[1:-1])
+    del starts
+    if lowest_client > highest_impostor:
+        eer_value, eer_threshold = 0.0, float(highest_impostor + lowest_client) / 2.0
     else:
         value, threshold = _crossing(grid[np.newaxis], far[np.newaxis], frr[np.newaxis])
         eer_value, eer_threshold = float(value[0]), float(threshold[0])
@@ -198,10 +259,8 @@ def evaluate_scores(fused_clients, fused_impostors) -> EvalReport:
         frr_curve=frr,
         eer=eer_value,
         eer_threshold=eer_threshold,
-        n_clients=clients.size,
-        n_impostors=impostors.size,
-        _clients=clients,
-        _impostors=impostors,
+        n_clients=n_clients,
+        n_impostors=n_impostors,
     )
 
 

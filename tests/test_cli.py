@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -346,6 +347,16 @@ class TestFailuresWriteNothing:
         code, _, err = run(capsys, *command, "--synthetic", "--densities", "0.35,0.25,0.3",
                            f"--threshold={threshold}", "--out", str(out))
         assert code == 1 and "--threshold" in err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["fuse", "compare", "eval"])
+    def test_densities_too_small_for_a_float_lambda_exit_1(self, capsys, tmp_path, command):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run(capsys, command, "--synthetic",
+                               "--densities", "5e-324,5e-324,5e-324", "--out", str(out))
+        assert code == 1 and "too small" in err and "Warning" not in err
         assert not out.exists() or not any(out.iterdir())
 
     def test_config_value_of_wrong_type_is_a_usage_error(self, capsys, tmp_path):

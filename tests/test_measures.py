@@ -115,6 +115,19 @@ class TestSolveLambda:
         with pytest.raises(ValueError):
             solve_lambda(bad)
 
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    def test_densities_too_small_for_a_float_lambda_are_refused(self, n):
+        with pytest.raises(ValueError, match=r"densities \[5e-324.*too small"):
+            solve_lambda([5e-324] * n)
+        with pytest.raises(ValueError, match="too small"):
+            solve_lambda_batch([[0.3] * n, [1e-300] * n])
+        with pytest.raises(ValueError, match="too small"):
+            LambdaMeasure((5e-324,) * n)
+
+    def test_tiny_densities_with_a_float_lambda_still_solve(self):
+        # lambda = (1 - 2e-100) / 1e-200: tiny densities, yet a float lambda.
+        assert solve_lambda([1e-100, 1e-100]) == pytest.approx(1e200, rel=1e-12)
+
 
 def clamp_corner_rows(rng, n, count):
     """Density rows mixing the GA's clamp bounds with interior values."""
@@ -438,6 +451,14 @@ class TestTableMeasure:
         assert t.n == 2
         assert t.value_of([0]) == 0.6
         assert t.value_of([0, 1]) == 1.0
+
+    def test_rejection_lists_every_violation_of_validate_measure(self):
+        values = {(): 0.1, (0,): 0.7, (1,): 0.1, (0, 1): 0.5}
+        with pytest.raises(ValueError) as exc:
+            TableMeasure(values)
+        violations = validate_measure(values)
+        assert [v.kind for v in violations] == ["empty", "full", "monotonicity"]
+        assert str(exc.value) == "invalid fuzzy measure: " + "; ".join(map(str, violations))
 
     def test_invalid_table_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):

@@ -1,6 +1,7 @@
 """Normalization, FAR/FRR, EER, and report export."""
 
 import csv
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -161,6 +162,40 @@ class TestSweepErrors:
             sweep_errors([0.5, 0.6], [0.1, 0.2])
         with pytest.raises(ValueError):
             sweep_errors(np.empty((1, 0)), [[0.2]])
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_scores_rejected(self, bad):
+        for clients, impostors in (([0.9, 0.8, bad], [0.1, 0.2, 0.3]),
+                                   ([0.9, 0.8], [bad, 0.2])):
+            with pytest.raises(ValueError, match="finite"):
+                evaluate_scores(clients, impostors)
+            with pytest.raises(ValueError, match="finite"):
+                eer(clients, impostors)
+            with pytest.raises(ValueError, match="finite"):
+                sweep_errors([clients], [impostors])
+            with pytest.raises(ValueError, match="finite"):
+                error_rate_at(clients, impostors, 0.5)
+            with pytest.raises(ValueError, match="finite"):
+                far_frr(clients, impostors, 0.5)
+
+    def test_nan_threshold_rejected(self):
+        clients, impostors = [0.9, 0.8, 0.4], [0.1, 0.2, 0.6]
+        report = evaluate_scores(clients, impostors)
+        for rate_at in (report.error_rate_at,
+                        lambda t: error_rate_at(clients, impostors, t),
+                        lambda t: far_frr(clients, impostors, t)):
+            with pytest.raises(ValueError, match="NaN"):
+                rate_at(math.nan)
+
+    def test_infinite_thresholds_accept_or_reject_everything(self):
+        report = evaluate_scores([0.9, 0.8, 0.4], [0.1, 0.2, 0.6, 0.7])
+        assert report.error_rate_at(-math.inf) == 4 / 7
+        assert report.error_rate_at(math.inf) == 3 / 7
 
 
 class TestEvalReport:

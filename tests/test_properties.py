@@ -21,7 +21,7 @@ from choqfuse.cli import main
 from choqfuse.data import LabeledScoreSet, load_csv, write_csv
 from choqfuse.ga import GENE_EPS
 from choqfuse.measures import ADDITIVE_TOL, LambdaMeasure, solve_lambda, solve_lambda_batch
-from choqfuse.metrics import evaluate_scores
+from choqfuse.metrics import _crossing, evaluate_scores, sweep_errors
 
 properties = settings(derandomize=True, deadline=None, database=None)
 
@@ -103,6 +103,75 @@ class TestEerRescaling:
         after = evaluate_scores(f(np.array(clients)), f(np.array(impostors)))
         assert after.eer == before.eer
         assert after.min_error_rate()[0] == before.min_error_rate()[0]
+
+
+def _reference_evaluation(clients, impostors):
+    """The np.unique + searchsorted sweep that the one merged rank replaced.
+
+    Returns the grid, FAR and FRR curves, EER and its threshold, and the
+    total error rate at a threshold counted straight off the sorted classes.
+    """
+    clients, impostors = np.sort(clients), np.sort(impostors)
+    cand = np.unique(np.concatenate([clients, impostors]))
+    grid = np.concatenate([[cand[0] - 1.0], cand, [cand[-1] + 1.0]])
+    frr = np.searchsorted(clients, grid, side="left") / clients.size
+    far = (impostors.size - np.searchsorted(impostors, grid, side="left")) / impostors.size
+    if clients[0] > impostors[-1]:
+        value, threshold = 0.0, float(impostors[-1] + clients[0]) / 2.0
+    else:
+        values, thresholds = _crossing(grid[np.newaxis], far[np.newaxis], frr[np.newaxis])
+        value, threshold = float(values[0]), float(thresholds[0])
+
+    def error_rate_at(t):
+        fa = int(np.count_nonzero(impostors >= t))
+        fr = int(np.count_nonzero(clients < t))
+        return (fa + fr) / (clients.size + impostors.size)
+
+    return grid, far, frr, value, threshold, error_rate_at
+
+
+@st.composite
+def sweep_cases(draw):
+    """P rows of Nc client and Ni impostor scores, tie-heavy or tie-free."""
+    rows, n_clients, n_impostors = draw(st.integers(1, 4)), draw(st.integers(1, 25)), \
+        draw(st.integers(1, 25))
+    size = n_clients + n_impostors
+    if draw(st.booleans()):  # ties within and across the classes
+        value = st.integers(0, 8).map(lambda k: k / 8)
+        scores = [draw(st.lists(value, min_size=size, max_size=size)) for _ in range(rows)]
+    else:
+        scores = [draw(st.lists(unit, min_size=size, max_size=size, unique=True))
+                  for _ in range(rows)]
+    scores = np.array(scores)
+    return scores[:, :n_clients], scores[:, n_clients:], draw(st.data())
+
+
+class TestThresholdSweep:
+    @settings(properties, max_examples=200)
+    @given(sweep_cases())
+    def test_equals_the_unique_and_searchsorted_sweep(self, case):
+        clients, impostors, data = case
+        eers, min_errors = sweep_errors(clients, impostors)
+        for c, i, row_eer, row_min_error in zip(clients, impostors, eers, min_errors):
+            report = evaluate_scores(c, i)
+            grid, far, frr, value, threshold, error_rate_at = _reference_evaluation(c, i)
+            assert report.thresholds.tobytes() == grid.tobytes()
+            assert report.far_curve.tobytes() == far.tobytes()
+            assert report.frr_curve.tobytes() == frr.tobytes()
+            assert (report.eer, report.eer_threshold) == (value, threshold)
+            counts = np.rint(far * i.size + frr * c.size)
+            k = int(np.argmin(counts))
+            assert report.min_error_rate() == (counts[k] / (c.size + i.size), grid[k])
+            assert (row_eer, row_min_error) == (report.eer, report.min_error_rate()[0])
+            # Thresholds on, between, below and above the grid points.
+            midpoints = (grid[:-1] + grid[1:]) / 2
+            probes = [data.draw(st.sampled_from(np.r_[c, i].tolist())),
+                      data.draw(st.sampled_from(midpoints.tolist())),
+                      data.draw(st.floats(max_value=grid[0], allow_nan=False)),
+                      data.draw(st.floats(min_value=grid[-1], allow_nan=False)),
+                      data.draw(st.floats(allow_nan=False))]
+            for t in probes:
+                assert report.error_rate_at(t) == error_rate_at(t), t
 
 
 @st.composite
