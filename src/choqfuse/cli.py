@@ -17,9 +17,11 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .aggregate import FusionRule, choquet_fuse_batch, rule_fuse_batch
-from .data import (DataFormatError, LabeledScoreSet, csv_fields, load_csv,
-                   synthetic_dataset, write_rows)
+from .data import (DataFormatError, LabeledScoreSet, id_label_columns, load_csv,
+                   synthetic_dataset, write_table)
 from .ga import GaConfig, evolve
 from .measures import ConvergenceError, LambdaMeasure
 from .metrics import EvalReport, evaluate_scores, write_roc_csv
@@ -157,7 +159,8 @@ def _load_dataset(args) -> LabeledScoreSet:
         raise DataFormatError(f"input file not found: {args.input}") from None
 
 
-def _load_measure(args) -> LambdaMeasure | None:
+def _load_measure(args, n: int) -> LambdaMeasure | None:
+    """The measure of --densities or --measure-file, if either is given, for ``n`` modalities."""
     if getattr(args, "densities", None) and getattr(args, "measure_file", None):
         raise UsageError("give either --densities or --measure-file, not both")
     if getattr(args, "densities", None):
@@ -166,8 +169,7 @@ def _load_measure(args) -> LambdaMeasure | None:
         except ValueError:
             raise UsageError(f"--densities must be comma-separated numbers, "
                              f"got {args.densities!r}") from None
-        return LambdaMeasure(tuple(values))
-    if getattr(args, "measure_file", None):
+    elif getattr(args, "measure_file", None):
         try:
             with open(args.measure_file, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
@@ -179,8 +181,14 @@ def _load_measure(args) -> LambdaMeasure | None:
         if not isinstance(densities, list) or not all(map(_is_number, densities)):
             raise UsageError(f"measure file {args.measure_file} needs a 'densities' "
                              f"list of numbers")
-        return LambdaMeasure(tuple(float(v) for v in densities))
-    return None
+        values = [float(v) for v in densities]
+    else:
+        return None
+    measure = LambdaMeasure(tuple(values))
+    if measure.n != n:
+        raise UsageError(f"measure has {measure.n} densities but the data has "
+                         f"{n} modalities")
+    return measure
 
 
 def _threshold(args) -> float:
@@ -234,23 +242,15 @@ def _print_measure(measure: LambdaMeasure) -> None:
 
 def _cmd_fuse(args) -> int:
     dataset = _load_dataset(args)
-    measure = _load_measure(args)
+    measure = _load_measure(args, dataset.n_modalities)
     if measure is None:
         raise UsageError("fuse needs --densities or --measure-file")
-    if measure.n != dataset.n_modalities:
-        raise UsageError(f"measure has {measure.n} densities but the data has "
-                         f"{dataset.n_modalities} modalities")
     _print_measure(measure)
-    out = _out_dir(args)
-    fused_path = out / "fused_scores.csv"
-    with open(fused_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("person_id,label,fused\r\n")
-        for label, ids, scores in (
-            ("client", dataset.client_ids, dataset.client_scores),
-            ("impostor", dataset.impostor_ids, dataset.impostor_scores),
-        ):
-            write_rows(fh, "{}," + label + ",{!r}\r\n",
-                       [csv_fields(ids), choquet_fuse_batch(scores, measure)])
+    fused = np.concatenate([choquet_fuse_batch(dataset.client_scores, measure),
+                            choquet_fuse_batch(dataset.impostor_scores, measure)])
+    fused_path = _out_dir(args) / "fused_scores.csv"
+    write_table(fused_path, ["person_id", "label", "fused"], "{},{},{!r}",
+                id_label_columns(dataset) + [fused])
     print(f"wrote {fused_path}")
     return 0
 
@@ -271,12 +271,10 @@ def _cmd_optimize(args) -> int:
     out = _out_dir(args)
     history_path = out / "history.csv"
     n = dataset.n_modalities
-    with open(history_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(["generation", "best_eer"] + [f"gene{i + 1}" for i in range(n)])
-                 + "\r\n")
-        write_rows(fh, "{},{!r}" + ",{!r}" * n + "\r\n",
-                   [[r.generation for r in history], [r.best_eer for r in history],
-                    *zip(*(r.best_genes for r in history))])
+    write_table(history_path, ["generation", "best_eer"] + [f"gene{i + 1}" for i in range(n)],
+                "{},{!r}" + ",{!r}" * n,
+                [[r.generation for r in history], [r.best_eer for r in history],
+                 *zip(*(r.best_genes for r in history))])
 
     report = _evaluate(dataset, FusionRule("choquet", measure))
     min_rate, min_threshold = report.min_error_rate()
@@ -310,12 +308,9 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_compare(args) -> int:
     dataset = _load_dataset(args)
-    measure = _load_measure(args)
-    threshold = _threshold(args)
     n = dataset.n_modalities
-    if measure is not None and measure.n != n:
-        raise UsageError(f"measure has {measure.n} densities but the data "
-                         f"has {n} modalities")
+    measure = _load_measure(args, n)
+    threshold = _threshold(args)
     out = _out_dir(args)
 
     rows: list[tuple[str, float]] = []
@@ -351,19 +346,17 @@ def _cmd_compare(args) -> int:
         print(f"{name:<{width}}  {rate:.2f}")
 
     table_path = out / "comparison.csv"
-    with open(table_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("rule,error_rate_percent\r\n")
-        write_rows(fh, "{},{:.2f}\r\n", list(zip(*rows)))
+    write_table(table_path, ["rule", "error_rate_percent"], "{},{:.2f}", list(zip(*rows)))
     print(f"wrote {table_path} and per-rule ROC CSVs")
     return 0
 
 
 def _cmd_eval(args) -> int:
     dataset = _load_dataset(args)
-    measure = _load_measure(args)
+    n = dataset.n_modalities
+    measure = _load_measure(args, n)
     threshold = _threshold(args)
     tag = args.rule or "choquet"
-    n = dataset.n_modalities
     if tag == "choquet":
         if measure is None:
             raise UsageError("eval of the choquet rule needs --densities or "

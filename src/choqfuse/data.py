@@ -9,7 +9,7 @@ score column per modality.  ``load_csv`` strips whitespace around person ids
 and rejects empty ones; ``write_csv`` emits the identical schema and refuses
 ids that would not survive that, so whenever it writes a file
 ``load_csv(write_csv(s)) == s`` round-trips exactly.  Every CSV file the
-package writes goes through the block row writer ``write_rows``.
+package writes goes through the one table writer ``write_table``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 
-# Lines formatted per write by ``write_rows``.
+# Lines formatted per write by ``write_table``.
 _BLOCK_ROWS = 8192
 
 
@@ -152,31 +152,34 @@ def write_csv(dataset: LabeledScoreSet, path) -> None:
         raise ValueError(f"person ids would not round-trip through load_csv "
                          f"(empty or with surrounding whitespace): {bad!r}")
     n = dataset.n_modalities
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(["person_id", "label"] + [f"m{i + 1}" for i in range(n)]) + "\r\n")
-        for label, ids, scores in (("client", dataset.client_ids, dataset.client_scores),
-                                   ("impostor", dataset.impostor_ids, dataset.impostor_scores)):
-            write_rows(fh, "{}," + label + ",{!r}" * n + "\r\n", [csv_fields(ids), *scores.T])
+    scores = np.concatenate([dataset.client_scores, dataset.impostor_scores])
+    write_table(path, ["person_id", "label"] + [f"m{i + 1}" for i in range(n)],
+                "{},{}" + ",{!r}" * n, id_label_columns(dataset) + list(scores.T))
 
 
-def write_rows(fh, line: str, columns) -> None:
-    """Write ``line.format(*row)`` for each row of the equal-length ``columns``.
+def write_table(path, header, line: str, columns) -> None:
+    """Write a CSV file: the ``header`` fields, then ``line.format(*row)`` per row.
 
-    Lines are formatted and written ``_BLOCK_ROWS`` at a time.  Array
+    The rows are those of the equal-length ``columns``; every line ends in
+    CRLF.  Lines are formatted and written ``_BLOCK_ROWS`` at a time.  Array
     columns turn into Python numbers one block at a time, so no number
     object is kept per row and ``{!r}`` writes the ``repr`` that the
     standard ``csv`` module's writer writes for a float.
     """
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = [c[start:start + _BLOCK_ROWS] for c in columns]
-        fh.write("".join(map(line.format, *(
-            b.tolist() if isinstance(b, np.ndarray) else b for b in block))))
+    line += "\r\n"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = [c[start:start + _BLOCK_ROWS] for c in columns]
+            fh.write("".join(map(line.format, *(
+                b.tolist() if isinstance(b, np.ndarray) else b for b in block))))
 
 
-def csv_fields(texts) -> list[str]:
-    """``texts`` as the ``csv`` module's writer writes them (excel dialect, minimal quoting)."""
-    return ['"' + t.replace('"', '""') + '"' if "," in t or '"' in t or "\r" in t or "\n" in t
-            else t for t in texts]
+def id_label_columns(dataset: LabeledScoreSet) -> list[list[str]]:
+    """Person id and label columns, clients first; ids quoted as ``csv.writer`` quotes them."""
+    ids = ['"' + t.replace('"', '""') + '"' if "," in t or '"' in t or "\r" in t or "\n" in t
+           else t for t in dataset.client_ids + dataset.impostor_ids]
+    return [ids, ["client"] * len(dataset.client_ids) + ["impostor"] * len(dataset.impostor_ids)]
 
 
 def load_csv(path, normalize: bool = False) -> LabeledScoreSet:

@@ -3,7 +3,8 @@
 Chromosomes are candidate singleton-density vectors, clamped into
 [1e-6, 1 - 1e-6] so every candidate yields a well-formed lambda-measure.
 Fitness is the equal error rate of Choquet-fused scores on a labeled
-client/impostor set, to be minimized.  One generation:
+client/impostor set, to be minimized.  A population is a (P, n) gene
+array, and each operator works on arrays of members.  One generation:
 
 1. uniform parent selection (probability 1/N each, no replacement within
    a pair);
@@ -69,9 +70,7 @@ def _clamp(genes: np.ndarray) -> np.ndarray:
 class Chromosome:
     """A candidate density vector with its fitness (EER), if scored.
 
-    ``evolve`` keeps its population as arrays and builds chromosomes, with
-    their EERs, only for what it hands out: the best member and the
-    populations given to ``on_generation``.
+    ``evolve`` hands out its best member as one; populations are arrays.
     """
 
     genes: tuple[float, ...]
@@ -83,16 +82,17 @@ class Chromosome:
             raise ValueError(f"genes outside [{GENE_EPS}, {1.0 - GENE_EPS}]: {self.genes}")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Population:
-    """Fixed-size list of chromosomes plus the generation counter."""
+    """One ranked generation of ``evolve``, as read-only arrays.
 
-    members: list[Chromosome]
-    generation: int = 0
+    ``genes`` is the (P, n) gene array and ``eers`` the (P,) fitness array,
+    both sorted by (EER, minimum sweep error): row 0 is the best member.
+    """
 
-    def __post_init__(self):
-        if len(self.members) < 2:
-            raise ValueError("population needs at least 2 members")
+    generation: int
+    genes: np.ndarray
+    eers: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -147,24 +147,23 @@ def init_population(
     cfg: GaConfig,
     n_genes: int,
     seeds: Sequence[Iterable[float]] | None = None,
-) -> Population:
-    """Seeded members first (expert picks), the rest uniform random."""
+) -> np.ndarray:
+    """The (P, n) initial gene array: clamped seeds first (expert picks), then uniform draws."""
     if n_genes < 2:
         raise ValueError("need at least 2 genes per chromosome")
-    seeded = [Chromosome(tuple(_clamp(np.asarray(s, dtype=float)))) for s in (seeds or [])]
-    for c in seeded:
-        if len(c.genes) != n_genes:
-            raise ValueError(f"a seed has {len(c.genes)} genes, the population {n_genes}")
+    seeded = [_clamp(np.asarray(s, dtype=float)) for s in (seeds or [])]
+    for genes in seeded:
+        if genes.shape != (n_genes,):
+            raise ValueError(f"a seed has {genes.size} genes, the population {n_genes}")
+        if np.isnan(genes).any():
+            raise ValueError(f"genes outside [{GENE_EPS}, {1.0 - GENE_EPS}]: {genes.tolist()}")
     if len(seeded) > cfg.population_size:
         raise ValueError(
             f"{len(seeded)} seeds exceed the population size {cfg.population_size}"
         )
     rng = _rng(cfg.rng_seed, 0, 0)
-    members = seeded + [
-        Chromosome(tuple(rng.uniform(GENE_EPS, 1.0 - GENE_EPS, size=n_genes)))
-        for _ in range(cfg.population_size - len(seeded))
-    ]
-    return Population(members=members, generation=0)
+    size = (cfg.population_size - len(seeded), n_genes)
+    return np.vstack(seeded + [rng.uniform(GENE_EPS, 1.0 - GENE_EPS, size=size)])
 
 
 def _fitness_kernel(
@@ -199,30 +198,17 @@ def population_fitness(genes, data: LabeledScoreSet) -> tuple[np.ndarray, np.nda
     return _fitness_kernel(data)(np.asarray(genes, dtype=float))
 
 
-def _pair_indices(
+def select_parents(
     n_members: int, n_pairs: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Member indices of ``n_pairs`` parent pairs, uniform and distinct within a pair.
+    """Member indices of ``n_pairs`` parent pairs, uniform (1/N each) and distinct within a pair.
 
-    All first parents are drawn, then all second parents: ``j`` is uniform
-    over the ``n_members - 1`` indices other than ``i``.
+    All first parents are drawn, then all second parents: ``second[k]`` is
+    uniform over the ``n_members - 1`` indices other than ``first[k]``.
     """
     first = rng.integers(0, n_members, size=n_pairs)
     second = rng.integers(0, n_members - 1, size=n_pairs)
     return first, second + (second >= first)
-
-
-def select_parents(
-    population: Population | Sequence[Chromosome],
-    rng: np.random.Generator,
-) -> tuple[Chromosome, Chromosome]:
-    """Two members drawn uniformly (1/N each), distinct within the pair.
-
-    The one-pair case of the draw ``evolve`` makes for a whole generation.
-    """
-    members = population.members if isinstance(population, Population) else population
-    (i,), (j,) = _pair_indices(len(members), 1, rng)
-    return members[i], members[j]
 
 
 def linear_crossover(a, b) -> np.ndarray:
@@ -274,6 +260,10 @@ def evolve(
     each generation's offspring are built as one array and scored as one
     batch.  Survivors: the first best parent (the one elite), then the best
     P - 1 of the other parents and the offspring, parents first on ties.
+
+    ``on_generation(population, best)`` runs after generation 0 (the initial
+    population) and after each later one, with the ranked ``Population``
+    (read-only views of the loop's arrays, not copies) and the best ``Chromosome``.
     """
     cfg = cfg or GaConfig()
     score = _fitness_kernel(data)
@@ -287,18 +277,14 @@ def evolve(
 
     def report(generation: int, genes: np.ndarray, eers: np.ndarray) -> Chromosome:
         """Record the best of a ranked population; hand the population to the callback."""
-        best = Chromosome(tuple(genes[0].tolist()), float(eers[0]))
+        best = Chromosome(genes[0].tolist(), float(eers[0]))
         history.append(GenerationRecord(generation, best.fitness, best.genes))
         if on_generation is not None:
-            population = Population(
-                members=[Chromosome(tuple(g), e) for g, e in zip(genes.tolist(), eers.tolist())],
-                generation=generation,
-            )
-            on_generation(population, population.members[0])
+            genes.flags.writeable = eers.flags.writeable = False  # the loop only reads them
+            on_generation(Population(generation, genes, eers), best)
         return best
 
-    initial = init_population(cfg, n_genes=n_genes, seeds=seeds).members
-    genes = np.array([c.genes for c in initial])
+    genes = init_population(cfg, n_genes, seeds)
     genes, eers, min_errors = ranked(genes, *score(genes))
     best = report(0, genes, eers)
 
@@ -307,7 +293,7 @@ def evolve(
         if best.fitness <= cfg.eer_stop_threshold:
             break
         rng = _rng(cfg.rng_seed, generation, 0)
-        first, second = _pair_indices(size, events, rng)
+        first, second = select_parents(size, events, rng)
         children = linear_crossover(genes[first], genes[second]).reshape(-1, n_genes)
         children = children[: cfg.offspring_count]
         children = _clamp(children + mutation_offsets(children.shape, generation, cfg, rng))

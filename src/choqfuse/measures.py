@@ -43,7 +43,7 @@ ROOT_RESIDUAL_TOL = 1e-10
 # converges in one step for n <= 3 (the start is the exact root) and
 # typically in under 10 for n > 3; rows with n >= 8 and lambda near -1, and
 # extreme roots (densities at the 1e-6 clamp bounds, n <= 16), took at most
-# 32 with bisection steps mixed in.
+# 32 with bisection steps mixed in, and roots past 1e40 up to 163.
 _MAX_ITER = 200
 _EPS = np.finfo(float).eps
 _FLOAT_MAX = np.finfo(float).max
@@ -114,6 +114,7 @@ def _residual(d: np.ndarray, lam: np.ndarray):
     return g, slope, (d.shape[1] + 3) * _EPS * spread
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _solve(d: np.ndarray) -> np.ndarray:
     """Safeguarded Newton on g over validated density rows; see solve_lambda_batch."""
     total = d.sum(axis=1)
@@ -145,13 +146,16 @@ def _solve(d: np.ndarray) -> np.ndarray:
         if huge.any():
             raise ValueError(f"densities {d[beyond][np.argmax(huge)].tolist()} are too "
                              f"small: their lambda exceeds the largest float")
-    linear = -c / e2
+    # A root near the largest float caps the bound -c / e2 and the start at
+    # it, and its residual is infinite (or NaN) where prod(1 + lam*m_i) passes it.
+    linear = np.minimum(-c / e2, _FLOAT_MAX)
     quadratic = -2.0 * c / (e2 + np.sqrt(np.maximum(e2 * e2 - 4.0 * e3 * c, 0.0)))
     positive = c < 0.0
     lo = np.where(positive, 0.0, -1.0)
     hi = np.where(positive, linear, 0.0)
     inside = (quadratic > -1.0) & (quadratic < 0.0)
     x = np.where(positive | inside, quadratic, np.maximum(linear, -0.5))
+    x = np.where(np.isinf(x), hi, x)
     last_step = hi - lo
     done = np.zeros(len(d), dtype=bool)
     for _ in range(_MAX_ITER):
@@ -162,14 +166,19 @@ def _solve(d: np.ndarray) -> np.ndarray:
         newton = x - g / slope
         newton_step = np.abs(newton - x)
         # Newton while it stays inside the bracket and at least halves the
-        # previous step; bisection otherwise.
+        # previous step; bisection otherwise, geometric (over exponents)
+        # from an overflowed residual, which lies far above a huge root.
         take = (newton > lo) & (newton < hi) & (newton_step <= 0.5 * last_step)
-        step_to = np.where(take, newton, 0.5 * (lo + hi))
+        middle = np.where(np.isfinite(g), 0.5 * lo + 0.5 * hi,
+                          np.sqrt(np.maximum(lo, 1.0)) * np.sqrt(hi))
+        step_to = np.where(take, newton, middle)
         last_step = np.abs(step_to - x)
         # Converged once the Newton step is below 2^-30 |x| (quadratic
         # convergence leaves an error far below one ulp after it) or g is
-        # within its rounding error (its sign is noise).
-        converged = (newton_step <= 2.0 ** -30 * np.abs(x)) | (np.abs(g) <= noise) | (step_to == x)
+        # within a finite bound on its rounding error (its sign is noise);
+        # never at an overflowed Newton point.
+        converged = np.isfinite(newton) & ((newton_step <= 2.0 ** -30 * np.abs(x)) | (step_to == x)
+                                           | ((np.abs(g) <= noise) & np.isfinite(noise)))
         # Finished rows stay frozen, so no row depends on the others.
         x = np.where(done, x, np.where(converged, newton, step_to))
         done |= converged
@@ -179,16 +188,26 @@ def _solve(d: np.ndarray) -> np.ndarray:
     # undefined; the next float above stands for it.
     x = np.maximum(x, np.nextafter(-1.0, 0.0))
 
-    # Contract check on the raw residual f = lambda * g.  For extreme roots
-    # (|lambda| >> 1) evaluation noise alone moves f by tens of ulps of
-    # lambda, so a scale-proportional band is accepted as the best possible
-    # there; it stays below the absolute tolerance for every |lambda| < ~2000.
-    residual = np.abs(x * _residual(d, x)[0])
-    failed = (residual > ROOT_RESIDUAL_TOL) & (residual > 64.0 * np.abs(x) * 2.3e-16 * d.shape[1])
+    # Contract check on the raw residual f = prod(1 + lambda*m_i) - lambda - 1,
+    # as a plain product: good to a few ulps per density, where g loses
+    # |log prod| ulps, so huge roots that g left too coarse take one Newton
+    # step on f.  For extreme roots (|lambda| >> 1) evaluation noise alone
+    # moves f by tens of ulps of lambda, so a scale-proportional band is
+    # accepted as the best possible there; it stays below the absolute
+    # tolerance for every |lambda| < ~2000.
+    band = 64.0 * 2.3e-16 * d.shape[1]
+    for polished in (False, True):
+        factors = 1.0 + x[:, None] * d
+        prod = factors.prod(axis=1)
+        f = prod - x - 1.0
+        failed = (np.abs(f) > ROOT_RESIDUAL_TOL) & (np.abs(f) > band * np.abs(x))
+        if polished or not failed.any():
+            break
+        x = np.where(failed, x - f / (prod * (d / factors).sum(axis=1) - 1.0), x)
     if failed.any() or not np.all(np.isfinite(x)):
         k = int(np.argmax(failed | ~np.isfinite(x)))
         raise ConvergenceError(
-            f"root residual {residual[k]:.3e} exceeds {ROOT_RESIDUAL_TOL} at "
+            f"root residual {abs(f[k]):.3e} exceeds {ROOT_RESIDUAL_TOL} at "
             f"lambda={float(x[k])!r} (densities sum to {float(total[k])})"
         )
     roots[rows] = x

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import write_rows
+from .data import write_table
 
 __all__ = [
     "EvalReport",
@@ -269,9 +269,7 @@ def write_roc_csv(report: EvalReport, path) -> None:
 
     The bytes are those the standard ``csv`` module's writer (excel
     dialect) writes for the ``f"{v:.6g}"`` texts, formatted in blocks by
-    ``data.write_rows``.
+    ``data.write_table``.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("threshold,far,frr\r\n")
-        write_rows(fh, "{:.6g},{:.6g},{:.6g}\r\n",
-                   [report.thresholds, report.far_curve, report.frr_curve])
+    write_table(path, ["threshold", "far", "frr"], "{:.6g},{:.6g},{:.6g}",
+                [report.thresholds, report.far_curve, report.frr_curve])

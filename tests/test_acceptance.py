@@ -15,7 +15,7 @@ import pytest
 from choqfuse.aggregate import FusionRule, choquet_fuse, choquet_fuse_batch, rule_fuse_batch
 from choqfuse.cli import main as cli_main
 from choqfuse.data import synthetic_dataset
-from choqfuse.ga import Chromosome, GaConfig, Population, evolve, mutation_offsets, select_parents
+from choqfuse.ga import GaConfig, evolve, mutation_offsets, select_parents
 from choqfuse.measures import LambdaMeasure, TableMeasure, solve_lambda
 from choqfuse.metrics import error_rate_at, evaluate_scores
 
@@ -291,16 +291,10 @@ def test_criterion_8d_mutation_magnitude_law():
 
 
 def test_criterion_8e_uniform_selection_frequencies():
-    members = [Chromosome((0.1 + 0.08 * i, 0.5)) for i in range(10)]
-    pop = Population(members=members)
     rng = np.random.default_rng(2031)
-    counts = np.zeros(10)
     draws = 10_000  # 5000 pairs
-    for _ in range(draws // 2):
-        a, b = select_parents(pop, rng)
-        counts[members.index(a)] += 1
-        counts[members.index(b)] += 1
-    freq = counts / draws
+    first, second = select_parents(10, draws // 2, rng)
+    freq = np.bincount(np.concatenate([first, second]), minlength=10) / draws
     ok = bool(np.all(freq >= 0.8 / 10) and np.all(freq <= 1.2 / 10))
     report("criterion 8e", ok,
            f"selection frequencies in [{freq.min():.4f}, {freq.max():.4f}] "

@@ -359,6 +359,30 @@ class TestFailuresWriteNothing:
         assert code == 1 and "too small" in err and "Warning" not in err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("value,code", [("1e-100", 0), ("1e-150", 0), ("1e-300", 1)])
+    def test_tiny_densities_with_a_huge_lambda_never_exit_3(self, capsys, tmp_path, value, code):
+        # lambda is about 1e150 and 1e225 for the first two, beyond the
+        # largest float for the last.
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result, _, err = run(capsys, "fuse", "--synthetic",
+                                 "--densities", ",".join([value] * 3), "--out", str(out))
+        assert result == code and "Warning" not in err
+        if code:
+            assert f"densities [{value}, {value}, {value}] are too small" in err
+            assert not out.exists() or not any(out.iterdir())
+        else:
+            assert (out / "fused_scores.csv").exists()
+
+    @pytest.mark.parametrize("command", ["fuse", "compare", "eval"])
+    def test_measure_width_mismatch_is_one_message(self, capsys, tmp_path, command):
+        out = tmp_path / "out"
+        code, _, err = run(capsys, command, "--synthetic", "--densities", "0.3,0.3",
+                           "--out", str(out))
+        assert code == 1 and "measure has 2 densities but the data has 3 modalities" in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_config_value_of_wrong_type_is_a_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"generations": "5"}))

@@ -11,7 +11,6 @@ from choqfuse.ga import (
     GENE_EPS,
     Chromosome,
     GaConfig,
-    Population,
     evolve,
     init_population,
     linear_crossover,
@@ -53,27 +52,48 @@ def toy_inseparable():
 
 class TestInitPopulation:
     def test_random_members_are_valid(self):
-        pop = init_population(GaConfig(population_size=10, rng_seed=1), n_genes=3)
-        assert len(pop.members) == 10
-        for c in pop.members:
-            assert len(c.genes) == 3
-            assert all(GENE_EPS <= g <= 1 - GENE_EPS for g in c.genes)
+        genes = init_population(GaConfig(population_size=10, rng_seed=1), n_genes=3)
+        assert genes.shape == (10, 3)
+        assert np.all((genes >= GENE_EPS) & (genes <= 1 - GENE_EPS))
 
     def test_seeds_come_first(self):
         seed = (1 / 3, 1 / 3, 1 / 3)
-        pop = init_population(GaConfig(population_size=10, rng_seed=1), 3, seeds=[seed])
-        assert pop.members[0].genes == seed
+        genes = init_population(GaConfig(population_size=10, rng_seed=1), 3, seeds=[seed])
+        assert tuple(genes[0].tolist()) == seed
 
     def test_deterministic_for_fixed_seed(self):
         cfg = GaConfig(population_size=8, rng_seed=42)
         a = init_population(cfg, 3)
         b = init_population(cfg, 3)
-        assert [c.genes for c in a.members] == [c.genes for c in b.members]
+        assert a.tolist() == b.tolist()
+
+    @staticmethod
+    def member_loop(cfg, n_genes, seeds):
+        """The initial population drawn one member at a time, seeds clamped first."""
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(cfg.rng_seed, spawn_key=(0, 0))))
+        members = [tuple(min(max(float(g), GENE_EPS), 1.0 - GENE_EPS) for g in s)
+                   for s in seeds]
+        while len(members) < cfg.population_size:
+            members.append(tuple(rng.uniform(GENE_EPS, 1.0 - GENE_EPS, size=n_genes).tolist()))
+        return members
+
+    @pytest.mark.parametrize("rng_seed", range(10))
+    @pytest.mark.parametrize("seeds", [[], [(0.5, 0.0, 1.0)],
+                                       [(0.2, 0.3, 0.4)] * 2 + [(1e-9,) * 3]])
+    def test_one_draw_equals_the_member_loop(self, rng_seed, seeds):
+        cfg = GaConfig(population_size=7, rng_seed=rng_seed)
+        genes = init_population(cfg, 3, seeds=seeds)
+        assert [tuple(row) for row in genes.tolist()] == self.member_loop(cfg, 3, seeds)
 
     def test_too_many_seeds_rejected(self):
         cfg = GaConfig(population_size=2, rng_seed=0)
         with pytest.raises(ValueError):
             init_population(cfg, 2, seeds=[(0.5, 0.5)] * 3)
+
+    def test_nan_seed_rejected(self):
+        with pytest.raises(ValueError, match="genes outside"):
+            init_population(GaConfig(population_size=4), 2, seeds=[(float("nan"), 0.5)])
 
 
 def eer_of(genes, data):
@@ -150,49 +170,32 @@ class TestPopulationFitness:
 
 class TestSelectParents:
     def test_two_member_population_always_returns_both(self):
-        members = [Chromosome((0.2, 0.3)), Chromosome((0.6, 0.7))]
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            a, b = select_parents(members, rng)
-            assert {id(a), id(b)} == {id(m) for m in members}
+        first, second = select_parents(2, 50, np.random.default_rng(0))
+        assert all({i, j} == {0, 1} for i, j in zip(first.tolist(), second.tolist()))
 
     def test_selection_is_uniform(self):
-        members = [Chromosome((0.1 + 0.05 * i, 0.5)) for i in range(10)]
-        pop = Population(members=members)
-        rng = np.random.default_rng(2024)
-        counts = np.zeros(10)
         pairs = 5000  # 10,000 individual selections
-        for _ in range(pairs):
-            a, b = select_parents(pop, rng)
-            counts[members.index(a)] += 1
-            counts[members.index(b)] += 1
-        freq = counts / (2 * pairs)
+        first, second = select_parents(10, pairs, np.random.default_rng(2024))
+        freq = np.bincount(np.concatenate([first, second]), minlength=10) / (2 * pairs)
         assert np.all(freq >= 0.08) and np.all(freq <= 0.12)
 
     def test_parents_distinct_within_pair(self):
-        members = [Chromosome((0.2 + 0.1 * i, 0.5)) for i in range(5)]
-        rng = np.random.default_rng(9)
-        for _ in range(200):
-            a, b = select_parents(members, rng)
-            assert a is not b
+        first, second = select_parents(5, 200, np.random.default_rng(9))
+        assert np.all(first != second)
 
     def test_ordered_pairs_are_uniform(self):
-        members = [Chromosome((0.2 + 0.1 * i, 0.5)) for i in range(4)]
-        rng = np.random.default_rng(2029)
-        counts = {}
         draws = 12_000  # 1000 per ordered pair
-        for _ in range(draws):
-            a, b = select_parents(members, rng)
-            key = (members.index(a), members.index(b))
-            counts[key] = counts.get(key, 0) + 1
-        assert len(counts) == 12
-        assert all(800 <= c <= 1200 for c in counts.values())
+        first, second = select_parents(4, draws, np.random.default_rng(2029))
+        counts = np.bincount(4 * first + second, minlength=16).reshape(4, 4)
+        assert np.all(np.diag(counts) == 0)
+        off_diagonal = counts[~np.eye(4, dtype=bool)]
+        assert off_diagonal.size == 12
+        assert np.all((off_diagonal >= 800) & (off_diagonal <= 1200))
 
     def test_reproducible_pair_sequence(self):
-        members = [Chromosome((0.2 + 0.1 * i, 0.5)) for i in range(5)]
-        seq1 = [select_parents(members, np.random.default_rng(5))[0] for _ in range(1)]
-        seq2 = [select_parents(members, np.random.default_rng(5))[0] for _ in range(1)]
-        assert [c.genes for c in seq1] == [c.genes for c in seq2]
+        seq1 = select_parents(5, 10, np.random.default_rng(5))
+        seq2 = select_parents(5, 10, np.random.default_rng(5))
+        assert [a.tolist() for a in seq1] == [a.tolist() for a in seq2]
 
 
 class TestLinearCrossover:
@@ -299,8 +302,8 @@ def reference_populations(data, cfg):
         return min(max(g, GENE_EPS), 1.0 - GENE_EPS)
 
     size, n = cfg.population_size, data.n_modalities
-    pool = sorted(((rank(c.genes), c.genes)
-                   for c in init_population(cfg, n).members), key=lambda m: m[0])
+    pool = sorted(((rank(genes), tuple(genes))
+                   for genes in init_population(cfg, n).tolist()), key=lambda m: m[0])
     populations = [pool]
     events = -(-size // 3)
     for generation in range(1, cfg.max_generations + 1):
@@ -337,8 +340,10 @@ class TestEvolve:
         seen = []
 
         def record(population, best):
-            assert best is population.members[0]
-            seen.append([(c.genes, c.fitness) for c in population.members])
+            assert (best.genes, best.fitness) == (tuple(population.genes[0].tolist()),
+                                                  population.eers[0])
+            seen.append(list(zip(map(tuple, population.genes.tolist()),
+                                 population.eers.tolist())))
 
         best, history = evolve(data, cfg, on_generation=record)
         expected = reference_populations(data, cfg)
@@ -363,10 +368,10 @@ class TestEvolve:
         monkeypatch.setattr(ga, "_rng", counting_rng)
         monkeypatch.setattr(ga.Chromosome, "__post_init__", counting_init)
         cfg = GaConfig(population_size=30, max_generations=12, eer_stop_threshold=0.0)
-        _, history = evolve(synthetic_dataset(), cfg)
+        _, history = evolve(synthetic_dataset(), cfg, on_generation=lambda pop, best: None)
         assert len(history) == 13
         assert counts["rng"] == 13  # init_population's stream, then one per generation
-        assert counts["chromosome"] == 30 + 13  # init_population, then one best per record
+        assert counts["chromosome"] == 13  # one best per record, callback or not
 
     def test_seed_width_must_match_the_data(self):
         data, cfg = synthetic_dataset(), GaConfig(population_size=4, max_generations=2)
@@ -404,10 +409,11 @@ class TestEvolve:
         eers = [r.best_eer for r in history]
         assert all(a >= b - 1e-15 for a, b in zip(eers, eers[1:]))
         assert len(seen) == len(history)
+        assert seen[0] == seen[0] and seen[0] != seen[1]  # identity, not elementwise
         for pop in seen:
-            assert len(pop.members) == 8
-            for c in pop.members:
-                assert all(GENE_EPS <= g <= 1 - GENE_EPS for g in c.genes)
+            assert pop.genes.shape == (8, 3) and pop.eers.shape == (8,)
+            assert not pop.genes.flags.writeable and not pop.eers.flags.writeable
+            assert np.all((pop.genes >= GENE_EPS) & (pop.genes <= 1 - GENE_EPS))
 
     def test_best_fitness_matches_recomputation(self):
         data = synthetic_dataset()
@@ -425,8 +431,8 @@ class TestEvolve:
         def record(population, best):
             if not changes or changes[-1][1:] != (best.fitness, best.genes):
                 changes.append((population.generation, best.fitness, best.genes))
-            for c in population.members:
-                digest.update(repr((c.genes, c.fitness)).encode())
+            for genes, eer in zip(population.genes.tolist(), population.eers.tolist()):
+                digest.update(repr((tuple(genes), eer)).encode())
             if population.generation == 50:
                 raise Stop
 
@@ -481,7 +487,3 @@ class TestConfigValidation:
             Chromosome((0.5, 1.5))
         with pytest.raises(ValueError):
             Chromosome((0.0, 0.5))
-
-    def test_population_needs_two_members(self):
-        with pytest.raises(ValueError):
-            Population(members=[Chromosome((0.5, 0.5))])
