@@ -10,7 +10,6 @@ from choqfuse import (
     FusionRule,
     LambdaMeasure,
     choquet_fuse_batch,
-    error_rate_at,
     evaluate_scores,
     rule_fuse_batch,
     synthetic_dataset,
@@ -21,12 +20,13 @@ C, I = data.client_scores, data.impostor_scores
 
 print(f"{'rule':15s} {'error rate':>10s}")
 for j in range(data.n_modalities):
-    rate = error_rate_at(C[:, j], I[:, j], 0.5)
+    rate = evaluate_scores(C[:, j], I[:, j]).error_rate_at(0.5)
     print(f"{'modality ' + str(j + 1):15s} {100 * rate:9.2f}%")
 
 for tag in ("and", "or", "prod", "mean", "min", "max", "majority_vote"):
     rule = FusionRule(tag)
-    rate = error_rate_at(rule_fuse_batch(C, rule), rule_fuse_batch(I, rule), 0.5)
+    report = evaluate_scores(rule_fuse_batch(C, rule), rule_fuse_batch(I, rule))
+    rate = report.error_rate_at(0.5)
     print(f"{tag:15s} {100 * rate:9.2f}%")
 
 measure = LambdaMeasure((0.411, 0.547, 0.362))

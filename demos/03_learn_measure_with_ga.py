@@ -22,9 +22,9 @@ best, history = evolve(data, cfg)
 print("generation | best EER")
 step = max(1, len(history) // 12)
 for record in history[::step]:
-    print(f"{record.generation:10d} | {record.best_eer:.4f}")
-if history[-1].generation % step:
-    print(f"{history[-1].generation:10d} | {history[-1].best_eer:.4f}")
+    print(f"{record.generation:10d} | {record.eer:.4f}")
+if best.generation % step:
+    print(f"{best.generation:10d} | {best.eer:.4f}")
 
 measure = LambdaMeasure(best.genes)
 print()

@@ -26,7 +26,6 @@ from .data import (
     write_csv,
 )
 from .ga import (
-    Chromosome,
     GaConfig,
     GenerationRecord,
     Population,
@@ -49,10 +48,7 @@ from .measures import (
 )
 from .metrics import (
     EvalReport,
-    eer,
-    error_rate_at,
     evaluate_scores,
-    far_frr,
     sweep_errors,
     write_roc_csv,
 )
@@ -60,7 +56,6 @@ from .metrics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Chromosome",
     "ConvergenceError",
     "DataFormatError",
     "EvalReport",
@@ -76,11 +71,8 @@ __all__ = [
     "TableMeasure",
     "choquet_fuse",
     "choquet_fuse_batch",
-    "eer",
-    "error_rate_at",
     "evaluate_scores",
     "evolve",
-    "far_frr",
     "init_population",
     "lambda_tables",
     "linear_crossover",

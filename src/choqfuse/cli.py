@@ -13,6 +13,7 @@ numeric failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -110,10 +111,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _has_type(value, expected: type) -> bool:
     """Whether a JSON value can stand for an option parsed as ``expected``."""
     if isinstance(value, bool) or expected is bool:  # bool is an int subclass
@@ -136,9 +133,9 @@ def _merge_config(args: argparse.Namespace, option_types: dict[str, type]) -> ar
         raise UsageError(f"config file {args.config} must hold a JSON object")
     for key, value in values.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in option_types or not hasattr(args, attr):
             raise UsageError(f"config key {key!r} is not a known option")
-        expected = option_types.get(attr, str)
+        expected = option_types[attr]
         if not _has_type(value, expected):
             raise UsageError(f"config key {key!r} must be of type {expected.__name__}, "
                              f"got {value!r}")
@@ -178,7 +175,7 @@ def _load_measure(args, n: int) -> LambdaMeasure | None:
         except json.JSONDecodeError as exc:
             raise UsageError(f"measure file is not valid JSON: {exc}") from None
         densities = payload.get("densities") if isinstance(payload, dict) else None
-        if not isinstance(densities, list) or not all(map(_is_number, densities)):
+        if not isinstance(densities, list) or not all(_has_type(v, float) for v in densities):
             raise UsageError(f"measure file {args.measure_file} needs a 'densities' "
                              f"list of numbers")
         values = [float(v) for v in densities]
@@ -209,6 +206,12 @@ def _out_dir(args) -> Path:
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def _subset_label(mask: int, n: int) -> str:
@@ -257,15 +260,12 @@ def _cmd_fuse(args) -> int:
 
 def _cmd_optimize(args) -> int:
     dataset = _load_dataset(args)
-    cfg = GaConfig(
-        population_size=args.population if args.population is not None else 30,
-        max_generations=args.generations if args.generations is not None else 1000,
-        eer_stop_threshold=args.stop_eer if args.stop_eer is not None else 0.04,
-        rng_seed=args.seed if args.seed is not None else 0,
-    )
+    flags = {"population_size": args.population, "max_generations": args.generations,
+             "eer_stop_threshold": args.stop_eer, "rng_seed": args.seed}
+    cfg = GaConfig(**{k: v for k, v in flags.items() if v is not None})
     best, history = evolve(dataset, cfg)
     measure = LambdaMeasure(best.genes)
-    stop_reason = ("eer_threshold" if best.fitness <= cfg.eer_stop_threshold
+    stop_reason = ("eer_threshold" if best.eer <= cfg.eer_stop_threshold
                    else "max_generations")
 
     out = _out_dir(args)
@@ -273,33 +273,25 @@ def _cmd_optimize(args) -> int:
     n = dataset.n_modalities
     write_table(history_path, ["generation", "best_eer"] + [f"gene{i + 1}" for i in range(n)],
                 "{},{!r}" + ",{!r}" * n,
-                [[r.generation for r in history], [r.best_eer for r in history],
-                 *zip(*(r.best_genes for r in history))])
+                [[r.generation for r in history], [r.eer for r in history],
+                 *zip(*(r.genes for r in history))])
 
     report = _evaluate(dataset, FusionRule("choquet", measure))
     min_rate, min_threshold = report.min_error_rate()
     payload = _measure_json(measure)
     payload.update({
-        "eer": best.fitness,
+        "eer": best.eer,
         "eer_threshold": report.eer_threshold,
         "min_error_rate": min_rate,
         "min_error_threshold": min_threshold,
         "stop_reason": stop_reason,
-        "generations_run": history[-1].generation,
-        "config": {
-            "population_size": cfg.population_size,
-            "max_generations": cfg.max_generations,
-            "eer_stop_threshold": cfg.eer_stop_threshold,
-            "mutation_bound": cfg.mutation_bound,
-            "rng_seed": cfg.rng_seed,
-        },
+        "generations_run": best.generation,
+        "config": dataclasses.asdict(cfg),
     })
     measure_path = out / "measure.json"
-    with open(measure_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json(measure_path, payload)
 
-    print(f"best EER = {best.fitness:.6f} after {history[-1].generation} "
+    print(f"best EER = {best.eer:.6f} after {best.generation} "
           f"generations (stop: {stop_reason})")
     print(f"densities = {', '.join(f'{g:.6f}' for g in best.genes)}")
     print(f"wrote {measure_path} and {history_path}")
@@ -387,9 +379,7 @@ def _cmd_eval(args) -> int:
     if tag == "choquet":
         payload["measure"] = _measure_json(measure)
     report_path = out / "eval.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json(report_path, payload)
     print(f"{tag}: EER = {report.eer:.4f} at t = {report.eer_threshold:.4f}; "
           f"error at t = {operating:g}: {100.0 * payload['error_rate_at_threshold']:.2f}%")
     print(f"wrote {report_path} and {roc_path}")

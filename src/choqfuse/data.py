@@ -87,14 +87,6 @@ class LabeledScoreSet:
     def n_modalities(self) -> int:
         return int(self.client_scores.shape[1])
 
-    @property
-    def clients(self) -> list[tuple[str, np.ndarray]]:
-        return list(zip(self.client_ids, self.client_scores))
-
-    @property
-    def impostors(self) -> list[tuple[str, np.ndarray]]:
-        return list(zip(self.impostor_ids, self.impostor_scores))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledScoreSet):
             return NotImplemented

@@ -1,6 +1,6 @@
 """Learning measure densities with a real-coded genetic algorithm.
 
-Chromosomes are candidate singleton-density vectors, clamped into
+A chromosome is a candidate singleton-density vector, clamped into
 [1e-6, 1 - 1e-6] so every candidate yields a well-formed lambda-measure.
 Fitness is the equal error rate of Choquet-fused scores on a labeled
 client/impostor set, to be minimized.  A population is a (P, n) gene
@@ -44,7 +44,6 @@ from .measures import lambda_tables
 from .metrics import sweep_errors
 
 __all__ = [
-    "Chromosome",
     "GENE_EPS",
     "GaConfig",
     "GenerationRecord",
@@ -66,22 +65,6 @@ def _clamp(genes: np.ndarray) -> np.ndarray:
     return np.clip(genes, GENE_EPS, 1.0 - GENE_EPS)
 
 
-@dataclass
-class Chromosome:
-    """A candidate density vector with its fitness (EER), if scored.
-
-    ``evolve`` hands out its best member as one; populations are arrays.
-    """
-
-    genes: tuple[float, ...]
-    fitness: float | None = None
-
-    def __post_init__(self):
-        self.genes = tuple(float(g) for g in self.genes)
-        if any(not GENE_EPS <= g <= 1.0 - GENE_EPS for g in self.genes):
-            raise ValueError(f"genes outside [{GENE_EPS}, {1.0 - GENE_EPS}]: {self.genes}")
-
-
 @dataclass(frozen=True, eq=False)
 class Population:
     """One ranked generation of ``evolve``, as read-only arrays.
@@ -93,6 +76,15 @@ class Population:
     generation: int
     genes: np.ndarray
     eers: np.ndarray
+
+
+@dataclass(frozen=True)
+class GenerationRecord:
+    """The best member after one generation: its EER and genes, for convergence traces."""
+
+    generation: int
+    eer: float
+    genes: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -121,21 +113,12 @@ class GaConfig:
             raise ValueError("max_generations must be at least 1")
         if not 0.0 <= self.eer_stop_threshold <= 1.0:
             raise ValueError("eer_stop_threshold must lie in [0, 1]")
-        if self.mutation_bound <= 0.0:
-            raise ValueError("mutation_bound must be positive")
+        if not 0.0 < self.mutation_bound < math.inf:
+            raise ValueError("mutation_bound must be positive and finite")
 
     @property
     def offspring_count(self) -> int:
         return self.population_size
-
-
-@dataclass(frozen=True)
-class GenerationRecord:
-    """Best-so-far fitness after one generation, for convergence traces."""
-
-    generation: int
-    best_eer: float
-    best_genes: tuple[float, ...]
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -248,9 +231,9 @@ def evolve(
     data: LabeledScoreSet,
     cfg: GaConfig | None = None,
     seeds: Sequence[Iterable[float]] | None = None,
-    on_generation: Callable[[Population, Chromosome], None] | None = None,
-) -> tuple[Chromosome, list[GenerationRecord]]:
-    """Run the generational loop; returns the best chromosome and its trace.
+    on_generation: Callable[[Population, GenerationRecord], None] | None = None,
+) -> tuple[GenerationRecord, list[GenerationRecord]]:
+    """Run the generational loop; returns the final best member and the per-generation trace.
 
     Stops as soon as the best EER reaches ``cfg.eer_stop_threshold`` or
     after ``cfg.max_generations`` generations.  Fully deterministic for a
@@ -263,7 +246,8 @@ def evolve(
 
     ``on_generation(population, best)`` runs after generation 0 (the initial
     population) and after each later one, with the ranked ``Population``
-    (read-only views of the loop's arrays, not copies) and the best ``Chromosome``.
+    (read-only views of the loop's arrays, not copies) and its best member,
+    the record just appended to the trace: the returned best is ``history[-1]``.
     """
     cfg = cfg or GaConfig()
     score = _fitness_kernel(data)
@@ -275,10 +259,10 @@ def evolve(
 
     history: list[GenerationRecord] = []
 
-    def report(generation: int, genes: np.ndarray, eers: np.ndarray) -> Chromosome:
+    def report(generation: int, genes: np.ndarray, eers: np.ndarray) -> GenerationRecord:
         """Record the best of a ranked population; hand the population to the callback."""
-        best = Chromosome(genes[0].tolist(), float(eers[0]))
-        history.append(GenerationRecord(generation, best.fitness, best.genes))
+        best = GenerationRecord(generation, float(eers[0]), tuple(genes[0].tolist()))
+        history.append(best)
         if on_generation is not None:
             genes.flags.writeable = eers.flags.writeable = False  # the loop only reads them
             on_generation(Population(generation, genes, eers), best)
@@ -290,7 +274,7 @@ def evolve(
 
     events = math.ceil(cfg.offspring_count / 3)
     for generation in range(1, cfg.max_generations + 1):
-        if best.fitness <= cfg.eer_stop_threshold:
+        if best.eer <= cfg.eer_stop_threshold:
             break
         rng = _rng(cfg.rng_seed, generation, 0)
         first, second = select_parents(size, events, rng)

@@ -12,8 +12,8 @@ Conventions, fixed across the package:
   interpolated between the two adjacent candidates where FAR - FRR
   changes sign.  When the classes are perfectly separated the reported
   threshold is the midpoint of the separating gap;
-* ``EvalReport.error_rate_at`` reads the counts off the curves at the
-  first candidate at or above the threshold;
+* ``EvalReport.far_frr_at`` and ``EvalReport.error_rate_at`` read the
+  counts off the curves at the first candidate at or above the threshold;
 * scores must be finite and thresholds not NaN (``ValueError``).
 """
 
@@ -27,10 +27,7 @@ from .data import write_table
 
 __all__ = [
     "EvalReport",
-    "eer",
-    "error_rate_at",
     "evaluate_scores",
-    "far_frr",
     "sweep_errors",
     "write_roc_csv",
 ]
@@ -47,31 +44,6 @@ def _as_scores(values, name: str) -> np.ndarray:
 def _require_finite(scores: np.ndarray, name: str) -> None:
     if not np.isfinite(scores).all():
         raise ValueError(f"{name} scores must be finite, got NaN or infinity")
-
-
-def _require_threshold(threshold) -> None:
-    if np.isnan(threshold):
-        raise ValueError("the threshold must not be NaN")
-
-
-def far_frr(fused_clients, fused_impostors, threshold: float) -> tuple[float, float]:
-    """(FAR, FRR) at one decision threshold, accepting scores >= threshold."""
-    clients = _as_scores(fused_clients, "client")
-    impostors = _as_scores(fused_impostors, "impostor")
-    _require_threshold(threshold)
-    far = float(np.count_nonzero(impostors >= threshold)) / impostors.size
-    frr = float(np.count_nonzero(clients < threshold)) / clients.size
-    return far, frr
-
-
-def error_rate_at(fused_clients, fused_impostors, threshold: float) -> float:
-    """Total error rate: (false accepts + false rejects) / all samples."""
-    clients = _as_scores(fused_clients, "client")
-    impostors = _as_scores(fused_impostors, "impostor")
-    _require_threshold(threshold)
-    fa = int(np.count_nonzero(impostors >= threshold))
-    fr = int(np.count_nonzero(clients < threshold))
-    return (fa + fr) / (clients.size + impostors.size)
 
 
 def _rank(scores: np.ndarray, n_clients: int):
@@ -112,17 +84,6 @@ def _crossing(grid: np.ndarray, far: np.ndarray, frr: np.ndarray):
     value = np.where(exact, f1, f0 + alpha * (f1 - f0))
     threshold = np.where(exact, t1, t0 + alpha * (t1 - t0))
     return value, threshold
-
-
-def eer(fused_clients, fused_impostors) -> tuple[float, float]:
-    """Equal error rate and its threshold (``evaluate_scores`` fields).
-
-    Deterministic: the candidate sweep uses order statistics only, so the
-    EER value is invariant under any common strictly increasing rescaling
-    of the scores.
-    """
-    report = evaluate_scores(fused_clients, fused_impostors)
-    return report.eer, report.eer_threshold
 
 
 def sweep_errors(fused_clients, fused_impostors) -> tuple[np.ndarray, np.ndarray]:
@@ -180,16 +141,25 @@ class EvalReport:
         return np.rint(self.far_curve[k] * self.n_impostors
                        + self.frr_curve[k] * self.n_clients)
 
-    def error_rate_at(self, threshold: float) -> float:
-        """Exact total error rate at an arbitrary threshold.
+    def _index(self, threshold: float) -> int:
+        """The first grid point >= ``threshold``, the top sentinel above the top score.
 
-        Read at the first grid point >= ``threshold``: no score lies between
-        the two, so the counts are those at ``threshold``; above the top
-        score the top sentinel (everything rejected) stands for it.
+        No score lies between the two, so the counts there are those at
+        ``threshold``; above the top score the top sentinel (everything
+        rejected) stands for it.
         """
-        _require_threshold(threshold)
-        k = min(int(np.searchsorted(self.thresholds, threshold)), self.thresholds.size - 1)
-        return float(self._errors(k)) / (self.n_clients + self.n_impostors)
+        if np.isnan(threshold):
+            raise ValueError("the threshold must not be NaN")
+        return min(int(np.searchsorted(self.thresholds, threshold)), self.thresholds.size - 1)
+
+    def far_frr_at(self, threshold: float) -> tuple[float, float]:
+        """(FAR, FRR) at one decision threshold, accepting scores >= threshold."""
+        k = self._index(threshold)
+        return float(self.far_curve[k]), float(self.frr_curve[k])
+
+    def error_rate_at(self, threshold: float) -> float:
+        """Total error rate at one threshold: (false accepts + false rejects) / all samples."""
+        return float(self._errors(self._index(threshold))) / (self.n_clients + self.n_impostors)
 
     def min_error_rate(self) -> tuple[float, float]:
         """Smallest total error rate over the grid and a threshold reaching it."""

@@ -6,18 +6,20 @@ recomputed by independent straight-line oracles inside the tests before
 the library path is trusted.
 """
 
+import importlib
 import math
 import time
 
 import numpy as np
 import pytest
 
+import choqfuse
 from choqfuse.aggregate import FusionRule, choquet_fuse, choquet_fuse_batch, rule_fuse_batch
 from choqfuse.cli import main as cli_main
 from choqfuse.data import synthetic_dataset
 from choqfuse.ga import GaConfig, evolve, mutation_offsets, select_parents
 from choqfuse.measures import LambdaMeasure, TableMeasure, solve_lambda
-from choqfuse.metrics import error_rate_at, evaluate_scores
+from choqfuse.metrics import evaluate_scores
 
 
 def report(label, ok, detail):
@@ -159,11 +161,11 @@ def test_criterion_5_rule_table_at_half_threshold():
     }
     got = {}
     for j, name in enumerate(("m1", "m2", "m3")):
-        got[name] = error_rate_at(C[:, j], I[:, j], 0.5)
+        got[name] = evaluate_scores(C[:, j], I[:, j]).error_rate_at(0.5)
     for tag in ("and", "or", "prod", "majority_vote", "mean"):
         fc = rule_fuse_batch(C, FusionRule(tag))
         fi = rule_fuse_batch(I, FusionRule(tag))
-        got[tag] = error_rate_at(fc, fi, 0.5)
+        got[tag] = evaluate_scores(fc, fi).error_rate_at(0.5)
     failures = []
     for name, count in expected_counts.items():
         exact = round(got[name] * 60) == count and abs(got[name] - count / 60) < 1e-12
@@ -315,3 +317,20 @@ def test_criterion_8f_optimize_is_byte_deterministic(tmp_path):
     )
     report("criterion 8f", identical,
            "optimize outputs byte-identical across reruns with one seed")
+
+
+def test_public_api_names_are_pinned():
+    assert sorted(choqfuse.__all__) == [
+        "ConvergenceError", "DataFormatError", "EvalReport", "FusionRule", "GaConfig",
+        "GenerationRecord", "LabeledScoreSet", "LambdaMeasure", "MeasureViolation",
+        "Population", "RULE_TAGS", "SortedScores", "TableMeasure", "choquet_fuse",
+        "choquet_fuse_batch", "evaluate_scores", "evolve", "init_population",
+        "lambda_tables", "linear_crossover", "load_csv", "mutation_offsets",
+        "normalize_minmax", "population_fitness", "rule_fuse_batch", "select_parents",
+        "solve_lambda", "solve_lambda_batch", "sweep_errors", "synthetic_csv_path",
+        "synthetic_dataset", "validate_measure", "write_csv", "write_roc_csv",
+    ]
+    for name in ("", ".aggregate", ".cli", ".data", ".ga", ".measures", ".metrics"):
+        module = importlib.import_module("choqfuse" + name)
+        missing = [n for n in module.__all__ if not hasattr(module, n)]
+        assert not missing, (module.__name__, missing)

@@ -196,7 +196,7 @@ class TestFusionRules:
         data = synthetic_dataset()
         accepted = [
             pid
-            for pid, scores in data.impostors
+            for pid, scores in zip(data.impostor_ids, data.impostor_scores)
             if rule_fuse_batch([scores], FusionRule("and"))[0] == 1.0
         ]
         assert accepted == ["P60"]

@@ -151,8 +151,8 @@ class TestOptimize:
             writer = csv.writer(fh)
             writer.writerow(["generation", "best_eer", "gene1", "gene2", "gene3"])
             for record in history:
-                writer.writerow([record.generation, repr(record.best_eer)]
-                                + [repr(g) for g in record.best_genes])
+                writer.writerow([record.generation, repr(record.eer)]
+                                + [repr(g) for g in record.genes])
         written = (tmp_path / "history.csv").read_bytes()
         assert written == (tmp_path / "rows.csv").read_bytes()
         digest = hashlib.sha256(written).hexdigest()
@@ -323,11 +323,14 @@ class TestConfigFile:
         assert code == 0
         assert parse_measure_lines(out)["lambda"] == 0.0
 
-    def test_unknown_config_key_rejected(self, capsys, tmp_path):
+    @pytest.mark.parametrize("key,value", [("mystery", 1), ("command", "eval"), ("seed", 3)])
+    def test_unknown_config_key_rejected(self, capsys, tmp_path, key, value):
+        # "command" is the subcommand's own attribute, "seed" an option of optimize only.
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"synthetic": True, "mystery": 1}))
-        code, _, err = run(capsys, "fuse", "--config", str(cfg))
-        assert code == 1 and "mystery" in err
+        cfg.write_text(json.dumps({"synthetic": True, "densities": "0.35,0.25,0.3", key: value}))
+        code, _, err = run(capsys, "fuse", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 1 and repr(key) in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestFailuresWriteNothing:

@@ -26,7 +26,8 @@ class TestSyntheticDataset:
 
     def test_spot_values_against_source_tables(self):
         data = synthetic_dataset()
-        rows = dict(data.clients) | dict(data.impostors)
+        rows = dict(zip(data.client_ids + data.impostor_ids,
+                        np.vstack([data.client_scores, data.impostor_scores])))
         np.testing.assert_array_equal(rows["P1"], [0.98, 0.98, 0.98])
         np.testing.assert_array_equal(rows["P16"], [0.9, 0.8, 0.1])
         np.testing.assert_array_equal(rows["P31"], [0.1, 0.1, 0.1])
@@ -89,8 +90,9 @@ class TestCsvRoundTrip:
         with open(tmp_path / "rows.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["person_id", "label"] + [f"m{i + 1}" for i in range(n)])
-            for label, rows in (("client", data.clients), ("impostor", data.impostors)):
-                for pid, row in rows:
+            for label, ids, rows in (("client", data.client_ids, data.client_scores),
+                                     ("impostor", data.impostor_ids, data.impostor_scores)):
+                for pid, row in zip(ids, rows):
                     writer.writerow([pid, label] + [repr(float(s)) for s in row])
         assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
         assert load_csv(tmp_path / "blocks.csv") == data

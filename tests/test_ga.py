@@ -9,7 +9,6 @@ from choqfuse.aggregate import choquet_fuse_batch
 from choqfuse.data import LabeledScoreSet, synthetic_dataset
 from choqfuse.ga import (
     GENE_EPS,
-    Chromosome,
     GaConfig,
     evolve,
     init_population,
@@ -340,38 +339,42 @@ class TestEvolve:
         seen = []
 
         def record(population, best):
-            assert (best.genes, best.fitness) == (tuple(population.genes[0].tolist()),
-                                                  population.eers[0])
+            assert (best.genes, best.eer) == (tuple(population.genes[0].tolist()),
+                                              population.eers[0])
             seen.append(list(zip(map(tuple, population.genes.tolist()),
                                  population.eers.tolist())))
 
         best, history = evolve(data, cfg, on_generation=record)
         expected = reference_populations(data, cfg)
         assert seen == expected
-        assert [(r.best_genes, r.best_eer) for r in history] == [p[0] for p in expected]
-        assert (best.genes, best.fitness) == expected[-1][0]
+        assert [(r.genes, r.eer) for r in history] == [p[0] for p in expected]
+        assert (best.genes, best.eer) == expected[-1][0]
 
-    def test_one_generator_per_generation_and_no_chromosome_per_offspring(self, monkeypatch):
+    def test_one_generator_and_one_record_per_generation(self, monkeypatch):
         import choqfuse.ga as ga
 
-        counts = {"rng": 0, "chromosome": 0}
-        rng, chromosome_init = ga._rng, ga.Chromosome.__post_init__
+        counts = {"rng": 0, "record": 0}
+        rng, record_init = ga._rng, ga.GenerationRecord.__init__
 
         def counting_rng(*args):
             counts["rng"] += 1
             return rng(*args)
 
-        def counting_init(self):
-            counts["chromosome"] += 1
-            chromosome_init(self)
+        def counting_init(self, *args):
+            counts["record"] += 1
+            record_init(self, *args)
 
         monkeypatch.setattr(ga, "_rng", counting_rng)
-        monkeypatch.setattr(ga.Chromosome, "__post_init__", counting_init)
+        monkeypatch.setattr(ga.GenerationRecord, "__init__", counting_init)
         cfg = GaConfig(population_size=30, max_generations=12, eer_stop_threshold=0.0)
-        _, history = evolve(synthetic_dataset(), cfg, on_generation=lambda pop, best: None)
+        handed = []
+        best, history = evolve(synthetic_dataset(), cfg,
+                               on_generation=lambda pop, best: handed.append(best))
         assert len(history) == 13
         assert counts["rng"] == 13  # init_population's stream, then one per generation
-        assert counts["chromosome"] == 13  # one best per record, callback or not
+        assert counts["record"] == 13  # one record per generation, none per offspring
+        assert best is history[-1]
+        assert all(b is r for b, r in zip(handed, history, strict=True))
 
     def test_seed_width_must_match_the_data(self):
         data, cfg = synthetic_dataset(), GaConfig(population_size=4, max_generations=2)
@@ -382,7 +385,7 @@ class TestEvolve:
 
     def test_separable_toy_set_stops_immediately(self):
         best, history = evolve(toy_separable(), GaConfig(population_size=6, rng_seed=3))
-        assert best.fitness == 0.0
+        assert best.eer == 0.0
         assert len(history) == 1 and history[0].generation == 0
 
     def test_same_seed_gives_identical_runs(self):
@@ -399,14 +402,14 @@ class TestEvolve:
         )
         best, history = evolve(toy_inseparable(), cfg)
         assert [r.generation for r in history] == list(range(6))
-        assert best.fitness > 0.0
+        assert best.eer > 0.0
 
     def test_best_trace_is_monotone_and_genes_stay_in_bounds(self):
         data = synthetic_dataset()
         cfg = GaConfig(population_size=8, max_generations=40, rng_seed=11)
         seen = []
         best, history = evolve(data, cfg, on_generation=lambda pop, b: seen.append(pop))
-        eers = [r.best_eer for r in history]
+        eers = [r.eer for r in history]
         assert all(a >= b - 1e-15 for a, b in zip(eers, eers[1:]))
         assert len(seen) == len(history)
         assert seen[0] == seen[0] and seen[0] != seen[1]  # identity, not elementwise
@@ -418,7 +421,7 @@ class TestEvolve:
     def test_best_fitness_matches_recomputation(self):
         data = synthetic_dataset()
         best, _ = evolve(data, GaConfig(population_size=8, max_generations=20, rng_seed=13))
-        assert eer_of(best.genes, data) == best.fitness
+        assert eer_of(best.genes, data) == best.eer
 
     def test_first_fifty_generations_of_seed_zero_are_pinned(self):
         # Best EER and genes, and a digest of every population's genes and
@@ -429,8 +432,8 @@ class TestEvolve:
         changes, digest = [], hashlib.sha256()
 
         def record(population, best):
-            if not changes or changes[-1][1:] != (best.fitness, best.genes):
-                changes.append((population.generation, best.fitness, best.genes))
+            if not changes or changes[-1][1:] != (best.eer, best.genes):
+                changes.append((population.generation, best.eer, best.genes))
             for genes, eer in zip(population.genes.tolist(), population.eers.tolist()):
                 digest.update(repr((tuple(genes), eer)).encode())
             if population.generation == 50:
@@ -450,7 +453,7 @@ class TestEvolve:
         data = toy_separable()
         seed = (0.25, 0.5, 0.25)
         best, _ = evolve(data, GaConfig(population_size=5, rng_seed=0), seeds=[seed])
-        assert best.fitness == 0.0  # the seed already separates the toy set
+        assert best.eer == 0.0  # the seed already separates the toy set
 
 
 def test_ga_ranks_no_worse_than_a_density_grid_optimum():
@@ -476,14 +479,10 @@ class TestConfigValidation:
             {"max_generations": 0},
             {"eer_stop_threshold": 1.5},
             {"mutation_bound": 0.0},
+            {"mutation_bound": float("nan")},
+            {"mutation_bound": float("inf")},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             GaConfig(**kwargs)
-
-    def test_chromosome_gene_box_enforced(self):
-        with pytest.raises(ValueError):
-            Chromosome((0.5, 1.5))
-        with pytest.raises(ValueError):
-            Chromosome((0.0, 0.5))

@@ -10,15 +10,7 @@ import pytest
 from choqfuse.aggregate import FusionRule, choquet_fuse_batch, rule_fuse_batch
 from choqfuse.data import _BLOCK_ROWS, LabeledScoreSet, normalize_minmax, synthetic_dataset
 from choqfuse.measures import LambdaMeasure
-from choqfuse.metrics import (
-    EvalReport,
-    eer,
-    error_rate_at,
-    evaluate_scores,
-    far_frr,
-    sweep_errors,
-    write_roc_csv,
-)
+from choqfuse.metrics import EvalReport, evaluate_scores, sweep_errors, write_roc_csv
 
 
 class TestNormalizeMinmax:
@@ -38,25 +30,37 @@ class TestNormalizeMinmax:
 
 class TestFarFrr:
     def test_perfect_separation(self):
-        assert far_frr([1.0, 1.0], [0.0, 0.0], 0.5) == (0.0, 0.0)
+        assert evaluate_scores([1.0, 1.0], [0.0, 0.0]).far_frr_at(0.5) == (0.0, 0.0)
 
     def test_fully_inverted(self):
-        assert far_frr([0.4], [0.6], 0.5) == (1.0, 1.0)
+        assert evaluate_scores([0.4], [0.6]).far_frr_at(0.5) == (1.0, 1.0)
 
     def test_first_modality_of_synthetic_set(self):
         data = synthetic_dataset()
-        far, frr = far_frr(data.client_scores[:, 0], data.impostor_scores[:, 0], 0.5)
+        report = evaluate_scores(data.client_scores[:, 0], data.impostor_scores[:, 0])
+        far, frr = report.far_frr_at(0.5)
         # brute-force recount straight off the score rows
-        fa = sum(1 for _, s in data.impostors if s[0] >= 0.5)
-        fr = sum(1 for _, s in data.clients if s[0] < 0.5)
+        fa = sum(1 for s in data.impostor_scores if s[0] >= 0.5)
+        fr = sum(1 for s in data.client_scores if s[0] < 0.5)
         assert (fa, fr) == (4, 4)
         assert far == fa / 30 and frr == fr / 30
 
+    def test_equals_the_counts_at_every_score_and_infinity(self):
+        rng = np.random.default_rng(59)
+        for _ in range(200):
+            clients = rng.integers(0, 6, int(rng.integers(1, 15))) / 5  # heavy ties
+            impostors = rng.integers(0, 6, int(rng.integers(1, 15))) / 5
+            report = evaluate_scores(clients, impostors)
+            for t in [-math.inf, math.inf, 0.1, *clients, *impostors]:
+                far = np.count_nonzero(impostors >= t) / impostors.size
+                frr = np.count_nonzero(clients < t) / clients.size
+                assert report.far_frr_at(t) == (far, frr), t
+
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
-            far_frr([], [0.5], 0.5)
+            evaluate_scores([], [0.5])
         with pytest.raises(ValueError):
-            far_frr([0.5], [], 0.5)
+            evaluate_scores([0.5], [])
 
 
 class TestErrorRateAt:
@@ -64,13 +68,14 @@ class TestErrorRateAt:
         data = synthetic_dataset()
         # published: 20% for modality 2 (5 client misses + 7 impostor
         # accepts), 38.33% for modality 3
-        e2 = error_rate_at(data.client_scores[:, 1], data.impostor_scores[:, 1], 0.5)
-        e3 = error_rate_at(data.client_scores[:, 2], data.impostor_scores[:, 2], 0.5)
+        e2, e3 = (evaluate_scores(data.client_scores[:, j],
+                                  data.impostor_scores[:, j]).error_rate_at(0.5)
+                  for j in (1, 2))
         assert round(e2 * 60) == 12 and abs(e2 - 0.20) <= 1e-12
         assert round(e3 * 60) == 23 and abs(e3 - 23 / 60) <= 1e-12
 
     def test_all_correct(self):
-        assert error_rate_at([0.9, 0.8], [0.1, 0.2], 0.5) == 0.0
+        assert evaluate_scores([0.9, 0.8], [0.1, 0.2]).error_rate_at(0.5) == 0.0
 
     def test_is_class_weighted_average_of_far_frr(self):
         rng = np.random.default_rng(61)
@@ -86,38 +91,37 @@ class TestErrorRateAt:
                 Fraction(fa, ni) * Fraction(ni, nc + ni)
                 + Fraction(fr, nc) * Fraction(nc, nc + ni)
             )
-            assert error_rate_at(clients, impostors, t) == float(
+            assert evaluate_scores(clients, impostors).error_rate_at(t) == float(
                 Fraction(fa + fr, nc + ni)
             )
 
 
 class TestEer:
     def test_perfect_separation_reports_gap_midpoint(self):
-        value, threshold = eer([0.8, 0.9], [0.1, 0.2])
-        assert value == 0.0
-        assert threshold == pytest.approx(0.5)  # midpoint of (0.2, 0.8)
+        report = evaluate_scores([0.8, 0.9], [0.1, 0.2])
+        assert report.eer == 0.0
+        assert report.eer_threshold == pytest.approx(0.5)  # midpoint of (0.2, 0.8)
 
     def test_identical_multisets_are_chance_level(self):
         scores = [0.1, 0.4, 0.7]
-        value, _ = eer(scores, scores)
-        assert value == pytest.approx(0.5)
+        assert evaluate_scores(scores, scores).eer == pytest.approx(0.5)
 
     def test_hand_enumerated_example(self):
         # at t = 0.6: FAR = 1/3 (only 0.7 accepted), FRR = 1/3 (only 0.4
         # rejected); enumerating every threshold confirms no earlier crossing
-        value, threshold = eer([0.8, 0.6, 0.4], [0.7, 0.3, 0.2])
-        assert value == pytest.approx(1 / 3)
-        assert threshold == pytest.approx(0.6)
+        report = evaluate_scores([0.8, 0.6, 0.4], [0.7, 0.3, 0.2])
+        assert report.eer == pytest.approx(1 / 3)
+        assert report.eer_threshold == pytest.approx(0.6)
 
     def test_invariant_under_increasing_transforms(self):
         rng = np.random.default_rng(67)
         for _ in range(100):
             clients = rng.uniform(0, 1, 25)
             impostors = rng.uniform(0, 1, 18)
-            base, _ = eer(clients, impostors)
-            warped, _ = eer(np.exp(clients), np.exp(impostors))
+            base = evaluate_scores(clients, impostors).eer
+            warped = evaluate_scores(np.exp(clients), np.exp(impostors)).eer
             assert base == pytest.approx(warped, abs=1e-12)
-            affine, _ = eer(3 * clients + 1, 3 * impostors + 1)
+            affine = evaluate_scores(3 * clients + 1, 3 * impostors + 1).eer
             assert base == pytest.approx(affine, abs=1e-12)
 
     def test_value_lies_within_crossing_bracket(self):
@@ -125,8 +129,8 @@ class TestEer:
         for _ in range(200):
             clients = rng.uniform(0, 1, 20)
             impostors = rng.uniform(0, 1, 20)
-            value, _ = eer(clients, impostors)
             report = evaluate_scores(clients, impostors)
+            value = report.eer
             diff = report.far_curve - report.frr_curve
             k = int(np.argmax(diff <= 0))
             bracket = [report.far_curve[k], report.frr_curve[k]]
@@ -175,20 +179,12 @@ class TestNonFiniteInputs:
             with pytest.raises(ValueError, match="finite"):
                 evaluate_scores(clients, impostors)
             with pytest.raises(ValueError, match="finite"):
-                eer(clients, impostors)
-            with pytest.raises(ValueError, match="finite"):
                 sweep_errors([clients], [impostors])
-            with pytest.raises(ValueError, match="finite"):
-                error_rate_at(clients, impostors, 0.5)
-            with pytest.raises(ValueError, match="finite"):
-                far_frr(clients, impostors, 0.5)
 
     def test_nan_threshold_rejected(self):
         clients, impostors = [0.9, 0.8, 0.4], [0.1, 0.2, 0.6]
         report = evaluate_scores(clients, impostors)
-        for rate_at in (report.error_rate_at,
-                        lambda t: error_rate_at(clients, impostors, t),
-                        lambda t: far_frr(clients, impostors, t)):
+        for rate_at in (report.error_rate_at, report.far_frr_at):
             with pytest.raises(ValueError, match="NaN"):
                 rate_at(math.nan)
 
@@ -196,6 +192,8 @@ class TestNonFiniteInputs:
         report = evaluate_scores([0.9, 0.8, 0.4], [0.1, 0.2, 0.6, 0.7])
         assert report.error_rate_at(-math.inf) == 4 / 7
         assert report.error_rate_at(math.inf) == 3 / 7
+        assert report.far_frr_at(-math.inf) == (1.0, 0.0)
+        assert report.far_frr_at(math.inf) == (0.0, 1.0)
 
 
 class TestEvalReport:
@@ -220,19 +218,21 @@ class TestEvalReport:
         np.testing.assert_allclose(report.roc_points[:, 0], report.roc_points[:, 1],
                                    atol=1e-12)
 
-    def test_error_rate_accessor_matches_function(self):
+    def test_error_rate_accessor_matches_counts(self):
         rng = np.random.default_rng(79)
         clients, impostors = rng.uniform(0, 1, 30), rng.uniform(0, 1, 20)
         report = evaluate_scores(clients, impostors)
         for t in (0.1, 0.45, 0.8):
-            assert report.error_rate_at(t) == error_rate_at(clients, impostors, t)
+            errors = np.count_nonzero(impostors >= t) + np.count_nonzero(clients < t)
+            assert report.error_rate_at(t) == errors / 50
 
     def test_min_error_rate_matches_exhaustive_sweep(self):
         rng = np.random.default_rng(83)
         clients, impostors = rng.uniform(0, 1, 25), rng.uniform(0, 1, 25)
         report = evaluate_scores(clients, impostors)
         rate, threshold = report.min_error_rate()
-        brute = min(error_rate_at(clients, impostors, t) for t in report.thresholds)
+        brute = min(np.count_nonzero(impostors >= t) + np.count_nonzero(clients < t)
+                    for t in report.thresholds) / 50
         assert rate == pytest.approx(brute, abs=1e-12)
         assert report.error_rate_at(threshold) == pytest.approx(rate, abs=1e-12)
 
@@ -336,10 +336,9 @@ class TestLabeledScoreSet:
     def test_field_views(self):
         data = synthetic_dataset()
         assert data.n_modalities == 3
-        assert len(data.clients) == 30 and len(data.impostors) == 30
-        pid, scores = data.clients[0]
-        assert pid == "P1"
-        np.testing.assert_array_equal(scores, [0.98, 0.98, 0.98])
+        assert len(data.client_ids) == 30 and len(data.impostor_ids) == 30
+        assert data.client_ids[0] == "P1"
+        np.testing.assert_array_equal(data.client_scores[0], [0.98, 0.98, 0.98])
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
