@@ -133,8 +133,8 @@ def _merge_config(args: argparse.Namespace, option_types: dict[str, type]) -> ar
         raise UsageError(f"config file {args.config} must hold a JSON object")
     for key, value in values.items():
         attr = key.replace("-", "_")
-        if attr not in option_types or not hasattr(args, attr):
-            raise UsageError(f"config key {key!r} is not a known option")
+        if attr == "config" or attr not in option_types or not hasattr(args, attr):
+            raise UsageError(f"config key {key!r} is not an option a config file can set")
         expected = option_types[attr]
         if not _has_type(value, expected):
             raise UsageError(f"config key {key!r} must be of type {expected.__name__}, "
@@ -149,6 +149,8 @@ def _load_dataset(args) -> LabeledScoreSet:
     if bool(args.input) == bool(args.synthetic):
         raise UsageError("exactly one input source required: --input PATH or --synthetic")
     if args.synthetic:
+        if args.normalize:
+            raise UsageError("--normalize applies to --input only, not to --synthetic")
         return synthetic_dataset()
     try:
         return load_csv(args.input, normalize=args.normalize)

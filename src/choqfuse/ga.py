@@ -152,16 +152,16 @@ def init_population(
 def _fitness_kernel(
     data: LabeledScoreSet,
 ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Scorer of (P, n) gene arrays on ``data``; the score sort is done once here."""
-    clients = SortedScores(data.client_scores)
-    impostors = SortedScores(data.impostor_scores)
-    n = data.n_modalities
+    """Scorer of (P, n) gene arrays on ``data``; the score sort is done once here,
+    over the client and impostor rows stacked, so a batch is one fuse."""
+    scores = SortedScores(np.vstack([data.client_scores, data.impostor_scores]))
+    n, n_clients = data.n_modalities, len(data.client_scores)
 
     def score(genes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if genes.ndim == 2 and genes.shape[1] != n:
             raise ValueError(f"genomes have {genes.shape[1]} genes, the data {n} modalities")
-        tables = lambda_tables(genes)
-        return sweep_errors(clients.fuse(tables), impostors.fuse(tables))
+        fused = scores.fuse(lambda_tables(genes))
+        return sweep_errors(fused[:, :n_clients], fused[:, n_clients:])
 
     return score
 

@@ -39,14 +39,16 @@ __all__ = [
 ADDITIVE_TOL = 1e-12
 # Residual |f(lambda)| the solved root must satisfy.
 ROOT_RESIDUAL_TOL = 1e-10
-# Iteration budget of the root solver.  From the quadratic start Newton
-# converges in one step for n <= 3 (the start is the exact root) and
-# typically in under 10 for n > 3; rows with n >= 8 and lambda near -1, and
-# extreme roots (densities at the 1e-6 clamp bounds, n <= 16), took at most
-# 32 with bisection steps mixed in, and roots past 1e40 up to 163.
+# Iteration budget of the Newton loop, which solves n > 3 and the n <= 3
+# rows whose closed-form root misses the contract (roots past about 1e150).
+# From the quadratic start it typically converges in under 10 for n > 3;
+# rows with n >= 8 and lambda near -1, and extreme roots (densities at the
+# 1e-6 clamp bounds, n <= 16), took at most 32 with bisection steps mixed
+# in, and roots past 1e40 up to 163.
 _MAX_ITER = 200
 _EPS = np.finfo(float).eps
 _FLOAT_MAX = np.finfo(float).max
+_ABOVE_MINUS_ONE = np.nextafter(-1.0, 0.0)
 # Boundary check tolerances for measures (empty/full set, monotonicity).
 BOUNDARY_TOL = 1e-9
 MONOTONE_TOL = 1e-12
@@ -114,28 +116,54 @@ def _residual(d: np.ndarray, lam: np.ndarray):
     return g, slope, (d.shape[1] + 3) * _EPS * spread
 
 
+def _excess(d: np.ndarray) -> np.ndarray:
+    """Per row sum(m_i) - 1 as if summed in twice the precision: TwoSum steps
+    whose rounding errors are summed on the side (Ogita, Rump and Oishi,
+    "Accurate sum and dot product", SIAM J. Sci. Comput. 26, 2005)."""
+    s, err = d[:, 0], 0.0
+    for m in [*d.T[1:], -1.0]:
+        t = s + m
+        z = t - s
+        err = err + ((s - (t - z)) + (m - z))
+        s = t
+    return s + err
+
+
+def _misses_contract(d: np.ndarray, x: np.ndarray):
+    """Per row: the raw residual f = prod(1 + x*m_i) - x - 1 and whether it misses the contract.
+
+    f is a plain product, good to a few ulps per density.  For extreme roots
+    evaluation noise alone moves f by tens of ulps of lambda, so a band
+    proportional to |lambda| is accepted there; it stays below the absolute
+    tolerance for every |lambda| < ~2000.  A NaN f (a non-finite root) misses.
+    """
+    f = (1.0 + x[:, None] * d).prod(axis=1) - x - 1.0
+    band = 64.0 * 2.3e-16 * d.shape[1]
+    return f, ~(np.abs(f) <= np.maximum(ROOT_RESIDUAL_TOL, band * np.abs(x)))
+
+
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _solve(d: np.ndarray) -> np.ndarray:
-    """Safeguarded Newton on g over validated density rows; see solve_lambda_batch."""
+    """Closed form for n <= 3, safeguarded Newton on g otherwise; see solve_lambda_batch."""
     total = d.sum(axis=1)
     roots = np.zeros(len(d))
     rows = np.flatnonzero(np.abs(total - 1.0) > ADDITIVE_TOL)
     if rows.size == 0:
         return roots
-    d, total = d[rows], total[rows]
+    d = d[rows]
     # g(lam) = c + e2*lam + e3*lam^2 + ... + e_n*lam^(n-1) with c = sum(m_i) - 1
     # and e_k the k-th elementary symmetric sum of the densities.  For lam > 0
     # every term past the linear one is positive, so the positive root lies
-    # in (0, -c / e2]; a negative root lies in (-1, 0).  Newton starts at the
-    # root of the quadratic truncation c + e2*lam + e3*lam^2, written in the
-    # cancellation-free form: the exact root for n <= 3 (e3 = 0 for n = 2),
-    # and for n > 3 a tighter upper bound than -c / e2 on the positive side.
-    # On the negative side it is only a guess; outside (-1, 0) the start is
-    # the linear estimate, no lower than -0.5.
+    # in (0, -c / e2]; a negative root lies in (-1, 0).  The root of the
+    # quadratic truncation c + e2*lam + e3*lam^2, in the cancellation-free
+    # form, is the exact root for n <= 3 (e3 = 0 for n = 2), there with c
+    # summed compensated.  For n > 3 it starts Newton: a tighter upper bound
+    # than -c / e2 on the positive side, only a guess on the negative side.
     pairs = np.cumsum(d, axis=1)[:, :-1] * d[:, 1:]
     e2 = pairs.sum(axis=1)
     e3 = (np.cumsum(pairs, axis=1)[:, :-1] * d[:, 2:]).sum(axis=1)
-    c = total - 1.0
+    closed = d.shape[1] <= 3
+    c = _excess(d) if closed else total[rows] - 1.0
     # Where the bound -c / e2 passes the largest float, so may the root.  The
     # raw residual prod(1 + lam*m_i) - lam - 1 is negative between 0 and a
     # positive root: still negative at the largest float (compared in logs,
@@ -146,15 +174,34 @@ def _solve(d: np.ndarray) -> np.ndarray:
         if huge.any():
             raise ValueError(f"densities {d[beyond][np.argmax(huge)].tolist()} are too "
                              f"small: their lambda exceeds the largest float")
-    # A root near the largest float caps the bound -c / e2 and the start at
-    # it, and its residual is infinite (or NaN) where prod(1 + lam*m_i) passes it.
+    # A root near the largest float caps the bound -c / e2 at it.
     linear = np.minimum(-c / e2, _FLOAT_MAX)
     quadratic = -2.0 * c / (e2 + np.sqrt(np.maximum(e2 * e2 - 4.0 * e3 * c, 0.0)))
-    positive = c < 0.0
+    # A root within one ulp of -1 can land on -1, where the measure is
+    # undefined; the next float above stands for it.  For n <= 3 only roots
+    # that miss the contract (extreme ones, where e2^2 or e3 leave the float
+    # range) go on to Newton.
+    x = np.maximum(quadratic, _ABOVE_MINUS_ONE)
+    retry = _misses_contract(d, x)[1] if closed else np.full(len(d), True)
+    if retry.any():
+        x[retry] = _newton(d[retry], linear[retry], quadratic[retry])
+    roots[rows] = x
+    return roots
+
+
+def _newton(d: np.ndarray, linear: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Safeguarded Newton on g from ``start``, then the contract check.
+
+    A positive ``linear`` (-c / e2) bounds a positive root from above; for a
+    root in (-1, 0) a ``start`` outside it gives way to ``linear``, no lower
+    than -0.5."""
+    positive = linear > 0.0
     lo = np.where(positive, 0.0, -1.0)
     hi = np.where(positive, linear, 0.0)
-    inside = (quadratic > -1.0) & (quadratic < 0.0)
-    x = np.where(positive | inside, quadratic, np.maximum(linear, -0.5))
+    inside = (start > -1.0) & (start < 0.0)
+    x = np.where(positive | inside, start, np.maximum(linear, -0.5))
+    # A start past the largest float starts at the bound; a residual there is
+    # infinite (or NaN) where prod(1 + lam*m_i) passes it.
     x = np.where(np.isinf(x), hi, x)
     last_step = hi - lo
     done = np.zeros(len(d), dtype=bool)
@@ -184,34 +231,19 @@ def _solve(d: np.ndarray) -> np.ndarray:
         done |= converged
         if done.all():
             break
-    # A root within one ulp of -1 can land on -1, where the measure is
-    # undefined; the next float above stands for it.
-    x = np.maximum(x, np.nextafter(-1.0, 0.0))
-
-    # Contract check on the raw residual f = prod(1 + lambda*m_i) - lambda - 1,
-    # as a plain product: good to a few ulps per density, where g loses
-    # |log prod| ulps, so huge roots that g left too coarse take one Newton
-    # step on f.  For extreme roots (|lambda| >> 1) evaluation noise alone
-    # moves f by tens of ulps of lambda, so a scale-proportional band is
-    # accepted as the best possible there; it stays below the absolute
-    # tolerance for every |lambda| < ~2000.
-    band = 64.0 * 2.3e-16 * d.shape[1]
-    for polished in (False, True):
+    x = np.maximum(x, _ABOVE_MINUS_ONE)
+    # g loses |log prod| ulps where the plain product keeps a few per
+    # density, so huge roots that g left too coarse take one Newton step on f.
+    f, failed = _misses_contract(d, x)
+    if failed.any():
         factors = 1.0 + x[:, None] * d
-        prod = factors.prod(axis=1)
-        f = prod - x - 1.0
-        failed = (np.abs(f) > ROOT_RESIDUAL_TOL) & (np.abs(f) > band * np.abs(x))
-        if polished or not failed.any():
-            break
-        x = np.where(failed, x - f / (prod * (d / factors).sum(axis=1) - 1.0), x)
-    if failed.any() or not np.all(np.isfinite(x)):
-        k = int(np.argmax(failed | ~np.isfinite(x)))
-        raise ConvergenceError(
-            f"root residual {abs(f[k]):.3e} exceeds {ROOT_RESIDUAL_TOL} at "
-            f"lambda={float(x[k])!r} (densities sum to {float(total[k])})"
-        )
-    roots[rows] = x
-    return roots
+        x = np.where(failed, x - f / (factors.prod(axis=1) * (d / factors).sum(axis=1) - 1.0), x)
+        f, failed = _misses_contract(d, x)
+    if failed.any():
+        k = int(np.argmax(failed))
+        raise ConvergenceError(f"root residual {abs(f[k]):.3e} exceeds {ROOT_RESIDUAL_TOL} at "
+                               f"lambda={float(x[k])!r} (densities sum to {float(d[k].sum())})")
+    return x
 
 
 def solve_lambda_batch(densities) -> np.ndarray:
@@ -221,12 +253,14 @@ def solve_lambda_batch(densities) -> np.ndarray:
     trivial root 0, except that density sums within ``ADDITIVE_TOL`` of 1
     give exactly 0.0 (additive measure).  The root lies on the side dictated
     by the density sum (positive when the sum is below 1, inside (-1, 0)
-    when above); it is found by Newton steps on the lambda-normalized
-    residual, safeguarded by bisection of that bracket.  Newton starts at
-    the root of the equation's quadratic truncation: the exact root for
-    n <= 3, so one step converges, and an upper bound of a positive root
-    for n > 3.  Rows are solved independently: a row's root does not depend
-    on the other rows.
+    when above).  For n <= 3 it is the root of the quadratic
+    c + e2*lambda + e3*lambda^2 (c = sum(m_i) - 1 summed compensated, e_k the
+    elementary symmetric sums), in closed form with only +, -, *, / and
+    sqrt, so its bits do not depend on the CPU.  For n > 3, and for the
+    rare n <= 3 rows whose closed form misses the residual contract, Newton
+    steps on the lambda-normalized residual, safeguarded by bisection of
+    that bracket, start at that quadratic root.  Rows are solved
+    independently: a row's root does not depend on the other rows.
 
     Raises ``ValueError`` for rows of fewer than two densities, densities
     outside (0, 1) or densities so small that lambda exceeds the largest

@@ -6,12 +6,14 @@ Conventions, fixed across the package:
 * FAR(t) = fraction of impostor scores accepted, FRR(t) = fraction of
   client scores rejected;
 * the equal error rate is located by one threshold sweep: the client and
-  impostor scores are ranked together by one stable sort (``_rank``), each
-  run of tied scores is one candidate threshold with the error counts
-  below its first position, and the FAR/FRR crossing is linearly
-  interpolated between the two adjacent candidates where FAR - FRR
-  changes sign.  When the classes are perfectly separated the reported
-  threshold is the midpoint of the separating gap;
+  impostor scores are ranked together by one sort (``_rank``: a stable
+  merge of two sorted halves in ``evaluate_scores``, numpy's faster
+  unstable sort in ``sweep_errors``), each run of tied scores is one
+  candidate threshold with the error counts below its first position,
+  whatever the order inside the run, and the FAR/FRR crossing is
+  linearly interpolated between the two adjacent candidates where
+  FAR - FRR changes sign.  When the classes are perfectly separated the
+  reported threshold is the midpoint of the separating gap;
 * ``EvalReport.far_frr_at`` and ``EvalReport.error_rate_at`` read the
   counts off the curves at the first candidate at or above the threshold;
 * scores must be finite and thresholds not NaN (``ValueError``).
@@ -46,16 +48,19 @@ def _require_finite(scores: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} scores must be finite, got NaN or infinity")
 
 
-def _rank(scores: np.ndarray, n_clients: int):
-    """Rank each row of (P, Nc + Ni) scores, clients first, in one stable sort.
+def _rank(scores: np.ndarray, n_clients: int, kind: str = "stable"):
+    """Rank each row of (P, Nc + Ni) scores, clients first, in one sort of the given kind.
 
     Returns the ranked scores, the number of clients strictly below each
     ranked position's run of tied scores (valid at the run's first
-    position) and the flags of those first positions.
+    position) and the flags of those first positions.  Those counts do not
+    depend on the order inside a run, so any sort kind gives the same.
     """
-    order = np.argsort(scores, axis=1, kind="stable")
-    ranked = np.take_along_axis(scores, order, axis=1)
+    order = np.argsort(scores, axis=1, kind=kind)
     is_client = order < n_clients
+    # Flat positions: one take, no per-axis index arrays.
+    order += np.arange(0, scores.size, scores.shape[1])[:, np.newaxis]
+    ranked = np.take(scores, order)
     del order
     clients_below = np.cumsum(is_client, axis=1)
     clients_below -= is_client
@@ -64,6 +69,12 @@ def _rank(scores: np.ndarray, n_clients: int):
     first[:, 0] = True
     np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
     return ranked, clients_below, first
+
+
+def _interpolate(d0, d1, lo, hi):
+    """The value at the FAR - FRR crossing, linear from ``lo`` (where FAR - FRR is
+    d0 > 0) to ``hi`` (where it is d1 <= 0), and ``hi`` itself where d1 = 0."""
+    return np.where(d1 == 0.0, hi, lo + d0 / (d0 - d1) * (hi - lo))
 
 
 def _crossing(grid: np.ndarray, far: np.ndarray, frr: np.ndarray):
@@ -77,13 +88,8 @@ def _crossing(grid: np.ndarray, far: np.ndarray, frr: np.ndarray):
     rows = np.arange(len(diff))
     k = np.argmax(diff <= 0.0, axis=1)
     d0, d1 = diff[rows, k - 1], diff[rows, k]
-    f0, f1 = far[rows, k - 1], far[rows, k]
-    t0, t1 = grid[rows, k - 1], grid[rows, k]
-    exact = d1 == 0.0
-    alpha = d0 / (d0 - d1)
-    value = np.where(exact, f1, f0 + alpha * (f1 - f0))
-    threshold = np.where(exact, t1, t0 + alpha * (t1 - t0))
-    return value, threshold
+    return (_interpolate(d0, d1, far[rows, k - 1], far[rows, k]),
+            _interpolate(d0, d1, grid[rows, k - 1], grid[rows, k]))
 
 
 def sweep_errors(fused_clients, fused_impostors) -> tuple[np.ndarray, np.ndarray]:
@@ -92,7 +98,7 @@ def sweep_errors(fused_clients, fused_impostors) -> tuple[np.ndarray, np.ndarray
     Row p equals ``evaluate_scores(fused_clients[p], fused_impostors[p])``'s
     ``eer`` and ``min_error_rate()[0]`` exactly: the sweep ranks each row's
     scores once and reads the same integer error counts on the same
-    candidate thresholds.  Memory is O(P * (Nc + Ni)).
+    candidate thresholds, at the run starts only.  Memory is O(P * (Nc + Ni)).
     """
     clients = np.asarray(fused_clients, dtype=float)
     impostors = np.asarray(fused_impostors, dtype=float)
@@ -102,25 +108,25 @@ def sweep_errors(fused_clients, fused_impostors) -> tuple[np.ndarray, np.ndarray
     n_clients, n_impostors = clients.shape[1], impostors.shape[1]
     if n_clients == 0 or n_impostors == 0:
         raise ValueError("client and impostor scores must not be empty")
-    scores = np.concatenate([clients, impostors], axis=1)
-    _require_finite(scores, "client and impostor")
-    ranked, clients_below, first = _rank(scores, n_clients)
-    # A run of tied scores is one candidate threshold: every position takes
-    # the counts below the run's first position.
-    position = np.arange(ranked.shape[1])
-    run_start = np.maximum.accumulate(np.where(first, position, 0), axis=1)
-    rejected = np.take_along_axis(clients_below, run_start, axis=1)
-    accepted = n_impostors - (run_start - rejected)
-    # Sentinels below and above every score, as on the evaluate_scores grid.
-    rows = len(ranked)
-    rejected = np.hstack([np.zeros((rows, 1), dtype=int), rejected,
-                          np.full((rows, 1), n_clients)])
-    accepted = np.hstack([np.full((rows, 1), n_impostors), accepted,
-                          np.zeros((rows, 1), dtype=int)])
-    grid = np.hstack([ranked[:, :1] - 1.0, ranked, ranked[:, -1:] + 1.0])
-    value, _ = _crossing(grid, accepted / n_impostors, rejected / n_clients)
-    min_error = (accepted + rejected).min(axis=1) / (n_clients + n_impostors)
-    return value, min_error
+    # A sentinel above every score closes each row: its run start has every
+    # client rejected and no impostor accepted, the grid's top sentinel.
+    scores = np.concatenate([clients, impostors, np.full((len(clients), 1), np.inf)], axis=1)
+    _require_finite(scores[:, :-1], "client and impostor")
+    ranked, clients_below, first = _rank(scores, n_clients, kind="quicksort")
+    # Counts at every run start (elsewhere they are not read).
+    accepted = clients_below + (n_impostors - np.arange(ranked.shape[1]))
+    far, frr = accepted / n_impostors, clients_below / n_clients
+    diff = far - frr
+    # Along the run starts FAR - FRR falls from +1 (the first) to -1 (the
+    # sentinel): the crossing lies between the last run start above 0 and
+    # the first one at or below it.
+    past = first & (diff <= 0.0)
+    hi = np.argmax(past, axis=1)
+    lo = ranked.shape[1] - 1 - np.argmax((first & ~past)[:, ::-1], axis=1)
+    rows = np.arange(len(ranked))
+    value = _interpolate(diff[rows, lo], diff[rows, hi], far[rows, lo], far[rows, hi])
+    errors = np.where(first, accepted + clients_below, ranked.shape[1]).min(axis=1)
+    return value, errors / (n_clients + n_impostors)
 
 
 @dataclass(frozen=True)
@@ -177,8 +183,8 @@ class EvalReport:
 def evaluate_scores(fused_clients, fused_impostors) -> EvalReport:
     """Full evaluation of fused scores: curves on the candidate grid + EER.
 
-    Each class is sorted, and the two sorted runs are merged by the stable
-    rank of ``sweep_errors``; the grid is the first score of every tied
+    Each class is sorted, and ``_rank``'s stable sort merges the two
+    sorted runs; the grid is the first score of every tied
     run, between a sentinel below and one above every score.  When the
     classes are perfectly separated the EER is 0 and its threshold the
     midpoint of the separating gap.

@@ -332,6 +332,26 @@ class TestConfigFile:
         assert code == 1 and repr(key) in err
         assert not (tmp_path / "o").exists()
 
+    def test_nested_config_key_rejected(self, capsys, tmp_path):
+        # The outer file is already the config: an inner "config" would be
+        # silently ignored, so it is refused instead.
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"config": str(tmp_path / "inner.json"), "synthetic": True,
+                                   "densities": "0.35,0.25,0.3"}))
+        code, _, err = run(capsys, "fuse", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 1 and "'config'" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_normalize_with_synthetic_is_a_usage_error(self, capsys, tmp_path, from_config):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"normalize": True} if from_config else {}))
+        flags = [] if from_config else ["--normalize"]
+        code, _, err = run(capsys, "fuse", "--synthetic", "--densities", "0.35,0.25,0.3",
+                           "--config", str(cfg), *flags, "--out", str(tmp_path / "o"))
+        assert code == 1 and "--normalize" in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestFailuresWriteNothing:
     def test_compare_with_wrong_measure_size_writes_no_file(self, capsys, tmp_path):

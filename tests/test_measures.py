@@ -1,8 +1,13 @@
 """Sugeno lambda-measure construction and validation."""
 
 import math
+import os
+import subprocess
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ import pytest
 from choqfuse import measures
 from choqfuse.ga import GENE_EPS
 from choqfuse.measures import (
+    ADDITIVE_TOL,
     BOUNDARY_TOL,
     MONOTONE_TOL,
     ROOT_RESIDUAL_TOL,
@@ -184,10 +190,10 @@ class TestSolveLambdaBatch:
             assert residual <= max(1e-10, 64.0 * abs(lam) * 2.3e-16 * n), (d, lam)
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_two_and_three_densities_take_one_newton_step(self, n, monkeypatch):
-        # The start is the exact root of the at most quadratic equation, so
-        # one iteration converges: one residual in the loop (the contract
-        # check evaluates the plain product instead).
+    def test_two_and_three_densities_are_solved_in_closed_form(self, n, monkeypatch):
+        # The quadratic root is the exact root of the at most quadratic
+        # equation and meets the contract at the clamp corners, so no row
+        # enters the Newton loop (no residual of g is evaluated).
         calls, residual = [], measures._residual
 
         def counted(d, lam):
@@ -199,9 +205,62 @@ class TestSolveLambdaBatch:
         rows = clamp_corner_rows(rng, n, 1000)
         rows[0], rows[1] = GENE_EPS, 1.0 - GENE_EPS
         lams = solve_lambda_batch(rows)
-        solved = np.count_nonzero(lams)  # additive rows are not solved
-        assert solved > 700 and calls == [solved]
+        assert np.count_nonzero(lams) > 700 and calls == []
         assert np.count_nonzero(lams > 0) > 100 and np.count_nonzero(lams < 0) > 100
+
+    @pytest.mark.parametrize("n, max_ulps", [(2, 2.0), (3, 6.0)])
+    def test_closed_form_is_within_a_few_ulps_of_a_decimal_oracle(self, n, max_ulps):
+        # The exact root of c + e2*x + e3*x^2 = 0 (the lambda equation
+        # divided by its root 0, for n <= 3) in 60-digit decimal arithmetic
+        # on the exact float densities.
+        rng = np.random.default_rng(400 + n)
+        near = rng.uniform(0.05, 1.0, (1600, n))
+        near *= (1.0 + rng.uniform(-1e-3, 1e-3, (1600, 1))) / near.sum(axis=1, keepdims=True)
+        near = near[((near > GENE_EPS) & (near < 1.0 - GENE_EPS)).all(axis=1)][:400]
+        rows = np.vstack([rng.uniform(GENE_EPS, 1.0 - GENE_EPS, (400, n)),
+                          clamp_corner_rows(rng, n, 400), near])
+        assert len(rows) == 1200
+        with localcontext() as ctx:
+            ctx.prec = 60
+            worst = 0.0
+            for d, lam in zip(rows.tolist(), solve_lambda_batch(rows).tolist()):
+                m = [Decimal(v) for v in d] + [Decimal(0)]
+                c = m[0] + m[1] + m[2] - 1
+                e2 = m[0] * m[1] + (m[0] + m[1]) * m[2]
+                e3 = m[0] * m[1] * m[2]
+                if lam == 0.0:  # additive within ADDITIVE_TOL
+                    assert abs(c) <= 2 * ADDITIVE_TOL
+                    continue
+                exact = -2 * c / (e2 + (e2 * e2 - 4 * e3 * c).sqrt())
+                worst = max(worst, abs(Decimal(lam) - exact) / Decimal(math.ulp(float(exact))))
+        assert worst <= max_ulps
+
+    def test_two_and_three_densities_do_not_depend_on_the_simd_level(self):
+        # The closed form uses only +, -, *, / and sqrt, which every numpy
+        # build rounds correctly; a host without AVX-512 runs the same code
+        # twice, which also passes.
+        script = (
+            "import sys, numpy as np\n"
+            "from choqfuse.ga import GENE_EPS\n"
+            "from choqfuse.measures import solve_lambda_batch\n"
+            "rng = np.random.default_rng(7)\n"
+            "for n in (2, 3):\n"
+            "    pick = rng.integers(0, 3, (2000, n))\n"
+            "    rows = rng.uniform(GENE_EPS, 1.0 - GENE_EPS, (2000, n))\n"
+            "    rows[pick == 0], rows[pick == 1] = GENE_EPS, 1.0 - GENE_EPS\n"
+            "    sys.stdout.write(solve_lambda_batch(rows).tobytes().hex() + '\\n')\n"
+        )
+        src = str(Path(measures.__file__).resolve().parents[1])
+        outputs = []
+        for features in (None, "AVX512_SPR AVX512_ICL X86_V4"):
+            env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+            env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+            if features:
+                env["NPY_DISABLE_CPU_FEATURES"] = features
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                 text=True, timeout=120, check=True)
+            outputs.append(run.stdout)
+        assert len(outputs[0].split()) == 2 and outputs[0] == outputs[1]
 
     def test_additive_rows_are_exactly_zero(self):
         rows = [[0.5, 0.5], [0.25, 0.75], [0.3, 0.7]]

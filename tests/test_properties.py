@@ -173,6 +173,22 @@ class TestThresholdSweep:
             for t in probes:
                 assert report.error_rate_at(t) == error_rate_at(t), t
 
+    @settings(properties, max_examples=200)
+    @given(sweep_cases())
+    def test_shuffling_scores_or_rows_leaves_the_sweep_bit_identical(self, case):
+        # The sweep ranks with an unstable sort: the order of the scores
+        # inside a class, and of the rows, must not show in its results.
+        clients, impostors, data = case
+        eers, min_errors = sweep_errors(clients, impostors)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        within = sweep_errors(rng.permuted(clients, axis=1), rng.permuted(impostors, axis=1))
+        assert within[0].tobytes() == eers.tobytes()
+        assert within[1].tobytes() == min_errors.tobytes()
+        rows = rng.permutation(len(clients))
+        across = sweep_errors(clients[rows], impostors[rows])
+        assert across[0].tobytes() == eers[rows].tobytes()
+        assert across[1].tobytes() == min_errors[rows].tobytes()
+
 
 @st.composite
 def score_sets(draw):
