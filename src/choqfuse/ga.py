@@ -16,18 +16,21 @@ array, and each operator works on arrays of members.  One generation:
    (the best parent always retained), which makes the best-fitness trace
    monotone.
 
-Each generation is array work driven by one generator, spawned from the
-master seed with the key (generation, 0); the initial population uses the
-key (0, 0).  A generation of k offspring from e = ceil(k / 3) crossover
-events draws, in this order:
+A run draws from two generators spawned from the master seed: key (0, 0)
+for the initial population, key (1, 0) for all later generations, in
+blocks of 64.  Generation g, with k offspring from e = ceil(k / 3)
+crossover events, reads row (g - 1) mod 64 of each array of its block,
+drawn in this order:
 
-1. the e first-parent indices;
-2. the e second-parent indices;
-3. the mutation draws s, shape (k, n);
-4. the mutation signs, shape (k, n).
+1. the first-parent indices, shape (64, e);
+2. the second-parent indices, shape (64, e);
+3. the mutation draws s, shape (64, k, n);
+4. the mutation signs, shape (64, k, n).
 
-So a seed fixes the whole run, and results do not depend on evaluation
-order.
+Blocks are always full, wherever a run stops, so a seed fixes the whole
+run and results do not depend on evaluation order.  The mutation power is
+scalar ``math.pow``, so for n <= 3 (lambda in closed form) the bits of a
+run do not depend on numpy's SIMD level either.
 """
 
 from __future__ import annotations
@@ -121,6 +124,9 @@ class GaConfig:
         return self.population_size
 
 
+_BLOCK = 64  # generations per block of random draws (see the module docstring)
+
+
 def _rng(seed: int, *key: int) -> np.random.Generator:
     # What default_rng builds from a SeedSequence, minus its argument checks.
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
@@ -182,15 +188,15 @@ def population_fitness(genes, data: LabeledScoreSet) -> tuple[np.ndarray, np.nda
 
 
 def select_parents(
-    n_members: int, n_pairs: int, rng: np.random.Generator
+    n_members: int, shape: int | tuple[int, ...], rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Member indices of ``n_pairs`` parent pairs, uniform (1/N each) and distinct within a pair.
+    """Member indices of parent pairs, of the given shape, uniform (1/N) and distinct in a pair.
 
     All first parents are drawn, then all second parents: ``second[k]`` is
     uniform over the ``n_members - 1`` indices other than ``first[k]``.
     """
-    first = rng.integers(0, n_members, size=n_pairs)
-    second = rng.integers(0, n_members - 1, size=n_pairs)
+    first = rng.integers(0, n_members, size=shape)
+    second = rng.integers(0, n_members - 1, size=shape)
     return first, second + (second >= first)
 
 
@@ -209,22 +215,26 @@ def linear_crossover(a, b) -> np.ndarray:
 
 def mutation_offsets(
     shape: int | tuple[int, ...],
-    generation: int,
+    generation,
     cfg: GaConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Signed pre-clamp perturbations of the given shape: +-y * (1 - s)^(generation / g_max).
 
     Per gene, independently: s ~ U[0, 1] and a fair-coin sign; all of s is
-    drawn before the signs.  The expected magnitude is
-    y / (1 + generation / g_max), shrinking as the run ages.
+    drawn before the signs.  ``generation`` (in [0, g_max]) may be an array
+    that broadcasts against ``shape``.  The expected magnitude is
+    y / (1 + generation / g_max), shrinking as the run ages.  The power is
+    scalar ``math.pow``: numpy's vectorized one rounds by the CPU's SIMD level.
     """
-    if not 0 <= generation <= cfg.max_generations:
+    exponents = np.asarray(generation) / cfg.max_generations
+    if not np.all((exponents >= 0.0) & (exponents <= 1.0)):
         raise ValueError("generation must lie in [0, max_generations]")
     s = rng.random(shape)
     signs = rng.integers(0, 2, size=shape) * 2 - 1
-    exponent = generation / cfg.max_generations
-    return signs * cfg.mutation_bound * (1.0 - s) ** exponent
+    exponents = np.broadcast_to(exponents, s.shape)
+    steps = np.fromiter(map(math.pow, (1.0 - s).flat, exponents.flat), float, s.size)
+    return signs * cfg.mutation_bound * steps.reshape(s.shape)
 
 
 def evolve(
@@ -237,8 +247,8 @@ def evolve(
 
     Stops as soon as the best EER reaches ``cfg.eer_stop_threshold`` or
     after ``cfg.max_generations`` generations.  Fully deterministic for a
-    fixed ``cfg.rng_seed``: each generation draws from its own generator
-    (see the module docstring).  The population is a (P, n) gene array with
+    fixed ``cfg.rng_seed``: the generations draw from one generator, in
+    blocks (see the module docstring).  The population is a (P, n) gene array with
     its EERs and minimum sweep errors, kept sorted by (EER, minimum error);
     each generation's offspring are built as one array and scored as one
     batch.  Survivors: the first best parent (the one elite), then the best
@@ -272,15 +282,19 @@ def evolve(
     genes, eers, min_errors = ranked(genes, *score(genes))
     best = report(0, genes, eers)
 
-    events = math.ceil(cfg.offspring_count / 3)
+    rng = _rng(cfg.rng_seed, 1, 0)
+    events = math.ceil(size / 3)  # each generation breeds one offspring per member
     for generation in range(1, cfg.max_generations + 1):
         if best.eer <= cfg.eer_stop_threshold:
             break
-        rng = _rng(cfg.rng_seed, generation, 0)
-        first, second = select_parents(size, events, rng)
-        children = linear_crossover(genes[first], genes[second]).reshape(-1, n_genes)
-        children = children[: cfg.offspring_count]
-        children = _clamp(children + mutation_offsets(children.shape, generation, cfg, rng))
+        row = (generation - 1) % _BLOCK
+        if row == 0:
+            # Rows past max_generations keep the block full and are never used.
+            block = np.minimum(np.arange(generation, generation + _BLOCK), cfg.max_generations)
+            firsts, seconds = select_parents(size, (_BLOCK, events), rng)
+            offsets = mutation_offsets((_BLOCK, size, n_genes), block[:, None, None], cfg, rng)
+        children = linear_crossover(genes[firsts[row]], genes[seconds[row]])
+        children = _clamp(children.reshape(-1, n_genes)[:size] + offsets[row])
         child_eers, child_min_errors = score(children)
         # Row 0 is the elite; rows 1.. are the other parents, then the offspring.
         pool = (np.concatenate([genes, children]), np.concatenate([eers, child_eers]),

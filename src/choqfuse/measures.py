@@ -40,11 +40,11 @@ ADDITIVE_TOL = 1e-12
 # Residual |f(lambda)| the solved root must satisfy.
 ROOT_RESIDUAL_TOL = 1e-10
 # Iteration budget of the Newton loop, which solves n > 3 and the n <= 3
-# rows whose closed-form root misses the contract (roots past about 1e150).
-# From the quadratic start it typically converges in under 10 for n > 3;
-# rows with n >= 8 and lambda near -1, and extreme roots (densities at the
-# 1e-6 clamp bounds, n <= 16), took at most 32 with bisection steps mixed
-# in, and roots past 1e40 up to 163.
+# rows whose closed-form root misses the contract (roots past about 1e150
+# for n = 3, near the largest float for n = 2).  From the quadratic start
+# it typically converges in under 10 for n > 3; rows with n >= 8 and lambda
+# near -1, and extreme roots (densities at the 1e-6 clamp bounds, n <= 16),
+# took at most 32 with bisection steps mixed in, and roots past 1e40 up to 163.
 _MAX_ITER = 200
 _EPS = np.finfo(float).eps
 _FLOAT_MAX = np.finfo(float).max
@@ -156,9 +156,10 @@ def _solve(d: np.ndarray) -> np.ndarray:
     # every term past the linear one is positive, so the positive root lies
     # in (0, -c / e2]; a negative root lies in (-1, 0).  The root of the
     # quadratic truncation c + e2*lam + e3*lam^2, in the cancellation-free
-    # form, is the exact root for n <= 3 (e3 = 0 for n = 2), there with c
-    # summed compensated.  For n > 3 it starts Newton: a tighter upper bound
-    # than -c / e2 on the positive side, only a guess on the negative side.
+    # form, is the exact root for n <= 3, there with c summed compensated;
+    # for n = 2 (e3 = 0) it is -c / e2, which stays exact where e2^2
+    # underflows.  For n > 3 it starts Newton: a tighter upper bound than
+    # -c / e2 on the positive side, only a guess on the negative side.
     pairs = np.cumsum(d, axis=1)[:, :-1] * d[:, 1:]
     e2 = pairs.sum(axis=1)
     e3 = (np.cumsum(pairs, axis=1)[:, :-1] * d[:, 2:]).sum(axis=1)
@@ -176,11 +177,12 @@ def _solve(d: np.ndarray) -> np.ndarray:
                              f"small: their lambda exceeds the largest float")
     # A root near the largest float caps the bound -c / e2 at it.
     linear = np.minimum(-c / e2, _FLOAT_MAX)
-    quadratic = -2.0 * c / (e2 + np.sqrt(np.maximum(e2 * e2 - 4.0 * e3 * c, 0.0)))
+    quadratic = (-c / e2 if d.shape[1] == 2 else
+                 -2.0 * c / (e2 + np.sqrt(np.maximum(e2 * e2 - 4.0 * e3 * c, 0.0))))
     # A root within one ulp of -1 can land on -1, where the measure is
     # undefined; the next float above stands for it.  For n <= 3 only roots
-    # that miss the contract (extreme ones, where e2^2 or e3 leave the float
-    # range) go on to Newton.
+    # that miss the contract (extreme ones, where e2^2, e3 or the root leave
+    # the float range) go on to Newton.
     x = np.maximum(quadratic, _ABOVE_MINUS_ONE)
     retry = _misses_contract(d, x)[1] if closed else np.full(len(d), True)
     if retry.any():

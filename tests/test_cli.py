@@ -138,7 +138,7 @@ class TestOptimize:
                          "--out", str(tmp_path))
         assert code == 0
         digest = hashlib.sha256((tmp_path / "history.csv").read_bytes()).hexdigest()
-        assert digest == "d07eeed64b82db94bd8d9dd1f2bb53276be0f56e0a0827d55818e2fa711f0468"
+        assert digest == "314c7cfd0c4bf19ce8021d8839c14f887ecba9775af977edfc4b7a7252c53d87"
 
     def test_short_history_bytes_equal_the_csv_writer_loop(self, capsys, tmp_path):
         code, _, _ = run(capsys, "optimize", "--synthetic", "--seed", "5", "--generations",
@@ -156,7 +156,7 @@ class TestOptimize:
         written = (tmp_path / "history.csv").read_bytes()
         assert written == (tmp_path / "rows.csv").read_bytes()
         digest = hashlib.sha256(written).hexdigest()
-        assert digest == "344fc6b29c192409f26b2446e3ce2553869c980ac04193fc1bb43c556e2376a2"
+        assert digest == "8084492859b0c7b2d0548e8ea423a7c83ece71ec0130189eaf9c6220c348ab05"
 
     def test_separable_input_stops_on_threshold(self, capsys, tmp_path):
         data = LabeledScoreSet(

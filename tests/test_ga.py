@@ -1,10 +1,17 @@
 """Genetic-algorithm operators and the evolution loop."""
 
 import hashlib
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import choqfuse
+from choqfuse.cli import main as cli_main
 from choqfuse.aggregate import choquet_fuse_batch
 from choqfuse.data import LabeledScoreSet, synthetic_dataset
 from choqfuse.ga import (
@@ -191,6 +198,15 @@ class TestSelectParents:
         assert off_diagonal.size == 12
         assert np.all((off_diagonal >= 800) & (off_diagonal <= 1200))
 
+    def test_shape_draws_all_first_then_all_second_parents(self):
+        first, second = select_parents(6, (4, 5), np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        expected_first = rng.integers(0, 6, size=(4, 5))
+        expected_second = rng.integers(0, 5, size=(4, 5))
+        assert first.shape == second.shape == (4, 5)
+        assert np.array_equal(first, expected_first)
+        assert np.array_equal(second, expected_second + (expected_second >= expected_first))
+
     def test_reproducible_pair_sequence(self):
         seq1 = select_parents(5, 10, np.random.default_rng(5))
         seq2 = select_parents(5, 10, np.random.default_rng(5))
@@ -269,29 +285,38 @@ class TestNonuniformMutation:
         positive = (offsets > 0).mean()
         assert abs(positive - 0.5) <= 0.01
 
-    def test_generation_out_of_range_rejected(self):
+    @pytest.mark.parametrize("shape,generation", [(3, 11), ((2, 3), [[10], [11]]),
+                                                  ((2, 3), [[-1], [0]])])
+    def test_generation_out_of_range_rejected(self, shape, generation):
         cfg = GaConfig(max_generations=10)
-        with pytest.raises(ValueError):
-            mutation_offsets(3, 11, cfg, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="generation must lie"):
+            mutation_offsets(shape, generation, cfg, np.random.default_rng(0))
 
-    def test_shape_draws_all_steps_then_all_signs(self):
+    @pytest.mark.parametrize("generation", [5, [[3], [10]], [[0, 1, 2]]])
+    def test_shape_draws_all_steps_then_all_signs(self, generation):
+        # A generation array gives each row (or column) its own exponent.
         cfg = GaConfig(max_generations=10, mutation_bound=0.5)
-        offsets = mutation_offsets((4, 3), 5, cfg, np.random.default_rng(103))
+        offsets = mutation_offsets((2, 3), generation, cfg, np.random.default_rng(103))
         rng = np.random.default_rng(103)
-        s = rng.random((4, 3))
-        signs = rng.integers(0, 2, size=(4, 3)) * 2 - 1
-        assert offsets.shape == (4, 3)
-        assert np.array_equal(offsets, signs * 0.5 * (1.0 - s) ** 0.5)
+        s = rng.random((2, 3)).tolist()
+        signs = (rng.integers(0, 2, size=(2, 3)) * 2 - 1).tolist()
+        exponents = np.broadcast_to(np.asarray(generation) / 10, (2, 3)).tolist()
+        assert offsets.shape == (2, 3)
+        assert offsets.tolist() == [
+            [sign * 0.5 * math.pow(1.0 - v, x) for v, sign, x in zip(*row)]
+            for row in zip(s, signs, exponents)]
 
 
 def reference_populations(data, cfg):
     """The documented generation as plain loops over Python tuples.
 
-    Each generation's stream is spawned from the seed with key
-    (generation, 0) and drawn as: all first-parent indices, all second-parent
-    indices, the mutation draws s, the mutation signs.  Survivors: the first
-    best parent, then the best of the other parents and the offspring, parents
-    first on ties.  Returns every population as (genes, EER) pairs, ranked.
+    Generation 0 is ``init_population`` (key (0, 0)).  Generation g reads
+    row (g - 1) mod 64 of a block of 64 generations, all drawn from one
+    generator with key (1, 0) as: all first-parent indices, all second-parent indices,
+    the mutation draws s, the mutation signs; the mutation power is scalar
+    ``math.pow``.  Survivors: the first best parent, then the best of the
+    other parents and the offspring, parents first on ties.  Returns every
+    population as (genes, EER) pairs, ranked.
     """
     def rank(genes):
         eers, min_errors = population_fitness([genes], data)
@@ -305,24 +330,27 @@ def reference_populations(data, cfg):
                    for genes in init_population(cfg, n).tolist()), key=lambda m: m[0])
     populations = [pool]
     events = -(-size // 3)
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(cfg.rng_seed, spawn_key=(1, 0))))
     for generation in range(1, cfg.max_generations + 1):
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(cfg.rng_seed, spawn_key=(generation, 0))))
-        first = rng.integers(0, size, size=events).tolist()
-        second = rng.integers(0, size - 1, size=events).tolist()
-        # numpy's vectorized pow may differ from the scalar one in the last place.
-        steps = ((1.0 - rng.random((size, n))) ** (generation / cfg.max_generations)).tolist()
-        bits = rng.integers(0, 2, size=(size, n)).tolist()
+        row = (generation - 1) % 64
+        if row == 0:
+            firsts = rng.integers(0, size, size=(64, events)).tolist()
+            seconds = rng.integers(0, size - 1, size=(64, events)).tolist()
+            draws = rng.random((64, size, n)).tolist()
+            bits = rng.integers(0, 2, size=(64, size, n)).tolist()
         children = []
-        for i, j in zip(first, second):
+        for i, j in zip(firsts[row], seconds[row]):
             a, b = pool[i][1], pool[j + (j >= i)][1]
             children += [[clamp(0.5 * (x + y)) for x, y in zip(a, b)],
                          [clamp(1.5 * x - 0.5 * y) for x, y in zip(a, b)],
                          [clamp(0.5 * x + 1.5 * y) for x, y in zip(a, b)]]
         offspring = []
-        for child, child_steps, signs in zip(children[:size], steps, bits):
-            genes = tuple(clamp(g + (2 * sign - 1) * cfg.mutation_bound * step)
-                          for g, step, sign in zip(child, child_steps, signs))
+        for child, child_draws, signs in zip(children[:size], draws[row], bits[row]):
+            genes = tuple(
+                clamp(g + (2 * sign - 1) * cfg.mutation_bound
+                      * math.pow(1.0 - s, generation / cfg.max_generations))
+                for g, s, sign in zip(child, child_draws, signs))
             offspring.append((rank(genes), genes))
         rest = sorted(pool[1:] + offspring, key=lambda m: m[0])
         pool = sorted([pool[0]] + rest[: size - 1], key=lambda m: m[0])
@@ -331,11 +359,13 @@ def reference_populations(data, cfg):
 
 
 class TestEvolve:
-    @pytest.mark.parametrize("size,seed", [(8, 17), (30, 0), (7, 3)])
-    def test_populations_equal_the_loop_reference(self, size, seed):
+    @pytest.mark.parametrize("size,seed,generations", [(8, 17, 15), (30, 0, 15), (7, 3, 15),
+                                                      (5, 2, 70)])
+    def test_populations_equal_the_loop_reference(self, size, seed, generations):
+        # 70 generations reach into a second block of draws, of which 6 rows are used.
         data = synthetic_dataset()
-        cfg = GaConfig(population_size=size, max_generations=15, eer_stop_threshold=0.0,
-                       rng_seed=seed)
+        cfg = GaConfig(population_size=size, max_generations=generations,
+                       eer_stop_threshold=0.0, rng_seed=seed)
         seen = []
 
         def record(population, best):
@@ -350,7 +380,8 @@ class TestEvolve:
         assert [(r.genes, r.eer) for r in history] == [p[0] for p in expected]
         assert (best.genes, best.eer) == expected[-1][0]
 
-    def test_one_generator_and_one_record_per_generation(self, monkeypatch):
+    @pytest.mark.parametrize("generations", [12, 130])
+    def test_one_generator_and_one_record_per_generation(self, monkeypatch, generations):
         import choqfuse.ga as ga
 
         counts = {"rng": 0, "record": 0}
@@ -366,13 +397,15 @@ class TestEvolve:
 
         monkeypatch.setattr(ga, "_rng", counting_rng)
         monkeypatch.setattr(ga.GenerationRecord, "__init__", counting_init)
-        cfg = GaConfig(population_size=30, max_generations=12, eer_stop_threshold=0.0)
+        cfg = GaConfig(population_size=30, max_generations=generations,
+                       eer_stop_threshold=0.0)
         handed = []
         best, history = evolve(synthetic_dataset(), cfg,
                                on_generation=lambda pop, best: handed.append(best))
-        assert len(history) == 13
-        assert counts["rng"] == 13  # init_population's stream, then one per generation
-        assert counts["record"] == 13  # one record per generation, none per offspring
+        assert len(history) == generations + 1
+        assert counts["rng"] == 2  # init_population's stream, then one for all generations
+        # one record per generation, none per offspring
+        assert counts["record"] == generations + 1
         assert best is history[-1]
         assert all(b is r for b, r in zip(handed, history, strict=True))
 
@@ -424,36 +457,76 @@ class TestEvolve:
         assert eer_of(best.genes, data) == best.eer
 
     def test_first_fifty_generations_of_seed_zero_are_pinned(self):
-        # Best EER and genes, and a digest of every population's genes and
-        # fitness, over generations 0..50 of the default configuration.
-        class Stop(Exception):
-            pass
-
-        changes, digest = [], hashlib.sha256()
-
-        def record(population, best):
-            if not changes or changes[-1][1:] != (best.eer, best.genes):
-                changes.append((population.generation, best.eer, best.genes))
-            for genes, eer in zip(population.genes.tolist(), population.eers.tolist()):
-                digest.update(repr((tuple(genes), eer)).encode())
-            if population.generation == 50:
-                raise Stop
-
-        with pytest.raises(Stop):
-            evolve(synthetic_dataset(), GaConfig(rng_seed=0), on_generation=record)
-        assert changes == [
-            (0, 0.1, (0.5232042497357765, 0.21073541982518593, 0.3799502984857669)),
-            (2, 0.06666666666666667,
-             (0.5001915402511592, 0.5009124225883117, 0.3569701487658584)),
-        ]
-        assert digest.hexdigest() == (
-            "a237fbe90551bfff4bbdd71894bb45cc7632a3fa43609406359fd95a9031cbe1")
+        changes, digest = first_fifty_generations()
+        assert changes == PINNED_CHANGES
+        assert digest == PINNED_DIGEST
 
     def test_seeded_run_keeps_seed_if_unbeaten(self):
         data = toy_separable()
         seed = (0.25, 0.5, 0.25)
         best, _ = evolve(data, GaConfig(population_size=5, rng_seed=0), seeds=[seed])
         assert best.eer == 0.0  # the seed already separates the toy set
+
+
+def first_fifty_generations():
+    """Best EER and genes at each change, and a digest of every population's
+    genes and fitness, over generations 0..50 of the default configuration."""
+    class Stop(Exception):
+        pass
+
+    changes, digest = [], hashlib.sha256()
+
+    def record(population, best):
+        if not changes or changes[-1][1:] != (best.eer, best.genes):
+            changes.append((population.generation, best.eer, best.genes))
+        for genes, eer in zip(population.genes.tolist(), population.eers.tolist()):
+            digest.update(repr((tuple(genes), eer)).encode())
+        if population.generation == 50:
+            raise Stop
+
+    with pytest.raises(Stop):
+        evolve(synthetic_dataset(), GaConfig(rng_seed=0), on_generation=record)
+    return changes, digest.hexdigest()
+
+
+PINNED_CHANGES = [
+    (0, 0.1, (0.5232042497357765, 0.21073541982518593, 0.3799502984857669)),
+    (3, 0.06666666666666667, (0.5003837380854589, 0.5007943005268003, 0.2526311898423408)),
+]
+PINNED_DIGEST = "cbe429f4e26350bfbfff5bc4fa96431d7e36794ae3d21b605a6ce0fbd35e1ad2"
+
+
+def write_pinned_outputs(out):
+    """Every pinned GA output into ``out``: the 50-generation record of seed 0,
+    and ``optimize --synthetic`` for seeds 0-2 and for the short run (seed 5,
+    12 generations, population 8)."""
+    out.mkdir(parents=True)
+    (out / "fifty.txt").write_text(repr(first_fifty_generations()))
+    runs = {f"seed{seed}": ["--seed", str(seed)] for seed in range(3)}
+    runs["short"] = ["--seed", "5", "--generations", "12", "--population", "8"]
+    for name, args in runs.items():
+        assert cli_main(["optimize", "--synthetic", *args, "--out", str(out / name)]) == 0
+
+
+def test_pinned_outputs_do_not_depend_on_the_simd_level(tmp_path):
+    # Mutation powers are scalar math.pow and lambda (n = 3) is in closed
+    # form, so a run's bytes do not depend on numpy's SIMD dispatch.  numpy
+    # accepts unknown feature names silently: a host without AVX-512 runs the
+    # same code twice, which also passes.
+    write_pinned_outputs(tmp_path / "here")
+    script = ("import sys\nfrom pathlib import Path\nfrom test_ga import write_pinned_outputs\n"
+              "write_pinned_outputs(Path(sys.argv[1]))\n")
+    paths = [str(Path(choqfuse.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4")
+    env["PYTHONPATH"] = os.pathsep.join(paths + [env.get("PYTHONPATH", "")])
+    subprocess.run([sys.executable, "-c", script, str(tmp_path / "other")], env=env,
+                   capture_output=True, timeout=300, check=True)
+    files = sorted(f.relative_to(tmp_path / "here")
+                   for f in (tmp_path / "here").rglob("*") if f.is_file())
+    assert len(files) == 9
+    for name in files:
+        assert (tmp_path / "other" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+    assert (tmp_path / "here" / "fifty.txt").read_text() == repr((PINNED_CHANGES, PINNED_DIGEST))
 
 
 def test_ga_ranks_no_worse_than_a_density_grid_optimum():

@@ -139,6 +139,22 @@ class TestSolveLambda:
         assert solve_lambda([1e-100] * 4) == 2.1544346900318903e+133
         assert solve_lambda([1e-50] * 8) == 1.389495380087421e+57
 
+    def test_two_tiny_densities_give_the_exact_root(self):
+        # For n = 2, lambda = (1 - m1 - m2) / (m1 * m2) is -c / e2, which
+        # stays within an ulp where e2^2 underflows (densities below about
+        # 1e-77), checked in 60-digit decimal arithmetic on the float densities.
+        rng = np.random.default_rng(43)
+        rows = [[1e-100] * 2, [1e-80] * 2, [1e-77, 3e-78], [1e-150, 2e-140], [1e-200, 0.5]]
+        rows += (10.0 ** rng.uniform(-150, -70, (200, 2))).tolist()
+        lams = solve_lambda_batch(rows).tolist()
+        assert lams[:2] == [solve_lambda(rows[0]), solve_lambda(rows[1])]
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for d, lam in zip(rows, lams):
+                m1, m2 = map(Decimal, d)
+                exact = (1 - m1 - m2) / (m1 * m2)
+                assert abs(Decimal(lam) - exact) <= 2 * Decimal(math.ulp(float(exact))), d
+
     @pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
     def test_tiny_equal_densities_meet_the_contract_or_are_refused(self, n):
         # Never a RuntimeWarning (an error under the test settings) or a
