@@ -81,16 +81,17 @@ class SortedScores:
         for i in range(n - 2, -1, -1):
             self.masks[:, i] += self.masks[:, i + 1]
 
-    def fuse(self, tables: np.ndarray) -> np.ndarray:
+    def fuse(self, tables: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Choquet integral of every row under every table: (P, 2^n) -> (P, N).
 
         Increments times coalition weights are summed left to right over
         the sorted positions, ``(d0*w0 + d1*w1) + d2*w2 ...``: the order is
         fixed here, not left to a library reduction, so fused scores do not
-        depend on the numpy build.
+        depend on the numpy build.  ``out``, a (P, N) array, receives the
+        result when given.
         """
         weights = tables[:, self.masks]
-        total = self.diffs[:, 0] * weights[..., 0]
+        total = np.multiply(self.diffs[:, 0], weights[..., 0], out=out)
         for i in range(1, self.diffs.shape[1]):
             total += self.diffs[:, i] * weights[..., i]
         return total

@@ -43,8 +43,8 @@ import numpy as np
 
 from .aggregate import SortedScores
 from .data import LabeledScoreSet
-from .measures import lambda_tables
-from .metrics import sweep_errors
+from .measures import _as_density_matrix, _tables
+from .metrics import _sweep, _sweep_index
 
 __all__ = [
     "GENE_EPS",
@@ -65,7 +65,8 @@ GENE_EPS = 1e-6
 
 
 def _clamp(genes: np.ndarray) -> np.ndarray:
-    return np.clip(genes, GENE_EPS, 1.0 - GENE_EPS)
+    # np.clip's bits (NaN included) without its Python-level overhead.
+    return np.minimum(np.maximum(genes, GENE_EPS), 1.0 - GENE_EPS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,9 +148,7 @@ def init_population(
         if np.isnan(genes).any():
             raise ValueError(f"genes outside [{GENE_EPS}, {1.0 - GENE_EPS}]: {genes.tolist()}")
     if len(seeded) > cfg.population_size:
-        raise ValueError(
-            f"{len(seeded)} seeds exceed the population size {cfg.population_size}"
-        )
+        raise ValueError(f"{len(seeded)} seeds exceed the population size {cfg.population_size}")
     rng = _rng(cfg.rng_seed, 0, 0)
     size = (cfg.population_size - len(seeded), n_genes)
     return np.vstack(seeded + [rng.uniform(GENE_EPS, 1.0 - GENE_EPS, size=size)])
@@ -158,16 +157,22 @@ def init_population(
 def _fitness_kernel(
     data: LabeledScoreSet,
 ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Scorer of (P, n) gene arrays on ``data``; the score sort is done once here,
-    over the client and impostor rows stacked, so a batch is one fuse."""
+    """Scorer of valid (P, n) gene arrays on ``data``, unchecked (see population_fitness).
+
+    Built once: the sorted client and impostor rows, stacked so that a batch is one fuse;
+    per batch size: the fused rows, closed by the sweep's +inf column, and their index."""
     scores = SortedScores(np.vstack([data.client_scores, data.impostor_scores]))
-    n, n_clients = data.n_modalities, len(data.client_scores)
+    n_clients, n_scores = len(data.client_scores), len(scores.diffs)
+    fused = index = None
 
     def score(genes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if genes.ndim == 2 and genes.shape[1] != n:
-            raise ValueError(f"genomes have {genes.shape[1]} genes, the data {n} modalities")
-        fused = scores.fuse(lambda_tables(genes))
-        return sweep_errors(fused[:, :n_clients], fused[:, n_clients:])
+        nonlocal fused, index
+        if fused is None or len(fused) != len(genes):
+            fused = np.empty((len(genes), n_scores + 1))
+            fused[:, -1] = np.inf
+            index = _sweep_index(len(genes), n_clients, n_scores - n_clients)
+        scores.fuse(_tables(genes), out=fused[:, :-1])
+        return _sweep(fused, n_clients, *index)  # new arrays: the workspace stays here
 
     return score
 
@@ -184,7 +189,11 @@ def population_fitness(genes, data: LabeledScoreSet) -> tuple[np.ndarray, np.nda
     value while differing in the error rate they can actually operate at.
     Raises ``ValueError`` when the rows are not ``data.n_modalities`` wide.
     """
-    return _fitness_kernel(data)(np.asarray(genes, dtype=float))
+    genes = np.asarray(genes, dtype=float)
+    n = data.n_modalities
+    if genes.ndim == 2 and genes.shape[1] != n:
+        raise ValueError(f"genomes have {genes.shape[1]} genes, the data {n} modalities")
+    return _fitness_kernel(data)(_as_density_matrix(genes))
 
 
 def select_parents(
@@ -210,7 +219,8 @@ def linear_crossover(a, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"gene length mismatch: {a.shape} vs {b.shape}")
-    return _clamp(np.stack([0.5 * (a + b), 1.5 * a - 0.5 * b, 0.5 * a + 1.5 * b], axis=-2))
+    children = np.concatenate([0.5 * (a + b), 1.5 * a - 0.5 * b, 0.5 * a + 1.5 * b], axis=-1)
+    return _clamp(children.reshape(a.shape[:-1] + (3,) + a.shape[-1:]))
 
 
 def mutation_offsets(
@@ -235,6 +245,19 @@ def mutation_offsets(
     exponents = np.broadcast_to(exponents, s.shape)
     steps = np.fromiter(map(math.pow, (1.0 - s).flat, exponents.flat), float, s.size)
     return signs * cfg.mutation_bound * steps.reshape(s.shape)
+
+
+def _survivors(eers: np.ndarray, min_errors: np.ndarray) -> np.ndarray:
+    """Pool indices of the next ranked population: the elite plus the best P - 1 of
+    the rest (parents first on ties), ranked.  The pool is the P ranked parents,
+    the elite (row 0) first, then P offspring; in one stable sort the elite leads
+    its ties, so it is among the first P unless all offspring strictly beat it."""
+    size = len(eers) // 2
+    order = np.lexsort((min_errors, eers))
+    keep = order[:size]
+    if order[size] == 0:
+        keep[-1] = 0
+    return keep
 
 
 def evolve(
@@ -262,11 +285,6 @@ def evolve(
     cfg = cfg or GaConfig()
     score = _fitness_kernel(data)
     size, n_genes = cfg.population_size, data.n_modalities
-
-    def ranked(genes, eers, min_errors):
-        order = np.lexsort((min_errors, eers))  # stable: earlier rows first on ties
-        return genes[order], eers[order], min_errors[order]
-
     history: list[GenerationRecord] = []
 
     def report(generation: int, genes: np.ndarray, eers: np.ndarray) -> GenerationRecord:
@@ -279,7 +297,9 @@ def evolve(
         return best
 
     genes = init_population(cfg, n_genes, seeds)
-    genes, eers, min_errors = ranked(genes, *score(genes))
+    eers, min_errors = score(genes)
+    order = np.lexsort((min_errors, eers))  # stable: earlier rows first on ties
+    genes, eers, min_errors = genes[order], eers[order], min_errors[order]
     best = report(0, genes, eers)
 
     rng = _rng(cfg.rng_seed, 1, 0)
@@ -296,10 +316,10 @@ def evolve(
         children = linear_crossover(genes[firsts[row]], genes[seconds[row]])
         children = _clamp(children.reshape(-1, n_genes)[:size] + offsets[row])
         child_eers, child_min_errors = score(children)
-        # Row 0 is the elite; rows 1.. are the other parents, then the offspring.
-        pool = (np.concatenate([genes, children]), np.concatenate([eers, child_eers]),
-                np.concatenate([min_errors, child_min_errors]))
-        rest = 1 + np.lexsort((pool[2][1:], pool[1][1:]))[: size - 1]
-        genes, eers, min_errors = ranked(*(a[np.concatenate([[0], rest])] for a in pool))
+        eers = np.concatenate([eers, child_eers])
+        min_errors = np.concatenate([min_errors, child_min_errors])
+        keep = _survivors(eers, min_errors)
+        genes = np.concatenate([genes, children])[keep]
+        eers, min_errors = eers[keep], min_errors[keep]
         best = report(generation, genes, eers)
     return best, history

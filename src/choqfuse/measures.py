@@ -48,6 +48,7 @@ ROOT_RESIDUAL_TOL = 1e-10
 _MAX_ITER = 200
 _EPS = np.finfo(float).eps
 _FLOAT_MAX = np.finfo(float).max
+_FLOAT_TINY = np.finfo(float).tiny
 _ABOVE_MINUS_ONE = np.nextafter(-1.0, 0.0)
 # Boundary check tolerances for measures (empty/full set, monotonicity).
 BOUNDARY_TOL = 1e-9
@@ -75,10 +76,8 @@ def _as_density_matrix(densities) -> np.ndarray:
     if bad.size:
         row, i = bad[0]
         where = f" of row {row}" if len(d) > 1 else ""
-        raise ValueError(
-            f"density {i}{where} is {float(d[row, i])!r}; singleton densities "
-            f"must lie strictly inside (0, 1)"
-        )
+        raise ValueError(f"density {i}{where} is {float(d[row, i])!r}; singleton densities "
+                         f"must lie strictly inside (0, 1)")
     return d
 
 
@@ -158,11 +157,12 @@ def _solve(d: np.ndarray) -> np.ndarray:
     # quadratic truncation c + e2*lam + e3*lam^2, in the cancellation-free
     # form, is the exact root for n <= 3, there with c summed compensated;
     # for n = 2 (e3 = 0) it is -c / e2, which stays exact where e2^2
-    # underflows.  For n > 3 it starts Newton: a tighter upper bound than
+    # underflows, and (-c / m1) / m2 where e2 = m1*m2 is subnormal (fewer
+    # digits).  For n > 3 it starts Newton: a tighter upper bound than
     # -c / e2 on the positive side, only a guess on the negative side.
-    pairs = np.cumsum(d, axis=1)[:, :-1] * d[:, 1:]
+    pairs = d.cumsum(axis=1)[:, :-1] * d[:, 1:]
     e2 = pairs.sum(axis=1)
-    e3 = (np.cumsum(pairs, axis=1)[:, :-1] * d[:, 2:]).sum(axis=1)
+    e3 = (pairs.cumsum(axis=1)[:, :-1] * d[:, 2:]).sum(axis=1)
     closed = d.shape[1] <= 3
     c = _excess(d) if closed else total[rows] - 1.0
     # Where the bound -c / e2 passes the largest float, so may the root.  The
@@ -175,10 +175,8 @@ def _solve(d: np.ndarray) -> np.ndarray:
         if huge.any():
             raise ValueError(f"densities {d[beyond][np.argmax(huge)].tolist()} are too "
                              f"small: their lambda exceeds the largest float")
-    # A root near the largest float caps the bound -c / e2 at it.
-    linear = np.minimum(-c / e2, _FLOAT_MAX)
-    quadratic = (-c / e2 if d.shape[1] == 2 else
-                 -2.0 * c / (e2 + np.sqrt(np.maximum(e2 * e2 - 4.0 * e3 * c, 0.0))))
+    quadratic = (np.where(e2 < _FLOAT_TINY, -c / d[:, 0] / d[:, 1], -c / e2) if d.shape[1] == 2
+                 else -2.0 * c / (e2 + np.sqrt(np.maximum(e2 * e2 - 4.0 * e3 * c, 0.0))))
     # A root within one ulp of -1 can land on -1, where the measure is
     # undefined; the next float above stands for it.  For n <= 3 only roots
     # that miss the contract (extreme ones, where e2^2, e3 or the root leave
@@ -186,7 +184,9 @@ def _solve(d: np.ndarray) -> np.ndarray:
     x = np.maximum(quadratic, _ABOVE_MINUS_ONE)
     retry = _misses_contract(d, x)[1] if closed else np.full(len(d), True)
     if retry.any():
-        x[retry] = _newton(d[retry], linear[retry], quadratic[retry])
+        # A root near the largest float caps the bound -c / e2 at it.
+        linear = np.minimum(-c[retry] / e2[retry], _FLOAT_MAX)
+        x[retry] = _newton(d[retry], linear, quadratic[retry])
     roots[rows] = x
     return roots
 
@@ -291,10 +291,15 @@ def lambda_tables(densities, lams=None) -> np.ndarray:
     snapped to exactly 1; every entry is clipped into [0, 1].
     """
     d = _as_density_matrix(densities)
+    return _tables(d, None if lams is None else np.asarray(lams, dtype=float))
+
+
+def _tables(d: np.ndarray, lam: np.ndarray | None = None) -> np.ndarray:
+    """``lambda_tables`` of a validated (P, n) density array, lambda solved if not given."""
     p, n = d.shape
     if n > _TABLE_MAX_N:
         raise ValueError(f"power-set tables support at most {_TABLE_MAX_N} criteria, got {n}")
-    lam = (_solve(d) if lams is None else np.asarray(lams, dtype=float))[:, None]
+    lam = (_solve(d) if lam is None else lam)[:, None]
     table = np.empty((p, 1 << n))
     table[:, 0] = 0.0
     for i in range(n):
@@ -303,15 +308,13 @@ def lambda_tables(densities, lams=None) -> np.ndarray:
     full = table[:, -1]
     off = ~(np.abs(full - 1.0) <= BOUNDARY_TOL)  # a NaN lambda fails too
     if off.any():
-        raise ConvergenceError(
-            f"full-set measure {float(full[np.argmax(off)])!r} deviates from 1 "
-            f"beyond {BOUNDARY_TOL}"
-        )
+        raise ConvergenceError(f"full-set measure {float(full[np.argmax(off)])!r} deviates "
+                               f"from 1 beyond {BOUNDARY_TOL}")
     # Snap the normalization boundary exactly; everything else is within
-    # one rounding of the lambda recursion.
+    # one rounding of the lambda recursion (never -0.0, so maximum and
+    # minimum clip as np.clip does, without its call overhead).
     table[:, -1] = 1.0
-    np.clip(table, 0.0, 1.0, out=table)
-    return table
+    return np.minimum(np.maximum(table, 0.0, out=table), 1.0, out=table)
 
 
 def _subset_mask(subset: Iterable[int] | int, n: int) -> int:
@@ -402,9 +405,7 @@ class TableMeasure(_PowerSetTable):
         table = _dense_from_mapping(self.values)
         violations = _violations(table)
         if violations:
-            raise ValueError(
-                "invalid fuzzy measure: " + "; ".join(str(v) for v in violations)
-            )
+            raise ValueError("invalid fuzzy measure: " + "; ".join(str(v) for v in violations))
         table.flags.writeable = False
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "values", dict(self.values))
@@ -443,10 +444,8 @@ def _dense_from_mapping(values: Mapping) -> np.ndarray:
         raise ValueError("measure table has no non-empty subset")
     missing = [m for m in range(1 << n) if m not in by_mask]
     if missing:
-        raise ValueError(
-            f"measure table is missing {len(missing)} of {1 << n} subsets, "
-            f"e.g. {sorted(_mask_to_set(missing[0]))}"
-        )
+        raise ValueError(f"measure table is missing {len(missing)} of {1 << n} subsets, "
+                         f"e.g. {sorted(_mask_to_set(missing[0]))}")
     table = np.empty(1 << n)
     for mask, val in by_mask.items():
         table[mask] = val
@@ -470,20 +469,12 @@ def _violations(table: np.ndarray) -> list[MeasureViolation]:
     n = table.size.bit_length() - 1
     violations: list[MeasureViolation] = []
     if abs(table[0]) > BOUNDARY_TOL:
-        violations.append(
-            MeasureViolation(
-                "empty", frozenset(), None,
-                f"m(empty set) = {table[0]!r}, must be 0",
-            )
-        )
+        violations.append(MeasureViolation("empty", frozenset(), None,
+                                           f"m(empty set) = {table[0]!r}, must be 0"))
     full = (1 << n) - 1
     if abs(table[full] - 1.0) > BOUNDARY_TOL:
-        violations.append(
-            MeasureViolation(
-                "full", _mask_to_set(full), None,
-                f"m(full set) = {table[full]!r}, must be 1",
-            )
-        )
+        violations.append(MeasureViolation("full", _mask_to_set(full), None,
+                                           f"m(full set) = {table[full]!r}, must be 1"))
     # Monotone over all covering pairs A < A + {j} implies monotone over
     # every inclusion chain, so covers are sufficient and name the
     # tightest offending pair.  Row-major np.nonzero lists them by (A, j).
@@ -494,11 +485,8 @@ def _violations(table: np.ndarray) -> list[MeasureViolation]:
     for mask, j in zip(*np.nonzero(broken)):
         mask = int(mask)
         wider = mask | 1 << int(j)
-        violations.append(
-            MeasureViolation(
-                "monotonicity", _mask_to_set(mask), _mask_to_set(wider),
-                f"m({set(_mask_to_set(mask)) or '{}'}) = {table[mask]!r} exceeds "
-                f"m({set(_mask_to_set(wider))}) = {table[wider]!r}",
-            )
-        )
+        violations.append(MeasureViolation(
+            "monotonicity", _mask_to_set(mask), _mask_to_set(wider),
+            f"m({set(_mask_to_set(mask)) or '{}'}) = {table[mask]!r} exceeds "
+            f"m({set(_mask_to_set(wider))}) = {table[wider]!r}"))
     return violations

@@ -48,21 +48,22 @@ def _require_finite(scores: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} scores must be finite, got NaN or infinity")
 
 
-def _rank(scores: np.ndarray, n_clients: int, kind: str = "stable"):
+def _rank(scores: np.ndarray, n_clients: int, kind: str, row_starts):
     """Rank each row of (P, Nc + Ni) scores, clients first, in one sort of the given kind.
 
     Returns the ranked scores, the number of clients strictly below each
     ranked position's run of tied scores (valid at the run's first
     position) and the flags of those first positions.  Those counts do not
     depend on the order inside a run, so any sort kind gives the same.
+    ``row_starts`` is the flat index of each row's first score, a (P, 1) column.
     """
-    order = np.argsort(scores, axis=1, kind=kind)
+    order = scores.argsort(axis=1, kind=kind)
     is_client = order < n_clients
     # Flat positions: one take, no per-axis index arrays.
-    order += np.arange(0, scores.size, scores.shape[1])[:, np.newaxis]
-    ranked = np.take(scores, order)
+    order += row_starts
+    ranked = scores.take(order)
     del order
-    clients_below = np.cumsum(is_client, axis=1)
+    clients_below = is_client.cumsum(axis=1)
     clients_below -= is_client
     del is_client
     first = np.empty(ranked.shape, dtype=bool)
@@ -112,17 +113,30 @@ def sweep_errors(fused_clients, fused_impostors) -> tuple[np.ndarray, np.ndarray
     # client rejected and no impostor accepted, the grid's top sentinel.
     scores = np.concatenate([clients, impostors, np.full((len(clients), 1), np.inf)], axis=1)
     _require_finite(scores[:, :-1], "client and impostor")
-    ranked, clients_below, first = _rank(scores, n_clients, kind="quicksort")
+    return _sweep(scores, n_clients, *_sweep_index(len(scores), n_clients, n_impostors))
+
+
+def _sweep_index(p: int, n_clients: int, n_impostors: int):
+    """What ``_sweep`` reads of (P, Nc + Ni + 1) rows besides the scores: the flat
+    row starts, a (P, 1) column, and the count ramp Ni - arange(Nc + Ni + 1)."""
+    width = n_clients + n_impostors + 1
+    return np.arange(0, p * width, width)[:, np.newaxis], n_impostors - np.arange(width)
+
+
+def _sweep(scores: np.ndarray, n_clients: int, row_starts: np.ndarray, ramp: np.ndarray):
+    """``sweep_errors`` of finite (P, Nc + Ni + 1) rows closed by +inf, given their index."""
+    n_impostors = scores.shape[1] - 1 - n_clients
+    ranked, clients_below, first = _rank(scores, n_clients, "quicksort", row_starts)
     # Counts at every run start (elsewhere they are not read).
-    accepted = clients_below + (n_impostors - np.arange(ranked.shape[1]))
+    accepted = clients_below + ramp
     far, frr = accepted / n_impostors, clients_below / n_clients
     diff = far - frr
     # Along the run starts FAR - FRR falls from +1 (the first) to -1 (the
     # sentinel): the crossing lies between the last run start above 0 and
     # the first one at or below it.
     past = first & (diff <= 0.0)
-    hi = np.argmax(past, axis=1)
-    lo = ranked.shape[1] - 1 - np.argmax((first & ~past)[:, ::-1], axis=1)
+    hi = past.argmax(axis=1)
+    lo = ranked.shape[1] - 1 - (first & ~past)[:, ::-1].argmax(axis=1)
     rows = np.arange(len(ranked))
     value = _interpolate(diff[rows, lo], diff[rows, hi], far[rows, lo], far[rows, hi])
     errors = np.where(first, accepted + clients_below, ranked.shape[1]).min(axis=1)
@@ -200,7 +214,7 @@ def evaluate_scores(fused_clients, fused_impostors) -> EvalReport:
     scores[0, n_clients:].sort()
     lowest_client, highest_impostor = scores[0, 0], scores[0, -1]
     # Presorted halves: the stable rank is one merge.
-    ranked, clients_below, first = _rank(scores, n_clients)
+    ranked, clients_below, first = _rank(scores, n_clients, "stable", 0)  # one row, at 0
     del scores
     starts = np.flatnonzero(first[0])
     del first

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import choqfuse
+from choqfuse import ga
 from choqfuse.cli import main as cli_main
 from choqfuse.aggregate import choquet_fuse_batch
 from choqfuse.data import LabeledScoreSet, synthetic_dataset
@@ -172,6 +173,79 @@ class TestPopulationFitness:
         genes = np.random.default_rng(229).uniform(GENE_EPS, 1.0 - GENE_EPS, (20, 3))
         eers, _ = population_fitness(genes, data)
         assert [eer_of(g, data) for g in genes] == eers.tolist()
+
+
+class TestWorkspace:
+    def test_successive_batches_return_independent_arrays(self):
+        data = synthetic_dataset()
+        rng = np.random.default_rng(233)
+        first_genes, second_genes = rng.uniform(GENE_EPS, 1.0 - GENE_EPS, (2, 30, 3))
+        kernel = ga._fitness_kernel(data)
+        for score in (lambda genes: population_fitness(genes, data), kernel):
+            first = score(first_genes)
+            kept = [a.copy() for a in first]
+            second = score(second_genes)
+            assert all(np.array_equal(a, b) for a, b in zip(first, kept))
+            assert [a.tolist() for a in second] != [a.tolist() for a in first]
+            arrays = list(first) + list(second)
+            assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
+                           for b in arrays[i + 1:])
+
+    def test_kernel_equals_the_public_fitness_across_batch_sizes(self):
+        data = synthetic_dataset()
+        kernel = ga._fitness_kernel(data)
+        rng = np.random.default_rng(239)
+        for size in (30, 30, 7, 1, 30):
+            genes = rng.uniform(GENE_EPS, 1.0 - GENE_EPS, (size, 3))
+            assert ([a.tolist() for a in kernel(genes)]
+                    == [a.tolist() for a in population_fitness(genes, data)])
+
+    def test_population_snapshots_outlive_later_generations(self):
+        snapshots = []
+
+        def keep(population, best):
+            snapshots.append((population, population.genes.copy(), population.eers.copy()))
+
+        evolve(synthetic_dataset(),
+               GaConfig(population_size=9, max_generations=30, eer_stop_threshold=0.0,
+                        rng_seed=5), on_generation=keep)
+        assert len(snapshots) == 31
+        for population, genes, eers in snapshots:
+            assert np.array_equal(population.genes, genes)
+            assert np.array_equal(population.eers, eers)
+        arrays = [a for population, _, _ in snapshots for a in (population.genes, population.eers)]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
+                       for b in arrays[i + 1:])
+
+
+class TestSurvivors:
+    @staticmethod
+    def two_sort_rule(eers, min_errors):
+        """The elite (row 0), then the best P - 1 of the rest, re-ranked."""
+        size = len(eers) // 2
+        rest = 1 + np.lexsort((min_errors[1:], eers[1:]))[: size - 1]
+        pick = np.concatenate([[0], rest])
+        return pick[np.lexsort((min_errors[pick], eers[pick]))]
+
+    def test_one_sort_equals_the_two_sort_rule(self):
+        # Keys from a few levels, so most pools are full of ties; every third
+        # pool has all offspring strictly better than the elite.
+        rng = np.random.default_rng(241)
+        beaten = 0
+        for trial in range(3000):
+            size = int(rng.integers(2, 12))
+            eers = rng.integers(0, 4, 2 * size) / 15
+            min_errors = rng.integers(0, 3, 2 * size) / 60
+            ranked = np.lexsort((min_errors[:size], eers[:size]))
+            eers[:size], min_errors[:size] = eers[ranked], min_errors[ranked]
+            if trial % 3 == 0:
+                better = rng.random(size) < 0.5
+                eers[size:] = np.where(better, eers[0], eers[0] - 1 / 15)
+                min_errors[size:] = np.where(better, min_errors[0] - 1 / 60, min_errors[size:])
+            keep = ga._survivors(eers, min_errors)
+            assert keep.tolist() == self.two_sort_rule(eers, min_errors).tolist(), trial
+            beaten += 0 not in keep[:-1]
+        assert beaten >= 1000
 
 
 class TestSelectParents:

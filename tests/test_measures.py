@@ -1,5 +1,6 @@
 """Sugeno lambda-measure construction and validation."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -155,6 +156,38 @@ class TestSolveLambda:
                 exact = (1 - m1 - m2) / (m1 * m2)
                 assert abs(Decimal(lam) - exact) <= 2 * Decimal(math.ulp(float(exact))), d
 
+    def test_two_densities_with_a_subnormal_product_stay_within_an_ulp_and_a_half(self):
+        # Where e2 = m1*m2 is subnormal (lambda within a factor 4 of the
+        # largest float) it has lost digits, so lambda is (-c / m1) / m2;
+        # checked in 60-digit decimal arithmetic on the float densities.
+        rng = np.random.default_rng(53)
+        exponents = rng.integers(-1000, -22, 400)
+        rows = np.column_stack([np.ldexp(rng.uniform(0.5, 1.0, 400), exponents),
+                                np.ldexp(rng.uniform(0.5, 1.0, 400), -1023 - exponents)])
+        rows = np.vstack([[[1e-154, 5.7e-155], [0.5, 2.0 ** -1023]], rows])
+        with localcontext() as ctx:
+            ctx.prec = 60
+            exact = [(1 - m1 - m2) / (m1 * m2) for m1, m2 in
+                     ((Decimal(a), Decimal(b)) for a, b in rows.tolist())]
+            keep = [x < Decimal(np.finfo(float).max) for x in exact]
+            rows = rows[keep]
+            exact = [x for x, k in zip(exact, keep) if k]
+            assert len(rows) > 200 and (rows.prod(axis=1) < np.finfo(float).tiny).all()
+            for d, lam, x in zip(rows.tolist(), solve_lambda_batch(rows).tolist(), exact):
+                assert abs(Decimal(lam) - x) <= Decimal(1.5) * Decimal(math.ulp(float(x))), d
+
+    def test_two_densities_with_a_normal_product_keep_their_bits(self):
+        # 10^5 rows whose m1*m2 is a normal float: lambda is -c / e2, bit
+        # for bit as before the subnormal case was split off (ldexp draws,
+        # so the rows do not depend on numpy's SIMD level either).
+        rng = np.random.default_rng(47)
+        rows = np.vstack([rng.uniform(GENE_EPS, 1.0 - GENE_EPS, (50_000, 2)),
+                          np.ldexp(rng.uniform(0.5, 1.0, (50_000, 2)),
+                                   rng.integers(-500, 0, (50_000, 2)))])
+        assert (rows.prod(axis=1) >= np.finfo(float).tiny).all()
+        digest = hashlib.sha256(solve_lambda_batch(rows).tobytes()).hexdigest()
+        assert digest == "4d0ea86223d450921ff94824d40b4e777224f1cc0af44f268ac6b48c4c633cac"
+
     @pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
     def test_tiny_equal_densities_meet_the_contract_or_are_refused(self, n):
         # Never a RuntimeWarning (an error under the test settings) or a
@@ -251,16 +284,16 @@ class TestSolveLambdaBatch:
                 worst = max(worst, abs(Decimal(lam) - exact) / Decimal(math.ulp(float(exact))))
         assert worst <= max_ulps
 
-    def test_two_and_three_densities_do_not_depend_on_the_simd_level(self):
-        # The closed form uses only +, -, *, / and sqrt, which every numpy
-        # build rounds correctly; a host without AVX-512 runs the same code
-        # twice, which also passes.
+    @staticmethod
+    def roots_at_both_simd_levels(widths):
+        """Per SIMD level (numpy's default, then AVX-512 dispatch disabled), the
+        hex bytes of the roots of 2000 clamp-corner rows per width, one line each."""
         script = (
             "import sys, numpy as np\n"
             "from choqfuse.ga import GENE_EPS\n"
             "from choqfuse.measures import solve_lambda_batch\n"
             "rng = np.random.default_rng(7)\n"
-            "for n in (2, 3):\n"
+            f"for n in {tuple(widths)!r}:\n"
             "    pick = rng.integers(0, 3, (2000, n))\n"
             "    rows = rng.uniform(GENE_EPS, 1.0 - GENE_EPS, (2000, n))\n"
             "    rows[pick == 0], rows[pick == 1] = GENE_EPS, 1.0 - GENE_EPS\n"
@@ -276,7 +309,28 @@ class TestSolveLambdaBatch:
             run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                                  text=True, timeout=120, check=True)
             outputs.append(run.stdout)
+        return outputs
+
+    def test_two_and_three_densities_do_not_depend_on_the_simd_level(self):
+        # The closed form uses only +, -, *, / and sqrt, which every numpy
+        # build rounds correctly; a host without AVX-512 runs the same code
+        # twice, which also passes.
+        outputs = self.roots_at_both_simd_levels((2, 3))
         assert len(outputs[0].split()) == 2 and outputs[0] == outputs[1]
+
+    def test_four_or_more_densities_agree_across_simd_levels_to_about_1e_10(self):
+        # Newton steps through numpy's log1p, exp and expm1, whose AVX-512
+        # paths round differently, so for n >= 4 the README promises no bit
+        # identity: most roots match, the rest differ in the last bits, and
+        # ill-conditioned clamp corners such as (1 - 1e-6, 1e-6, 1e-6, 1e-6),
+        # whose residual pins lambda only to about 1e-10, by up to that much.
+        widths = (4, 6, 8)
+        default, narrow = ([np.frombuffer(bytes.fromhex(line)) for line in out.split()]
+                           for out in self.roots_at_both_simd_levels(widths))
+        assert len(default) == len(narrow) == len(widths)
+        for a, b in zip(default, narrow):
+            assert np.count_nonzero(a != b) <= len(a) // 10
+            assert np.all(np.abs(a - b) <= 1e-9 * np.abs(a))
 
     def test_additive_rows_are_exactly_zero(self):
         rows = [[0.5, 0.5], [0.25, 0.75], [0.3, 0.7]]
