@@ -14,6 +14,7 @@ rules) are provided for benchmarking.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ __all__ = [
 SCORE_RULES = ("choquet", "mean", "prod", "min", "max", "weighted_sum")
 DECISION_RULES = ("and", "or", "majority_vote")
 RULE_TAGS = SCORE_RULES + DECISION_RULES
+
+_CHUNK_ROWS = 65_536  # rows choquet_fuse_batch fuses at a time
 
 
 def _as_score_matrix(scores, n: int | None = None) -> np.ndarray:
@@ -67,7 +70,16 @@ class SortedScores:
     """
 
     def __init__(self, scores, n: int | None = None):
-        a = _as_score_matrix(scores, n)
+        self._sort(_as_score_matrix(scores, n))
+
+    @classmethod
+    def _of_checked(cls, a: np.ndarray) -> SortedScores:
+        """``SortedScores`` of a matrix ``_as_score_matrix`` has already checked."""
+        self = cls.__new__(cls)
+        self._sort(a)
+        return self
+
+    def _sort(self, a: np.ndarray) -> None:
         order = np.argsort(a, axis=1, kind="stable").astype(np.int64, copy=False)
         n = order.shape[1]
         # Increments in place, right to left, so each column still reads
@@ -109,10 +121,39 @@ def choquet_fuse(scores, measure: LambdaMeasure | TableMeasure) -> float:
     return float(choquet_fuse_batch(a, measure)[0])
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def choquet_fuse_batch(scores, measure: LambdaMeasure | TableMeasure) -> np.ndarray:
-    """Choquet integral of each row of a score matrix. Vectorized."""
-    table = measure.dense_table()
-    return SortedScores(scores, measure.n).fuse(table[np.newaxis])[0]
+    """Choquet integral of each row of a score matrix. Vectorized.
+
+    The matrix is checked whole, then fused in chunks of ``_CHUNK_ROWS`` rows,
+    on one thread per CPU (at most one per chunk) when there are several of
+    each.  Rows are independent, so the bits do not depend on either count.
+    """
+    a = _as_score_matrix(scores, measure.n)
+    table = measure.dense_table()[np.newaxis]
+    fused = np.empty(len(a))
+
+    def fuse_chunk(lo: int) -> None:
+        hi = lo + _CHUNK_ROWS
+        SortedScores._of_checked(a[lo:hi]).fuse(table, out=fused[np.newaxis, lo:hi])
+
+    starts = range(0, len(a), _CHUNK_ROWS)
+    workers = min(_cpu_count(), len(starts))
+    if workers < 2:
+        for lo in starts:
+            fuse_chunk(lo)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # only large batches pay the import
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(fuse_chunk, starts))  # reading every result re-raises a chunk's error
+    return fused
 
 
 def _normalized_weights(weights, n: int) -> np.ndarray:

@@ -78,19 +78,18 @@ def _interpolate(d0, d1, lo, hi):
     return np.where(d1 == 0.0, hi, lo + d0 / (d0 - d1) * (hi - lo))
 
 
-def _crossing(grid: np.ndarray, far: np.ndarray, frr: np.ndarray):
-    """EER and its threshold for every row of (P, K) curves on (P, K) grids.
+def _crossing(grid: np.ndarray, far: np.ndarray, frr: np.ndarray) -> tuple[float, float]:
+    """EER and its threshold of FAR and FRR curves on a grid.
 
     FAR - FRR starts at +1 (everything accepted) and ends at -1; the EER is
     read at the first candidate at or past the crossing, linearly
     interpolated from the candidate before it unless FAR = FRR exactly.
     """
     diff = far - frr
-    rows = np.arange(len(diff))
-    k = np.argmax(diff <= 0.0, axis=1)
-    d0, d1 = diff[rows, k - 1], diff[rows, k]
-    return (_interpolate(d0, d1, far[rows, k - 1], far[rows, k]),
-            _interpolate(d0, d1, grid[rows, k - 1], grid[rows, k]))
+    k = int(np.argmax(diff <= 0.0))
+    d0, d1 = diff[k - 1], diff[k]
+    return (float(_interpolate(d0, d1, far[k - 1], far[k])),
+            float(_interpolate(d0, d1, grid[k - 1], grid[k])))
 
 
 def sweep_errors(fused_clients, fused_impostors) -> tuple[np.ndarray, np.ndarray]:
@@ -239,8 +238,7 @@ def evaluate_scores(fused_clients, fused_impostors) -> EvalReport:
     if lowest_client > highest_impostor:
         eer_value, eer_threshold = 0.0, float(highest_impostor + lowest_client) / 2.0
     else:
-        value, threshold = _crossing(grid[np.newaxis], far[np.newaxis], frr[np.newaxis])
-        eer_value, eer_threshold = float(value[0]), float(threshold[0])
+        eer_value, eer_threshold = _crossing(grid, far, frr)
     for arr in (grid, far, frr):
         arr.flags.writeable = False
     return EvalReport(

@@ -1,10 +1,19 @@
 """Choquet integral and classical fusion rules."""
 
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import choqfuse
+from choqfuse import aggregate
 from choqfuse.aggregate import (
     FusionRule,
+    SortedScores,
     choquet_fuse,
     choquet_fuse_batch,
     rule_fuse_batch,
@@ -161,6 +170,69 @@ class TestChoquetFuse:
             choquet_fuse((0.5, 1.2, 0.1), m)
         with pytest.raises(ValueError):
             choquet_fuse((-0.1, 0.2, 0.1), m)
+
+
+CHUNK = aggregate._CHUNK_ROWS
+# Not additive: m(A) = (sum of the weights in A)^2 for weights .5, .3, .2.
+SQUARED_WEIGHTS = TableMeasure({m: sum(w for i, w in enumerate((0.5, 0.3, 0.2)) if m >> i & 1) ** 2
+                                for m in range(8)})
+
+
+def tied_scores(rows, seed=71):
+    """3-decimal scores drawn from 21 levels: most rows hold a tie."""
+    return np.round(np.random.default_rng(seed).integers(0, 21, (rows, 3)) * 0.05, 3)
+
+
+@pytest.fixture(params=[1, 4], ids=["1-cpu", "4-cpus"])
+def cpus(request, monkeypatch):
+    monkeypatch.setattr(aggregate, "_cpu_count", lambda: request.param)
+    return request.param
+
+
+class TestChunkedFusion:
+    @pytest.mark.parametrize("measure", [LambdaMeasure((0.35, 0.25, 0.3)), SQUARED_WEIGHTS],
+                             ids=["lambda", "table"])
+    @pytest.mark.parametrize("rows", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    def test_chunks_give_the_bits_of_one_piece(self, cpus, measure, rows):
+        a = tied_scores(rows)
+        expected = SortedScores(a, 3).fuse(measure.dense_table()[np.newaxis])[0]
+        fused = choquet_fuse_batch(a, measure)
+        assert fused.shape == (rows,)
+        assert fused.tobytes() == expected.tobytes()
+
+    def test_a_vector_is_one_row(self, cpus):
+        m = LambdaMeasure((0.35, 0.25, 0.3))
+        fused = choquet_fuse_batch((0.7, 0.8, 0.9), m)
+        assert fused.shape == (1,) and fused[0] == choquet_fuse((0.7, 0.8, 0.9), m)
+
+    def test_a_bad_cell_in_the_third_chunk_reports_its_global_row(self, cpus):
+        a = tied_scores(3 * CHUNK + 7)
+        row = 2 * CHUNK + 5
+        a[row, 1] = 1.5
+        with pytest.raises(ValueError) as raised:
+            choquet_fuse_batch(a, LambdaMeasure((0.35, 0.25, 0.3)))
+        assert str(raised.value) == f"score [{row},1] = {a[row, 1]!r} outside [0, 1]"
+
+    def test_no_thread_outlives_a_call(self, cpus):
+        m = LambdaMeasure((0.35, 0.25, 0.3))
+        a = tied_scores(2 * CHUNK + 1)
+        before = threading.active_count()
+        choquet_fuse_batch(a, m)
+        assert threading.active_count() == before
+        a[-1, 0] = np.nan
+        with pytest.raises(ValueError):
+            choquet_fuse_batch(a, m)
+        assert threading.active_count() == before
+
+    def test_a_one_chunk_batch_does_not_import_the_thread_pool(self):
+        script = ("import sys\nimport numpy as np\nfrom choqfuse import LambdaMeasure\n"
+                  "from choqfuse.aggregate import _CHUNK_ROWS, choquet_fuse_batch\n"
+                  "choquet_fuse_batch(np.full((_CHUNK_ROWS, 3), 0.5), LambdaMeasure((0.35, 0.25, 0.3)))\n"
+                  "print('concurrent.futures' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(choqfuse.__file__).resolve().parents[1]))
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert run.stdout == "False\n"
 
 
 class TestFusionRules:

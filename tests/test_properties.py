@@ -119,8 +119,7 @@ def _reference_evaluation(clients, impostors):
     if clients[0] > impostors[-1]:
         value, threshold = 0.0, float(impostors[-1] + clients[0]) / 2.0
     else:
-        values, thresholds = _crossing(grid[np.newaxis], far[np.newaxis], frr[np.newaxis])
-        value, threshold = float(values[0]), float(thresholds[0])
+        value, threshold = _crossing(grid, far, frr)
 
     def error_rate_at(t):
         fa = int(np.count_nonzero(impostors >= t))
