@@ -112,13 +112,13 @@ class SortedScores:
 def choquet_fuse(scores, measure: LambdaMeasure | TableMeasure) -> float:
     """Choquet integral of one score vector against a fuzzy measure.
 
-    The one-row case of ``choquet_fuse_batch``.
+    The one-row case of ``choquet_fuse_batch``, checked once.
     """
     a = _as_score_matrix(scores, measure.n)
     if a.shape[0] != 1:
         raise ValueError("choquet_fuse takes a single score vector; use "
                          "choquet_fuse_batch for matrices")
-    return float(choquet_fuse_batch(a, measure)[0])
+    return float(SortedScores._of_checked(a).fuse(measure.dense_table()[np.newaxis])[0, 0])
 
 
 def _cpu_count() -> int:

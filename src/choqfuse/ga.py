@@ -29,8 +29,9 @@ drawn in this order:
 
 Blocks are always full, wherever a run stops, so a seed fixes the whole
 run and results do not depend on evaluation order.  The mutation power is
-scalar ``math.pow``, so for n <= 3 (lambda in closed form) the bits of a
-run do not depend on numpy's SIMD level either.
+scalar ``math.pow`` and lambda is solved with +, -, *, /, sqrt and powers
+of two only, so the bits of a run do not depend on numpy's SIMD level
+either.
 """
 
 from __future__ import annotations

@@ -42,11 +42,10 @@ ROOT_RESIDUAL_TOL = 1e-10
 # Iteration budget of the Newton loop, which solves n > 3 and the n <= 3
 # rows whose closed-form root misses the contract (roots past about 1e150
 # for n = 3, near the largest float for n = 2).  From the quadratic start
-# it typically converges in under 10 for n > 3; rows with n >= 8 and lambda
-# near -1, and extreme roots (densities at the 1e-6 clamp bounds, n <= 16),
-# took at most 32 with bisection steps mixed in, and roots past 1e40 up to 163.
+# it typically converges in under 10.  Over 44,000 rows with n = 2..16
+# (uniform, at the 1e-6 clamp bounds, log-uniform down to 1e-300) it took
+# at most 31 (n >= 8, lambda near -1), and 27 for roots past 1e40.
 _MAX_ITER = 200
-_EPS = np.finfo(float).eps
 _FLOAT_MAX = np.finfo(float).max
 _FLOAT_TINY = np.finfo(float).tiny
 _ABOVE_MINUS_ONE = np.nextafter(-1.0, 0.0)
@@ -86,35 +85,6 @@ def _as_densities(densities: Iterable[float]) -> tuple[float, ...]:
     return tuple(_as_density_matrix([[float(v) for v in densities]])[0].tolist())
 
 
-def _residual(d: np.ndarray, lam: np.ndarray):
-    """Per row: g(lambda), dg/dlambda and an estimate of the rounding error of g.
-
-    g(lambda) = [prod(1 + lambda*m_i) - lambda - 1] / lambda has the same
-    nonzero root as the raw residual but stays numerically resolvable where
-    the raw form cancels to noise: g -> sum(m_i) - 1 as lambda -> 0, and
-    g -> -prod(1 - m_i) as lambda -> -1.  The product is evaluated through
-    log1p/expm1 to keep those limits exact.  g increases through its root on
-    both search branches (it is the slope of the convex raw residual's
-    secant through 0).  Every operation is elementwise or row-wise, so a
-    row's values do not depend on the other rows.
-    """
-    scaled = lam[:, None] * d
-    log_prod = np.log1p(scaled).sum(axis=1)
-    prod = np.exp(log_prod)
-    big = np.abs(lam) >= 0.5
-    # Far from zero prod and (1 + lam) are far apart, and direct subtraction
-    # survives prod -> 0; near zero expm1 keeps the relative precision of
-    # prod - 1.
-    g = np.where(big, (prod - (1.0 + lam)) / lam, np.expm1(log_prod) / lam - 1.0)
-    slope = (prod * (d / (1.0 + scaled)).sum(axis=1) - 1.0 - g) / lam
-    spread = np.where(
-        big,
-        (prod * (1.0 + np.abs(log_prod)) + np.abs(1.0 + lam)) / np.abs(lam),
-        1.0 + np.abs(g + 1.0) + prod * np.abs(log_prod / lam),
-    )
-    return g, slope, (d.shape[1] + 3) * _EPS * spread
-
-
 def _excess(d: np.ndarray) -> np.ndarray:
     """Per row sum(m_i) - 1 as if summed in twice the precision: TwoSum steps
     whose rounding errors are summed on the side (Ogita, Rump and Oishi,
@@ -126,6 +96,45 @@ def _excess(d: np.ndarray) -> np.ndarray:
         err = err + ((s - (t - z)) + (m - z))
         s = t
     return s + err
+
+
+def _times_plus(a, b, c):
+    """a * b + c for numbers held as (mantissa, exponent) pairs, worth
+    mantissa * 2^exponent: rounded as in floats, but the integer exponent
+    kept apart never overflows or underflows."""
+    product = a[1] + b[1]
+    top = np.maximum(product, c[1])
+    mantissa, shift = np.frexp(np.ldexp(a[0] * b[0], product - top) + np.ldexp(c[0], c[1] - top))
+    return mantissa, top + shift
+
+
+def _coefficients(d: np.ndarray, c: np.ndarray) -> list:
+    """Per row c, e2, ..., e_n as (mantissa, exponent) pairs: the coefficients of g.
+
+    e_k, the k-th elementary symmetric sum of the densities, comes from the
+    recurrence e_k += m * e_(k-1), a sum of positive terms, so it keeps its
+    digits however small it is.
+    """
+    m, k = np.frexp(d)
+    # Column j holds e_j of the densities so far; a zero mantissa carries a
+    # far negative exponent, so it never outweighs a nonzero addend.
+    e = np.zeros((len(d), d.shape[1] + 1)), np.full((len(d), d.shape[1] + 1), -(1 << 20))
+    e[0][:, 0], e[1][:, 0] = 1.0, 0
+    for i in range(d.shape[1]):
+        e[0][:, 1:], e[1][:, 1:] = _times_plus((e[0][:, :-1], e[1][:, :-1]), (m[:, i:i + 1], k[:, i:i + 1]),
+                                               (e[0][:, 1:], e[1][:, 1:]))
+    return [np.frexp(c), *zip(e[0].T[2:], e[1].T[2:])]
+
+
+def _polynomial(coefs: list, x: np.ndarray):
+    """g(x) and g'(x) per row as (mantissa, exponent) pairs, by Horner's rule."""
+    x = np.frexp(x)
+    slope = coefs[-1]
+    g = _times_plus(slope, x, coefs[-2])
+    for coef in coefs[-3::-1]:
+        slope = _times_plus(slope, x, g)
+        g = _times_plus(g, x, coef)
+    return g, slope
 
 
 def _misses_contract(d: np.ndarray, x: np.ndarray):
@@ -150,31 +159,18 @@ def _solve(d: np.ndarray) -> np.ndarray:
     if rows.size == 0:
         return roots
     d = d[rows]
-    # g(lam) = c + e2*lam + e3*lam^2 + ... + e_n*lam^(n-1) with c = sum(m_i) - 1
-    # and e_k the k-th elementary symmetric sum of the densities.  For lam > 0
-    # every term past the linear one is positive, so the positive root lies
-    # in (0, -c / e2]; a negative root lies in (-1, 0).  The root of the
-    # quadratic truncation c + e2*lam + e3*lam^2, in the cancellation-free
-    # form, is the exact root for n <= 3, there with c summed compensated;
-    # for n = 2 (e3 = 0) it is -c / e2, which stays exact where e2^2
-    # underflows, and (-c / m1) / m2 where e2 = m1*m2 is subnormal (fewer
-    # digits).  For n > 3 it starts Newton: a tighter upper bound than
-    # -c / e2 on the positive side, only a guess on the negative side.
+    # g(lam) = c + e2*lam + e3*lam^2 + ... + e_n*lam^(n-1) is the lambda
+    # equation divided by its root 0, with c = sum(m_i) - 1 summed
+    # compensated and e_k the k-th elementary symmetric sum of the densities.
+    # The root of the quadratic truncation c + e2*lam + e3*lam^2, in the
+    # cancellation-free form, is the exact root for n <= 3; for n = 2
+    # (e3 = 0) it is -c / e2, which stays exact where e2^2 underflows, and
+    # (-c / m1) / m2 where e2 = m1*m2 is subnormal (fewer digits).  For n > 3
+    # it starts Newton: an upper bound of a positive root, a guess otherwise.
     pairs = d.cumsum(axis=1)[:, :-1] * d[:, 1:]
     e2 = pairs.sum(axis=1)
     e3 = (pairs.cumsum(axis=1)[:, :-1] * d[:, 2:]).sum(axis=1)
-    closed = d.shape[1] <= 3
-    c = _excess(d) if closed else total[rows] - 1.0
-    # Where the bound -c / e2 passes the largest float, so may the root.  The
-    # raw residual prod(1 + lam*m_i) - lam - 1 is negative between 0 and a
-    # positive root: still negative at the largest float (compared in logs,
-    # where nothing overflows), the row has no float lambda.
-    beyond = e2 < -c / _FLOAT_MAX
-    if beyond.any():
-        huge = np.log1p(_FLOAT_MAX * d[beyond]).sum(axis=1) < np.log1p(_FLOAT_MAX)
-        if huge.any():
-            raise ValueError(f"densities {d[beyond][np.argmax(huge)].tolist()} are too "
-                             f"small: their lambda exceeds the largest float")
+    c = _excess(d)
     quadratic = (np.where(e2 < _FLOAT_TINY, -c / d[:, 0] / d[:, 1], -c / e2) if d.shape[1] == 2
                  else -2.0 * c / (e2 + np.sqrt(np.maximum(e2 * e2 - 4.0 * e3 * c, 0.0))))
     # A root within one ulp of -1 can land on -1, where the measure is
@@ -182,65 +178,64 @@ def _solve(d: np.ndarray) -> np.ndarray:
     # that miss the contract (extreme ones, where e2^2, e3 or the root leave
     # the float range) go on to Newton.
     x = np.maximum(quadratic, _ABOVE_MINUS_ONE)
-    retry = _misses_contract(d, x)[1] if closed else np.full(len(d), True)
+    retry = _misses_contract(d, x)[1] if d.shape[1] <= 3 else np.full(len(d), True)
     if retry.any():
-        # A root near the largest float caps the bound -c / e2 at it.
-        linear = np.minimum(-c[retry] / e2[retry], _FLOAT_MAX)
-        x[retry] = _newton(d[retry], linear, quadratic[retry])
+        x[retry] = _newton(d[retry], c[retry], -c[retry] / e2[retry], quadratic[retry])
     roots[rows] = x
     return roots
 
 
-def _newton(d: np.ndarray, linear: np.ndarray, start: np.ndarray) -> np.ndarray:
+def _newton(d: np.ndarray, c: np.ndarray, linear: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Safeguarded Newton on g from ``start``, then the contract check.
 
-    A positive ``linear`` (-c / e2) bounds a positive root from above; for a
-    root in (-1, 0) a ``start`` outside it gives way to ``linear``, no lower
-    than -0.5."""
+    g increases on (-1, inf): it is the slope of the convex raw residual's
+    secant through 0.  With c > 0 the root lies in (-1, 0), where a
+    ``start`` outside gives way to ``linear`` (-c / e2), no lower than -0.5.
+    With c < 0 it lies in (min(linear, 1) / 2, linear]: g < c + 2*e2*lam
+    below, as e_k <= e2 * e1^(k-2) and e1 < 1.
+    """
+    coefs = _coefficients(d, c)
     positive = linear > 0.0
-    lo = np.where(positive, 0.0, -1.0)
-    hi = np.where(positive, linear, 0.0)
+    lo = np.where(positive, 0.5 * np.minimum(linear, 1.0), -1.0)
+    hi = np.where(positive, np.minimum(linear, _FLOAT_MAX), 0.0)
     inside = (start > -1.0) & (start < 0.0)
-    x = np.where(positive | inside, start, np.maximum(linear, -0.5))
-    # A start past the largest float starts at the bound; a residual there is
-    # infinite (or NaN) where prod(1 + lam*m_i) passes it.
-    x = np.where(np.isinf(x), hi, x)
+    x = np.where(positive | inside, np.minimum(start, hi), np.maximum(linear, -0.5))
+    # Where -c / e2 passes the largest float, so may the root: g is tried there first.
+    x[linear > _FLOAT_MAX] = _FLOAT_MAX
     last_step = hi - lo
     done = np.zeros(len(d), dtype=bool)
     for _ in range(_MAX_ITER):
-        g, slope, noise = _residual(d, x)
+        (g, g_exp), (slope, slope_exp) = _polynomial(coefs, x)
         below = g < 0.0
+        beyond = below & (x == _FLOAT_MAX)
+        if beyond.any():
+            raise ValueError(f"densities {d[np.argmax(beyond)].tolist()} are too "
+                             f"small: their lambda exceeds the largest float")
         lo = np.where(below, x, lo)
         hi = np.where(below, hi, x)
-        newton = x - g / slope
+        newton = x - np.ldexp(g / slope, g_exp - slope_exp)
         newton_step = np.abs(newton - x)
         # Newton while it stays inside the bracket and at least halves the
-        # previous step; bisection otherwise, geometric (over exponents)
-        # from an overflowed residual, which lies far above a huge root.
-        take = (newton > lo) & (newton < hi) & (newton_step <= 0.5 * last_step)
-        middle = np.where(np.isfinite(g), 0.5 * lo + 0.5 * hi,
-                          np.sqrt(np.maximum(lo, 1.0)) * np.sqrt(hi))
+        # previous step, bisection otherwise.  Over a bracket wider than a
+        # factor 2 bisection is over exponents, and Newton must do better:
+        # far above a root it shrinks x by (k - 1) / k, k the dominant degree.
+        wide = (lo > 0.0) & (hi > 2.0 * lo)
+        take = (newton > lo) & (newton < hi) & (newton_step <= np.where(wide, 0.4, 0.5) * last_step)
+        middle = np.where(wide, np.sqrt(lo) * np.sqrt(hi), 0.5 * lo + 0.5 * hi)
         step_to = np.where(take, newton, middle)
         last_step = np.abs(step_to - x)
         # Converged once the Newton step is below 2^-30 |x| (quadratic
-        # convergence leaves an error far below one ulp after it) or g is
-        # within a finite bound on its rounding error (its sign is noise);
-        # never at an overflowed Newton point.
-        converged = np.isfinite(newton) & ((newton_step <= 2.0 ** -30 * np.abs(x)) | (step_to == x)
-                                           | ((np.abs(g) <= noise) & np.isfinite(noise)))
+        # convergence leaves an error far below one ulp after it) or the
+        # bracket has closed on x.
+        close = newton_step <= 2.0 ** -30 * np.abs(x)
+        converged = close | (step_to == x)
         # Finished rows stay frozen, so no row depends on the others.
-        x = np.where(done, x, np.where(converged, newton, step_to))
+        x = np.where(done, x, np.where(close, newton, step_to))
         done |= converged
         if done.all():
             break
     x = np.maximum(x, _ABOVE_MINUS_ONE)
-    # g loses |log prod| ulps where the plain product keeps a few per
-    # density, so huge roots that g left too coarse take one Newton step on f.
     f, failed = _misses_contract(d, x)
-    if failed.any():
-        factors = 1.0 + x[:, None] * d
-        x = np.where(failed, x - f / (factors.prod(axis=1) * (d / factors).sum(axis=1) - 1.0), x)
-        f, failed = _misses_contract(d, x)
     if failed.any():
         k = int(np.argmax(failed))
         raise ConvergenceError(f"root residual {abs(f[k]):.3e} exceeds {ROOT_RESIDUAL_TOL} at "
@@ -257,11 +252,13 @@ def solve_lambda_batch(densities) -> np.ndarray:
     by the density sum (positive when the sum is below 1, inside (-1, 0)
     when above).  For n <= 3 it is the root of the quadratic
     c + e2*lambda + e3*lambda^2 (c = sum(m_i) - 1 summed compensated, e_k the
-    elementary symmetric sums), in closed form with only +, -, *, / and
-    sqrt, so its bits do not depend on the CPU.  For n > 3, and for the
+    elementary symmetric sums), in closed form.  For n > 3, and for the
     rare n <= 3 rows whose closed form misses the residual contract, Newton
-    steps on the lambda-normalized residual, safeguarded by bisection of
-    that bracket, start at that quadratic root.  Rows are solved
+    steps on the polynomial c + e2*lambda + ... + e_n*lambda^(n-1) by
+    Horner's rule, safeguarded by bisection of its bracket, start at that
+    quadratic root; exponents are held apart, so no term overflows or
+    underflows.  Only +, -, *, /, sqrt and exact scalings by powers of two
+    are used, so the bits do not depend on the CPU.  Rows are solved
     independently: a row's root does not depend on the other rows.
 
     Raises ``ValueError`` for rows of fewer than two densities, densities

@@ -116,6 +116,20 @@ class TestChoquetFuse:
         singles = [choquet_fuse(row, m) for row in a]
         np.testing.assert_allclose(batch, singles, atol=1e-15)
 
+    def test_a_single_vector_is_checked_once(self, monkeypatch):
+        m = LambdaMeasure((0.35, 0.25, 0.3))
+        a = np.random.default_rng(41).uniform(0, 1, (20, 3))
+        batch = choquet_fuse_batch(a, m).tolist()
+        checks, check = [], aggregate._as_score_matrix
+
+        def counted(scores, n=None):
+            checks.append(n)
+            return check(scores, n)
+
+        monkeypatch.setattr(aggregate, "_as_score_matrix", counted)
+        assert [choquet_fuse(row, m) for row in a] == batch
+        assert checks == [3] * len(a)
+
     def test_sum_runs_left_to_right_over_sorted_positions(self):
         # Reference: plain Python loop, ((d0*w0 + d1*w1) + d2*w2).  Rows
         # where another association order rounds differently are kept, so
