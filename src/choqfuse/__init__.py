@@ -39,12 +39,10 @@ from .ga import (
 from .measures import (
     ConvergenceError,
     LambdaMeasure,
-    MeasureViolation,
     TableMeasure,
     lambda_tables,
     solve_lambda,
     solve_lambda_batch,
-    validate_measure,
 )
 from .metrics import (
     EvalReport,
@@ -64,7 +62,6 @@ __all__ = [
     "GenerationRecord",
     "LabeledScoreSet",
     "LambdaMeasure",
-    "MeasureViolation",
     "Population",
     "RULE_TAGS",
     "SortedScores",
@@ -87,7 +84,6 @@ __all__ = [
     "sweep_errors",
     "synthetic_csv_path",
     "synthetic_dataset",
-    "validate_measure",
     "write_csv",
     "write_roc_csv",
 ]

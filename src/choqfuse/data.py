@@ -181,54 +181,63 @@ def load_csv(path, normalize: bool = False) -> LabeledScoreSet:
     rows (clients and impostors together); otherwise raw values outside
     [0, 1] are rejected with the offending row and column named.  Of several
     faults the first in file order is reported, row by row and, within a
-    row, column by column.
+    row, column by column.  Broken CSV quoting and text that is not UTF-8
+    are data errors too (``DataFormatError``).
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if len(header) < 3 or header[0].lower() != "person_id" or header[1].lower() != "label":
-            raise DataFormatError(
-                f"{path}: malformed header {header!r}; expected "
-                f"person_id,label,m1,...,mk"
-            )
-        column_names = header[2:]
-        # Columnar: one id and one class flag per row, the scores in one flat
-        # buffer, so no Python object is kept per row or per cell.
-        ids: list[str] = []
-        is_client = bytearray()
-        values = array("d")
-
-        def fail(message: str):
-            # A bad score in an earlier row comes first in file order.
-            _check_scores(path, column_names, values, normalize)
-            raise DataFormatError(f"{path}: {message}")
-
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                fail(f"row {line_no} has {len(row)} fields, header has {len(header)}")
-            pid = row[0].strip()
-            if not pid:
-                fail(f"row {line_no} has an empty person_id")
-            label = row[1].strip().lower()
-            if label not in ("client", "impostor"):
-                fail(f"row {line_no} has unknown label {row[1]!r}")
+    line_no = 0  # the last row read: a csv.Error comes from the next one
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                values.extend(map(float, row[2:]))
-            except ValueError:
-                # The cells before the failing one stay in ``values``, in
-                # file order, so ``fail`` checks them first.
-                errors = (_cell_error(line_no, col, cell, normalize)
-                          for col, cell in zip(column_names, row[2:]))
-                fail(next(e for e in errors if e))
-            ids.append(pid)
-            is_client.append(label == "client")
+                header = next(reader)
+            except StopIteration:
+                raise DataFormatError(f"{path}: empty file") from None
+            line_no = 1
+            header = [h.strip() for h in header]
+            if (len(header) < 3 or header[0].lower() != "person_id"
+                    or header[1].lower() != "label"):
+                raise DataFormatError(
+                    f"{path}: malformed header {header!r}; expected "
+                    f"person_id,label,m1,...,mk"
+                )
+            column_names = header[2:]
+            # Columnar: one id and one class flag per row, the scores in one flat
+            # buffer, so no Python object is kept per row or per cell.
+            ids: list[str] = []
+            is_client = bytearray()
+            values = array("d")
 
+            def fail(message: str):
+                # A bad score in an earlier row comes first in file order.
+                _check_scores(path, column_names, values, normalize)
+                raise DataFormatError(f"{path}: {message}")
+
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    fail(f"row {line_no} has {len(row)} fields, header has {len(header)}")
+                pid = row[0].strip()
+                if not pid:
+                    fail(f"row {line_no} has an empty person_id")
+                label = row[1].strip().lower()
+                if label not in ("client", "impostor"):
+                    fail(f"row {line_no} has unknown label {row[1]!r}")
+                try:
+                    values.extend(map(float, row[2:]))
+                except ValueError:
+                    # The cells before the failing one stay in ``values``, in
+                    # file order, so ``fail`` checks them first.
+                    errors = (_cell_error(line_no, col, cell, normalize)
+                              for col, cell in zip(column_names, row[2:]))
+                    fail(next(e for e in errors if e))
+                ids.append(pid)
+                is_client.append(label == "client")
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: row {line_no + 1} is not valid CSV ({exc})") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason}: "
+                              f"{exc.object[exc.start:exc.end]!r})") from None
     _check_scores(path, column_names, values, normalize)
     if not ids:
         raise DataFormatError(f"{path}: no data rows")

@@ -44,7 +44,7 @@ import numpy as np
 
 from .aggregate import SortedScores
 from .data import LabeledScoreSet
-from .measures import _as_density_matrix, _tables
+from .measures import _as_density_matrix, _solve, _tables
 from .metrics import _sweep, _sweep_index
 
 __all__ = [
@@ -172,7 +172,7 @@ def _fitness_kernel(
             fused = np.empty((len(genes), n_scores + 1))
             fused[:, -1] = np.inf
             index = _sweep_index(len(genes), n_clients, n_scores - n_clients)
-        scores.fuse(_tables(genes), out=fused[:, :-1])
+        scores.fuse(_tables(genes, _solve(genes)), out=fused[:, :-1])
         return _sweep(fused, n_clients, *index)  # new arrays: the workspace stays here
 
     return score

@@ -27,12 +27,10 @@ import numpy as np
 __all__ = [
     "ConvergenceError",
     "LambdaMeasure",
-    "MeasureViolation",
     "TableMeasure",
     "lambda_tables",
     "solve_lambda",
     "solve_lambda_batch",
-    "validate_measure",
 ]
 
 # |sum(m_i) - 1| at or below this is treated as exactly additive (lambda = 0).
@@ -80,9 +78,9 @@ def _as_density_matrix(densities) -> np.ndarray:
     return d
 
 
-def _as_densities(densities: Iterable[float]) -> tuple[float, ...]:
-    """One validated density vector as a tuple of floats."""
-    return tuple(_as_density_matrix([[float(v) for v in densities]])[0].tolist())
+def _density_row(densities: Iterable[float]) -> np.ndarray:
+    """One validated density vector as a (1, n) array."""
+    return _as_density_matrix([[float(v) for v in densities]])
 
 
 def _excess(d: np.ndarray) -> np.ndarray:
@@ -273,30 +271,30 @@ def solve_lambda(densities: Iterable[float]) -> float:
 
     The one-row case of ``solve_lambda_batch``, with the same contract.
     """
-    return float(_solve(np.array([_as_densities(densities)]))[0])
+    return float(_solve(_density_row(densities))[0])
 
 
-def lambda_tables(densities, lams=None) -> np.ndarray:
+def lambda_tables(densities) -> np.ndarray:
     """Power-set tables of the lambda-measures of a (P, n) density array.
 
     Row p, column ``mask`` holds the measure of the criteria subset
-    ``mask``.  ``lams`` defaults to ``solve_lambda_batch(densities)``.  The
-    table is built by doubling: each subset adds its highest criterion last,
+    ``mask``, with lambda from ``solve_lambda_batch``.  The table is built
+    by doubling: each subset adds its highest criterion last,
     ``t[A + {i}] = t[A] + m_i + lambda * t[A] * m_i``, so with lambda = 0 an
     entry is the plain left-to-right sum of its densities.  The full set is
     checked against 1 (``ConvergenceError`` beyond ``BOUNDARY_TOL``) and
     snapped to exactly 1; every entry is clipped into [0, 1].
     """
     d = _as_density_matrix(densities)
-    return _tables(d, None if lams is None else np.asarray(lams, dtype=float))
+    return _tables(d, _solve(d))
 
 
-def _tables(d: np.ndarray, lam: np.ndarray | None = None) -> np.ndarray:
-    """``lambda_tables`` of a validated (P, n) density array, lambda solved if not given."""
+def _tables(d: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """``lambda_tables`` of a validated (P, n) density array and its solved lambdas."""
     p, n = d.shape
     if n > _TABLE_MAX_N:
         raise ValueError(f"power-set tables support at most {_TABLE_MAX_N} criteria, got {n}")
-    lam = (_solve(d) if lam is None else lam)[:, None]
+    lam = lam[:, None]
     table = np.empty((p, 1 << n))
     table[:, 0] = 0.0
     for i in range(n):
@@ -359,30 +357,16 @@ class LambdaMeasure(_PowerSetTable):
     """
 
     densities: tuple[float, ...]
-    lam: float = None  # type: ignore[assignment]  # solved in __post_init__
-    _table: np.ndarray = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
+    lam: float = field(init=False)
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        densities = _as_densities(self.densities)
-        supplied = self.lam is not None
-        if supplied:
-            lam = float(self.lam)
-            if lam <= -1.0:
-                raise ValueError(f"lambda must exceed -1, got {lam}")
-        else:
-            lam = solve_lambda(densities)
-        # lambda_tables checks that the full set measures 1 within
-        # BOUNDARY_TOL: a solved lambda that misses it is a solver failure
-        # (ConvergenceError), a supplied one a caller error.
-        try:
-            table = lambda_tables([densities], [lam])[0]
-        except ConvergenceError as exc:
-            if supplied:
-                raise ValueError(f"lambda {lam!r}: {exc}") from None
-            raise
+        d = _density_row(self.densities)
+        lam = _solve(d)
+        table = _tables(d, lam)[0]
         table.flags.writeable = False
-        object.__setattr__(self, "densities", densities)
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "densities", tuple(d[0].tolist()))
+        object.__setattr__(self, "lam", float(lam[0]))
         object.__setattr__(self, "_table", table)
 
 
@@ -396,29 +380,16 @@ class TableMeasure(_PowerSetTable):
     """
 
     values: Mapping[frozenset[int] | tuple[int, ...] | int, float]
-    _table: np.ndarray = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         table = _dense_from_mapping(self.values)
         violations = _violations(table)
         if violations:
-            raise ValueError("invalid fuzzy measure: " + "; ".join(str(v) for v in violations))
+            raise ValueError("invalid fuzzy measure: " + "; ".join(violations))
         table.flags.writeable = False
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "values", dict(self.values))
-
-
-@dataclass(frozen=True)
-class MeasureViolation:
-    """One broken measure condition, naming the offending subset pair."""
-
-    kind: str  # "empty", "full", or "monotonicity"
-    subset: frozenset[int]
-    superset: frozenset[int] | None
-    detail: str
-
-    def __str__(self) -> str:
-        return self.detail
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:
@@ -449,29 +420,20 @@ def _dense_from_mapping(values: Mapping) -> np.ndarray:
     return table
 
 
-def validate_measure(values: Mapping) -> list[MeasureViolation]:
-    """Check boundary and monotonicity conditions of an explicit measure.
+def _violations(table: np.ndarray) -> list[str]:
+    """What breaks the measure conditions of a power-set table, one message each.
 
-    ``values`` must map every subset of {0..n-1} (as a frozenset/tuple of
-    indices or a bitmask) to its measure, for n <= 16.  Returns an empty
-    list iff m(empty) = 0, m(full) = 1 and m(A) <= m(B) whenever A is a
-    subset of B; otherwise one entry per violated covering pair.  Missing
-    entries raise ``ValueError``.
+    Empty when m(empty) = 0, m(full) = 1 (both within ``BOUNDARY_TOL``)
+    and m(A) <= m(B) + ``MONOTONE_TOL`` whenever A is a subset of B;
+    otherwise one message per violated boundary or covering pair.
     """
-    return _violations(_dense_from_mapping(values))
-
-
-def _violations(table: np.ndarray) -> list[MeasureViolation]:
-    """The broken measure conditions of a power-set table; see validate_measure."""
     n = table.size.bit_length() - 1
-    violations: list[MeasureViolation] = []
+    violations: list[str] = []
     if abs(table[0]) > BOUNDARY_TOL:
-        violations.append(MeasureViolation("empty", frozenset(), None,
-                                           f"m(empty set) = {table[0]!r}, must be 0"))
+        violations.append(f"m(empty set) = {table[0]!r}, must be 0")
     full = (1 << n) - 1
     if abs(table[full] - 1.0) > BOUNDARY_TOL:
-        violations.append(MeasureViolation("full", _mask_to_set(full), None,
-                                           f"m(full set) = {table[full]!r}, must be 1"))
+        violations.append(f"m(full set) = {table[full]!r}, must be 1")
     # Monotone over all covering pairs A < A + {j} implies monotone over
     # every inclusion chain, so covers are sufficient and name the
     # tightest offending pair.  Row-major np.nonzero lists them by (A, j).
@@ -482,8 +444,6 @@ def _violations(table: np.ndarray) -> list[MeasureViolation]:
     for mask, j in zip(*np.nonzero(broken)):
         mask = int(mask)
         wider = mask | 1 << int(j)
-        violations.append(MeasureViolation(
-            "monotonicity", _mask_to_set(mask), _mask_to_set(wider),
-            f"m({set(_mask_to_set(mask)) or '{}'}) = {table[mask]!r} exceeds "
-            f"m({set(_mask_to_set(wider))}) = {table[wider]!r}"))
+        violations.append(f"m({set(_mask_to_set(mask)) or '{}'}) = {table[mask]!r} exceeds "
+                          f"m({set(_mask_to_set(wider))}) = {table[wider]!r}")
     return violations

@@ -78,18 +78,19 @@ def _interpolate(d0, d1, lo, hi):
     return np.where(d1 == 0.0, hi, lo + d0 / (d0 - d1) * (hi - lo))
 
 
-def _crossing(grid: np.ndarray, far: np.ndarray, frr: np.ndarray) -> tuple[float, float]:
-    """EER and its threshold of FAR and FRR curves on a grid.
+def _bracket(diff: np.ndarray, first):
+    """Per row of FAR - FRR, the last run start where it is > 0 and the first where it is <= 0.
 
-    FAR - FRR starts at +1 (everything accepted) and ends at -1; the EER is
-    read at the first candidate at or past the crossing, linearly
-    interpolated from the candidate before it unless FAR = FRR exactly.
+    ``first`` flags the run starts (``True``: every point is one).  Along
+    them FAR - FRR falls from +1 (the first) to -1 (the top sentinel), so
+    the crossing lies between the two.
     """
-    diff = far - frr
-    k = int(np.argmax(diff <= 0.0))
-    d0, d1 = diff[k - 1], diff[k]
-    return (float(_interpolate(d0, d1, far[k - 1], far[k])),
-            float(_interpolate(d0, d1, grid[k - 1], grid[k])))
+    # first > x is first & ~x; unlike &, it is fast where first is the scalar True.
+    mask = diff > 0.0
+    np.greater(first, mask, out=mask)  # the run starts at or past the crossing
+    hi = mask.argmax(axis=-1)
+    np.greater(first, mask, out=mask)  # the run starts before it
+    return diff.shape[-1] - 1 - mask[..., ::-1].argmax(axis=-1), hi
 
 
 def sweep_errors(fused_clients, fused_impostors) -> tuple[np.ndarray, np.ndarray]:
@@ -130,12 +131,7 @@ def _sweep(scores: np.ndarray, n_clients: int, row_starts: np.ndarray, ramp: np.
     accepted = clients_below + ramp
     far, frr = accepted / n_impostors, clients_below / n_clients
     diff = far - frr
-    # Along the run starts FAR - FRR falls from +1 (the first) to -1 (the
-    # sentinel): the crossing lies between the last run start above 0 and
-    # the first one at or below it.
-    past = first & (diff <= 0.0)
-    hi = past.argmax(axis=1)
-    lo = ranked.shape[1] - 1 - (first & ~past)[:, ::-1].argmax(axis=1)
+    lo, hi = _bracket(diff, first)
     rows = np.arange(len(ranked))
     value = _interpolate(diff[rows, lo], diff[rows, hi], far[rows, lo], far[rows, hi])
     errors = np.where(first, accepted + clients_below, ranked.shape[1]).min(axis=1)
@@ -144,7 +140,7 @@ def _sweep(scores: np.ndarray, n_clients: int, row_starts: np.ndarray, ramp: np.
 
 @dataclass(frozen=True)
 class EvalReport:
-    """FAR/FRR curves over a shared threshold grid, EER, and ROC points."""
+    """FAR/FRR curves over a shared threshold grid and the EER."""
 
     thresholds: np.ndarray
     far_curve: np.ndarray
@@ -186,11 +182,6 @@ class EvalReport:
         k = int(np.argmin(counts))
         total = self.n_clients + self.n_impostors
         return float(counts[k]) / total, float(self.thresholds[k])
-
-    @property
-    def roc_points(self) -> np.ndarray:
-        """(FAR, 1 - FRR) rows, FAR non-increasing down the rows."""
-        return np.column_stack([self.far_curve, 1.0 - self.frr_curve])
 
 
 def evaluate_scores(fused_clients, fused_impostors) -> EvalReport:
@@ -238,7 +229,10 @@ def evaluate_scores(fused_clients, fused_impostors) -> EvalReport:
     if lowest_client > highest_impostor:
         eer_value, eer_threshold = 0.0, float(highest_impostor + lowest_client) / 2.0
     else:
-        eer_value, eer_threshold = _crossing(grid, far, frr)
+        diff = far - frr
+        lo, hi = _bracket(diff, True)
+        eer_value = float(_interpolate(diff[lo], diff[hi], far[lo], far[hi]))
+        eer_threshold = float(_interpolate(diff[lo], diff[hi], grid[lo], grid[hi]))
     for arr in (grid, far, frr):
         arr.flags.writeable = False
     return EvalReport(

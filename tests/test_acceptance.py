@@ -322,13 +322,13 @@ def test_criterion_8f_optimize_is_byte_deterministic(tmp_path):
 def test_public_api_names_are_pinned():
     assert sorted(choqfuse.__all__) == [
         "ConvergenceError", "DataFormatError", "EvalReport", "FusionRule", "GaConfig",
-        "GenerationRecord", "LabeledScoreSet", "LambdaMeasure", "MeasureViolation",
-        "Population", "RULE_TAGS", "SortedScores", "TableMeasure", "choquet_fuse",
-        "choquet_fuse_batch", "evaluate_scores", "evolve", "init_population",
-        "lambda_tables", "linear_crossover", "load_csv", "mutation_offsets",
-        "normalize_minmax", "population_fitness", "rule_fuse_batch", "select_parents",
-        "solve_lambda", "solve_lambda_batch", "sweep_errors", "synthetic_csv_path",
-        "synthetic_dataset", "validate_measure", "write_csv", "write_roc_csv",
+        "GenerationRecord", "LabeledScoreSet", "LambdaMeasure", "Population",
+        "RULE_TAGS", "SortedScores", "TableMeasure", "choquet_fuse", "choquet_fuse_batch",
+        "evaluate_scores", "evolve", "init_population", "lambda_tables",
+        "linear_crossover", "load_csv", "mutation_offsets", "normalize_minmax",
+        "population_fitness", "rule_fuse_batch", "select_parents", "solve_lambda",
+        "solve_lambda_batch", "sweep_errors", "synthetic_csv_path", "synthetic_dataset",
+        "write_csv", "write_roc_csv",
     ]
     for name in ("", ".aggregate", ".cli", ".data", ".ga", ".measures", ".metrics"):
         module = importlib.import_module("choqfuse" + name)

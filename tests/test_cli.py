@@ -354,6 +354,26 @@ class TestConfigFile:
 
 
 class TestFailuresWriteNothing:
+    @pytest.mark.parametrize("fault", ["stray quote", "not UTF-8"])
+    def test_unreadable_csv_is_a_data_error(self, capsys, tmp_path, fault):
+        rng = np.random.default_rng(5)
+        lines = ["person_id,label,m1,m2,m3"] + [
+            f"P{i},{('client', 'impostor')[i % 2]}," + ",".join(f"{v:.3f}" for v in row)
+            for i, row in enumerate(rng.uniform(0, 1, (20_000, 3)))]
+        if fault == "stray quote":
+            lines[5] = '"' + lines[5]
+        body = ("\r\n".join(lines) + "\r\n").encode()
+        if fault == "not UTF-8":
+            body = body[:300_000] + b"\xff" + body[300_000:]
+        bad = tmp_path / "scores.csv"
+        bad.write_bytes(body)
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "compare", "--input", str(bad),
+                           "--densities", "0.35,0.25,0.3", "--out", str(out))
+        assert code == 2 and err.startswith(f"data error: {bad}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_compare_with_wrong_measure_size_writes_no_file(self, capsys, tmp_path):
         out = tmp_path / "out"
         code, _, err = run(

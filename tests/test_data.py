@@ -258,3 +258,29 @@ class TestLoadErrors:
         path = self._write(tmp_path, "person_id,label,m1\n,client,0.5\n")
         with pytest.raises(DataFormatError, match="person_id"):
             load_csv(path)
+
+    def test_stray_quote_names_the_file_and_the_row(self, tmp_path):
+        # The quote opens a field that swallows the rest of the file.
+        rng = np.random.default_rng(17)
+        lines = ["person_id,label,m1,m2,m3"] + [
+            f"P{i},{('client', 'impostor')[i % 2]}," + ",".join(f"{v:.3f}" for v in row)
+            for i, row in enumerate(rng.uniform(0, 1, (20_000, 3)))]
+        lines[5] = '"' + lines[5]
+        path = tmp_path / "quote.csv"
+        path.write_text("\r\n".join(lines) + "\r\n")
+        with pytest.raises(DataFormatError) as exc:
+            load_csv(path)
+        assert str(exc.value).startswith(f"{path}: row 6 is not valid CSV (")
+        path.write_text('"person_id,label,m1\r\n' + "x" * 200_000)
+        with pytest.raises(DataFormatError) as exc:
+            load_csv(path)
+        assert str(exc.value).startswith(f"{path}: row 1 is not valid CSV (")
+
+    @pytest.mark.parametrize("body", [b"person_id,label,m\xff1\na,client,0.5\n",
+                                      b"person_id,label,m1\na,client,0.5\nb\xff,impostor,0.2\n"])
+    def test_text_that_is_not_utf8_names_the_file(self, tmp_path, body):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(body)
+        with pytest.raises(DataFormatError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}: not UTF-8 text (invalid start byte: b'\\xff')"

@@ -1,5 +1,6 @@
 """Sugeno lambda-measure construction and validation."""
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -22,12 +23,10 @@ from choqfuse.measures import (
     ROOT_RESIDUAL_TOL,
     ConvergenceError,
     LambdaMeasure,
-    MeasureViolation,
     TableMeasure,
     lambda_tables,
     solve_lambda,
     solve_lambda_batch,
-    validate_measure,
 )
 
 
@@ -427,8 +426,13 @@ class TestLambdaTables:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("lam", [0.25, math.nan, math.inf])
     def test_inconsistent_lambda_fails_the_boundary_check(self, lam):
+        # A lambda that misses the densities' root is a solver failure.
         with pytest.raises(ConvergenceError):
-            lambda_tables([[0.35, 0.25, 0.3]], [lam])
+            measures._tables(np.array([[0.35, 0.25, 0.3]]), np.array([lam]))
+
+    def test_lambda_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            lambda_tables([[0.35, 0.25, 0.3]], [solve_lambda((0.35, 0.25, 0.3))])
 
 
 class TestLambdaMeasure:
@@ -498,31 +502,31 @@ class TestLambdaMeasure:
         with pytest.raises(IndexError):
             m.value_of(1 << 3)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_explicit_lambda_must_be_consistent(self):
+    def test_lambda_is_solved_never_passed(self):
         d = (0.35, 0.25, 0.3)
-        lam = solve_lambda(d)
-        m = LambdaMeasure(d, lam)
-        assert m.lam == lam
-        for wrong in (0.25, -1.5, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                LambdaMeasure(d, wrong)
+        for call in (lambda: LambdaMeasure(d, solve_lambda(d)),
+                     lambda: LambdaMeasure(d, lam=solve_lambda(d))):
+            with pytest.raises(TypeError):
+                call()
+
+    def test_replacing_the_densities_solves_lambda_again(self):
+        m = LambdaMeasure((0.35, 0.25, 0.3))
+        for d in [(0.2, 0.3, 0.1), (0.6, 0.5, 0.4), (0.5, 0.5), (0.1, 0.2, 0.3, 0.4)]:
+            again = dataclasses.replace(m, densities=d)
+            assert again == LambdaMeasure(d)
+            assert np.array_equal(again.dense_table(), LambdaMeasure(d).dense_table())
 
     @pytest.mark.parametrize("n", range(2, 17))
     @pytest.mark.parametrize("density", [GENE_EPS, 1.0 - GENE_EPS])
-    def test_solved_lambda_round_trips_at_the_clamp_corners(self, n, density):
+    def test_clamp_corner_tables_equal_lambda_tables(self, n, density):
         # lambda ~ 1e9 at (1e-6,)*n and ~ -1 at (1 - 1e-6,)*n
         m = LambdaMeasure((density,) * n)
-        again = LambdaMeasure(m.densities, m.lam)
-        assert again.lam == m.lam
-        assert np.array_equal(again.dense_table(), m.dense_table())
+        assert np.array_equal(m.dense_table(), lambda_tables([(density,) * n])[0])
 
     def test_seventeen_criteria_are_refused(self):
         d = tuple(np.random.default_rng(41).uniform(0.01, 0.2, 17))
         with pytest.raises(ValueError, match="at most 16 criteria"):
             LambdaMeasure(d)
-        with pytest.raises(ValueError, match="at most 16 criteria"):
-            LambdaMeasure(d, solve_lambda(d))
         with pytest.raises(ValueError, match="at most 16 criteria"):
             lambda_tables([d])
 
@@ -534,7 +538,14 @@ class TestLambdaMeasure:
             m.dense_table()[3] = 0.9
 
 
-class TestValidateMeasure:
+def rejection(values) -> str:
+    """The ValueError message of TableMeasure(values), the measure check."""
+    with pytest.raises(ValueError) as exc:
+        TableMeasure(values)
+    return str(exc.value)
+
+
+class TestMeasureCheck:
     def _reference_table(self):
         return {
             (): 0.0,
@@ -544,76 +555,71 @@ class TestValidateMeasure:
         }
 
     def test_reference_values_are_a_valid_measure(self):
-        assert validate_measure(self._reference_table()) == []
+        assert TableMeasure(self._reference_table()).n == 3
 
     def test_monotone_two_criteria_table(self):
         values = {(): 0.0, (0,): 0.6, (1,): 0.5, (0, 1): 1.0}
-        assert validate_measure(values) == []
+        assert TableMeasure(values).n == 2
 
     def test_monotonicity_violation_names_the_pair(self):
         # 0.7 on {0} exceeds 0.5 on {0,1}; the full set 0.5 also breaks the
         # boundary condition, so two findings come back
         values = {(): 0.0, (0,): 0.7, (1,): 0.1, (0, 1): 0.5}
-        violations = validate_measure(values)
-        assert sorted(v.kind for v in violations) == ["full", "monotonicity"]
-        v = next(v for v in violations if v.kind == "monotonicity")
-        assert v.subset == frozenset({0})
-        assert v.superset == frozenset({0, 1})
-        assert "0.7" in str(v) and "0.5" in str(v)
+        found = rejection(values).removeprefix("invalid fuzzy measure: ").split("; ")
+        assert len(found) == 2
+        assert found[0].startswith("m(full set)")
+        assert found[1].startswith("m({0}) = ") and " exceeds m({0, 1}) = " in found[1]
+        assert "0.7" in found[1] and "0.5" in found[1]
 
     def test_single_monotonicity_violation_with_valid_boundaries(self):
         values = {
             (): 0.0, (0,): 0.7, (1,): 0.1, (2,): 0.2,
             (0, 1): 0.5, (0, 2): 0.8, (1, 2): 0.8, (0, 1, 2): 1.0,
         }
-        violations = validate_measure(values)
-        assert len(violations) == 1
-        assert violations[0].kind == "monotonicity"
-        assert violations[0].subset == frozenset({0})
-        assert violations[0].superset == frozenset({0, 1})
+        assert rejection(values) == (f"invalid fuzzy measure: m({{0}}) = {np.float64(0.7)!r} "
+                                     f"exceeds m({{0, 1}}) = {np.float64(0.5)!r}")
 
     def test_boundary_violations(self):
         values = {(): 0.1, (0,): 0.2, (1,): 0.3, (0, 1): 0.9}
-        kinds = {v.kind for v in validate_measure(values)}
-        assert kinds == {"empty", "full"}
+        found = rejection(values).removeprefix("invalid fuzzy measure: ").split("; ")
+        assert [f.split(" = ")[0] for f in found] == ["m(empty set)", "m(full set)"]
 
     def test_missing_subset_is_an_error(self):
         values = self._reference_table()
         del values[(0, 2)]
         with pytest.raises(ValueError, match="missing"):
-            validate_measure(values)
+            TableMeasure(values)
 
     def test_accepts_bitmask_keys(self):
         values = {0: 0.0, 1: 0.6, 2: 0.5, 3: 1.0}
-        assert validate_measure(values) == []
+        by_tuple = {(): 0.0, (0,): 0.6, (1,): 0.5, (0, 1): 1.0}
+        assert TableMeasure(values).dense_table().tolist() == \
+            TableMeasure(by_tuple).dense_table().tolist()
 
 
 def loop_violations(table):
-    """The covering-pair loop validate_measure ran before it was vectorized."""
+    """The covering-pair loop the measure check ran before it was vectorized:
+    (kind, message) per violated condition."""
     n = len(table).bit_length() - 1
     sets = [frozenset(i for i in range(n) if mask >> i & 1) for mask in range(len(table))]
     found = []
     if abs(table[0]) > BOUNDARY_TOL:
-        found.append(MeasureViolation("empty", frozenset(), None,
-                                      f"m(empty set) = {table[0]!r}, must be 0"))
+        found.append(("empty", f"m(empty set) = {table[0]!r}, must be 0"))
     if abs(table[-1] - 1.0) > BOUNDARY_TOL:
-        found.append(MeasureViolation("full", sets[-1], None,
-                                      f"m(full set) = {table[-1]!r}, must be 1"))
+        found.append(("full", f"m(full set) = {table[-1]!r}, must be 1"))
     for mask in range(1 << n):
         for j in range(n):
             if mask >> j & 1:
                 continue
             wider = mask | (1 << j)
             if table[mask] > table[wider] + MONOTONE_TOL:
-                found.append(MeasureViolation(
-                    "monotonicity", sets[mask], sets[wider],
-                    f"m({set(sets[mask]) or '{}'}) = {table[mask]!r} exceeds "
-                    f"m({set(sets[wider])}) = {table[wider]!r}",
-                ))
+                found.append(("monotonicity",
+                              f"m({set(sets[mask]) or '{}'}) = {table[mask]!r} exceeds "
+                              f"m({set(sets[wider])}) = {table[wider]!r}"))
     return found
 
 
-class TestValidateMeasureAgainstTheLoop:
+class TestMeasureCheckAgainstTheLoop:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_broken_tables_give_the_loop_violations(self, n):
         rng = np.random.default_rng(400 + n)
@@ -630,9 +636,13 @@ class TestValidateMeasureAgainstTheLoop:
             # Valid boundaries, clear faults, then faults and ties at BOUNDARY_TOL.
             table[0] = [0.0, 0.2, 2e-9, -1e-9][trial]
             table[-1] = [1.0, 0.1, 1.0 + 2e-9, 1.0 - 1e-9][trial]
-            violations = validate_measure(dict(enumerate(table)))
-            assert violations == loop_violations(table)
-            kinds.update(v.kind for v in violations)
+            expected = loop_violations(table)
+            if expected:
+                assert rejection(dict(enumerate(table))) == (
+                    "invalid fuzzy measure: " + "; ".join(m for _, m in expected))
+            else:
+                assert TableMeasure(dict(enumerate(table))).dense_table().tolist() == table.tolist()
+            kinds.update(k for k, _ in expected)
         assert kinds == {"empty", "full", "monotonicity"}
 
 
@@ -641,7 +651,6 @@ class TestTableMeasure:
         # Additive uniform measure: m(A) = |A| / 13, a multiple of 1/13.
         sizes = [bin(mask).count("1") for mask in range(1 << 13)]
         values = {mask: size / 13 for mask, size in enumerate(sizes)}
-        assert validate_measure(values) == []
         t = TableMeasure(values)
         assert t.n == 13
         assert t.value_of(range(13)) == 1.0
@@ -653,7 +662,7 @@ class TestTableMeasure:
         with pytest.raises(ValueError, match="16 criteria"):
             TableMeasure(values)
         with pytest.raises(ValueError, match="16 criteria"):
-            validate_measure({(): 0.0, (16,): 1.0})
+            TableMeasure({(): 0.0, (16,): 1.0})
 
     def test_valid_table_round_trips(self):
         values = {(): 0.0, (0,): 0.6, (1,): 0.5, (0, 1): 1.0}
@@ -662,13 +671,16 @@ class TestTableMeasure:
         assert t.value_of([0]) == 0.6
         assert t.value_of([0, 1]) == 1.0
 
-    def test_rejection_lists_every_violation_of_validate_measure(self):
+    def test_rejection_lists_every_violation(self):
         values = {(): 0.1, (0,): 0.7, (1,): 0.1, (0, 1): 0.5}
-        with pytest.raises(ValueError) as exc:
-            TableMeasure(values)
-        violations = validate_measure(values)
-        assert [v.kind for v in violations] == ["empty", "full", "monotonicity"]
-        assert str(exc.value) == "invalid fuzzy measure: " + "; ".join(map(str, violations))
+        assert rejection(values) == (
+            f"invalid fuzzy measure: m(empty set) = {np.float64(0.1)!r}, must be 0; "
+            f"m(full set) = {np.float64(0.5)!r}, must be 1; "
+            f"m({{0}}) = {np.float64(0.7)!r} exceeds m({{0, 1}}) = {np.float64(0.5)!r}")
+
+    def test_table_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            TableMeasure({(): 0.0, (0,): 0.6, (1,): 0.5, (0, 1): 1.0}, np.zeros(4))
 
     def test_invalid_table_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):

@@ -205,18 +205,17 @@ class TestEvalReport:
             assert np.all(np.diff(report.frr_curve) >= 0)
             assert np.all(np.diff(report.thresholds) > 0)
 
-    def test_roc_points_shape_and_endpoints(self):
+    def test_curve_shapes_and_endpoints(self):
         report = evaluate_scores([0.8, 0.9], [0.1, 0.2])
-        pts = report.roc_points
-        assert pts.shape == (report.thresholds.size, 2)
-        # perfect separation: the (FAR=0, TPR=1) corner is on the curve
-        assert any(far == 0.0 and tpr == 1.0 for far, tpr in pts)
+        assert report.far_curve.shape == report.frr_curve.shape == report.thresholds.shape
+        # perfect separation: the (FAR=0, FRR=0) corner is on the curve
+        assert any(far == 0.0 and frr == 0.0
+                   for far, frr in zip(report.far_curve, report.frr_curve))
 
     def test_chance_level_curve_is_diagonal(self):
         scores = np.linspace(0.05, 0.95, 12)
         report = evaluate_scores(scores, scores)
-        np.testing.assert_allclose(report.roc_points[:, 0], report.roc_points[:, 1],
-                                   atol=1e-12)
+        np.testing.assert_allclose(report.far_curve, 1.0 - report.frr_curve, atol=1e-12)
 
     def test_error_rate_accessor_matches_counts(self):
         rng = np.random.default_rng(79)

@@ -21,7 +21,7 @@ from choqfuse.cli import main
 from choqfuse.data import LabeledScoreSet, load_csv, write_csv
 from choqfuse.ga import GENE_EPS
 from choqfuse.measures import ADDITIVE_TOL, LambdaMeasure, solve_lambda, solve_lambda_batch
-from choqfuse.metrics import _crossing, evaluate_scores, sweep_errors
+from choqfuse.metrics import evaluate_scores, sweep_errors
 
 properties = settings(derandomize=True, deadline=None, database=None)
 
@@ -56,7 +56,7 @@ class TestLambdaRoots:
                 assert lam > 0.0
             else:
                 assert -1.0 < lam < 0.0
-            assert LambdaMeasure(d, lam) == LambdaMeasure(d)
+            assert LambdaMeasure(d).lam == lam
             assert solve_lambda(d) == lam
 
 
@@ -119,7 +119,16 @@ def _reference_evaluation(clients, impostors):
     if clients[0] > impostors[-1]:
         value, threshold = 0.0, float(impostors[-1] + clients[0]) / 2.0
     else:
-        value, threshold = _crossing(grid, far, frr)
+        # The first grid point at or past the FAR = FRR crossing, linear
+        # from the point before it unless FAR = FRR there exactly.
+        diff = far - frr
+        k = int(np.argmax(diff <= 0.0))
+        d0, d1 = diff[k - 1], diff[k]
+        if d1 == 0.0:
+            value, threshold = float(far[k]), float(grid[k])
+        else:
+            value = float(far[k - 1] + d0 / (d0 - d1) * (far[k] - far[k - 1]))
+            threshold = float(grid[k - 1] + d0 / (d0 - d1) * (grid[k] - grid[k - 1]))
 
     def error_rate_at(t):
         fa = int(np.count_nonzero(impostors >= t))
