@@ -254,7 +254,7 @@ def _cmd_fuse(args) -> int:
     fused = np.concatenate([choquet_fuse_batch(dataset.client_scores, measure),
                             choquet_fuse_batch(dataset.impostor_scores, measure)])
     fused_path = _out_dir(args) / "fused_scores.csv"
-    write_table(fused_path, ["person_id", "label", "fused"], "{},{},{!r}",
+    write_table(fused_path, ["person_id", "label", "fused"], "%s,%s,%r",
                 id_label_columns(dataset) + [fused])
     print(f"wrote {fused_path}")
     return 0
@@ -274,7 +274,7 @@ def _cmd_optimize(args) -> int:
     history_path = out / "history.csv"
     n = dataset.n_modalities
     write_table(history_path, ["generation", "best_eer"] + [f"gene{i + 1}" for i in range(n)],
-                "{},{!r}" + ",{!r}" * n,
+                "%s,%r" + ",%r" * n,
                 [[r.generation for r in history], [r.eer for r in history],
                  *zip(*(r.genes for r in history))])
 
@@ -340,7 +340,7 @@ def _cmd_compare(args) -> int:
         print(f"{name:<{width}}  {rate:.2f}")
 
     table_path = out / "comparison.csv"
-    write_table(table_path, ["rule", "error_rate_percent"], "{},{:.2f}", list(zip(*rows)))
+    write_table(table_path, ["rule", "error_rate_percent"], "%s,%.2f", list(zip(*rows)))
     print(f"wrote {table_path} and per-rule ROC CSVs")
     return 0
 

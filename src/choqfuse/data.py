@@ -37,6 +37,8 @@ __all__ = [
 
 # Lines formatted per write by ``write_table``.
 _BLOCK_ROWS = 8192
+# Bytes of a score file read at a time by ``load_csv``'s numpy reader.
+_PLAIN_BLOCK_BYTES = 1 << 20
 
 
 class DataFormatError(ValueError):
@@ -146,16 +148,16 @@ def write_csv(dataset: LabeledScoreSet, path) -> None:
     n = dataset.n_modalities
     scores = np.concatenate([dataset.client_scores, dataset.impostor_scores])
     write_table(path, ["person_id", "label"] + [f"m{i + 1}" for i in range(n)],
-                "{},{}" + ",{!r}" * n, id_label_columns(dataset) + list(scores.T))
+                "%s,%s" + ",%r" * n, id_label_columns(dataset) + list(scores.T))
 
 
 def write_table(path, header, line: str, columns) -> None:
-    """Write a CSV file: the ``header`` fields, then ``line.format(*row)`` per row.
+    """Write a CSV file: the ``header`` fields, then ``line % row`` per row.
 
     The rows are those of the equal-length ``columns``; every line ends in
     CRLF.  Lines are formatted and written ``_BLOCK_ROWS`` at a time.  Array
     columns turn into Python numbers one block at a time, so no number
-    object is kept per row and ``{!r}`` writes the ``repr`` that the
+    object is kept per row and ``%r`` writes the ``repr`` that the
     standard ``csv`` module's writer writes for a float.
     """
     line += "\r\n"
@@ -163,8 +165,8 @@ def write_table(path, header, line: str, columns) -> None:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
             block = [c[start:start + _BLOCK_ROWS] for c in columns]
-            fh.write("".join(map(line.format, *(
-                b.tolist() if isinstance(b, np.ndarray) else b for b in block))))
+            fh.write("".join(map(line.__mod__, zip(*(
+                b.tolist() if isinstance(b, np.ndarray) else b for b in block)))))
 
 
 def id_label_columns(dataset: LabeledScoreSet) -> list[list[str]]:
@@ -181,21 +183,60 @@ def load_csv(path, normalize: bool = False) -> LabeledScoreSet:
     rows (clients and impostors together); otherwise raw values outside
     [0, 1] are rejected with the offending row and column named.  Of several
     faults the first in file order is reported, row by row and, within a
-    row, column by column.  Broken CSV quoting and text that is not UTF-8
-    are data errors too (``DataFormatError``).
+    row, column by column.  Broken CSV quoting (an unterminated quote, text
+    after a closing quote) and text that is not UTF-8 are data errors too
+    (``DataFormatError``).
+
+    A plain file is read with numpy (``_read_plain``).  Every other file
+    is read by the ``csv`` loop (``_read_rows``), which reports any fault in
+    the file's structure.  Both readers give the same result.
+    """
+    column_names, ids, is_client, matrix = _read_plain(path) or _read_rows(path, normalize)
+    _check_scores(path, column_names, matrix, normalize)
+    if not ids:
+        raise DataFormatError(f"{path}: no data rows")
+    if normalize:
+        matrix = np.column_stack(
+            [normalize_minmax(matrix[:, j]) for j in range(matrix.shape[1])]
+        )
+    for label, rows in (("client", is_client), ("impostor", ~is_client)):
+        if not rows.any():
+            raise DataFormatError(f"{path}: no {label} rows")
+    try:
+        return LabeledScoreSet(
+            client_ids=tuple(compress(ids, is_client)),
+            client_scores=matrix[is_client],
+            impostor_ids=tuple(compress(ids, ~is_client)),
+            impostor_scores=matrix[~is_client],
+        )
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
+def _header_ok(header: list[str]) -> bool:
+    """Whether stripped header fields read person_id,label,m1,...,mk (k >= 1)."""
+    return (len(header) >= 3 and header[0].lower() == "person_id"
+            and header[1].lower() == "label")
+
+
+def _read_rows(path, normalize: bool):
+    """Column names, ids, client flags and score matrix, read by ``csv.reader``.
+
+    Raises the ``DataFormatError`` of the first structural fault: the header,
+    a field count, an id, a label, a score that is not a number, broken
+    quoting or text that is not UTF-8.
     """
     line_no = 0  # the last row read: a csv.Error comes from the next one
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+            reader = csv.reader(fh, strict=True)
             try:
                 header = next(reader)
             except StopIteration:
                 raise DataFormatError(f"{path}: empty file") from None
             line_no = 1
             header = [h.strip() for h in header]
-            if (len(header) < 3 or header[0].lower() != "person_id"
-                    or header[1].lower() != "label"):
+            if not _header_ok(header):
                 raise DataFormatError(
                     f"{path}: malformed header {header!r}; expected "
                     f"person_id,label,m1,...,mk"
@@ -209,7 +250,7 @@ def load_csv(path, normalize: bool = False) -> LabeledScoreSet:
 
             def fail(message: str):
                 # A bad score in an earlier row comes first in file order.
-                _check_scores(path, column_names, values, normalize)
+                _check_scores(path, column_names, np.frombuffer(values), normalize)
                 raise DataFormatError(f"{path}: {message}")
 
             for line_no, row in enumerate(reader, start=2):
@@ -238,27 +279,90 @@ def load_csv(path, normalize: bool = False) -> LabeledScoreSet:
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason}: "
                               f"{exc.object[exc.start:exc.end]!r})") from None
-    _check_scores(path, column_names, values, normalize)
-    if not ids:
-        raise DataFormatError(f"{path}: no data rows")
     matrix = np.frombuffer(values).reshape(len(ids), len(column_names))
-    if normalize:
-        matrix = np.column_stack(
-            [normalize_minmax(matrix[:, j]) for j in range(matrix.shape[1])]
-        )
-    client = np.frombuffer(is_client, dtype=bool)
-    for label, rows in (("client", client), ("impostor", ~client)):
-        if not rows.any():
-            raise DataFormatError(f"{path}: no {label} rows")
+    return column_names, ids, np.frombuffer(is_client, dtype=bool), matrix
+
+
+def _read_plain(path):
+    """What ``_read_rows`` returns, read with numpy, or None for a file that is not plain.
+
+    A file is plain when it is ASCII with no ``"``, its only control bytes
+    are LF and CR before LF, no line reaches ``csv.field_size_limit()``, its
+    header is valid, every later line has the header's comma count, every
+    label is ``client`` or ``impostor`` (any case, unpadded), every id is
+    non-empty after ``strip`` and ``np.loadtxt`` parses every score cell.  On such text ``csv.reader`` splits at every
+    comma and line end, and ``np.loadtxt`` accepts a subset of what
+    ``float`` accepts and rounds it the same way, so both readers agree.
+    Any other file is left, untouched, to ``_read_rows``, which reports
+    every fault; this path raises no ``DataFormatError`` of its own.
+    """
+    with open(path, "rb") as fh:
+        line = fh.readline().decode("ascii", "replace").removesuffix("\n").removesuffix("\r")
+        header = [h.strip() for h in line.split(",")]
+        if not (line.isascii() and line.isprintable() and _header_ok(header)
+                and len(line) < csv.field_size_limit()):
+            return None
+        ids: list[str] = []
+        is_client = []
+        # The file is read and checked a block of whole lines at a time, so
+        # the temporaries stay small whatever its size.
+        while block := fh.read(_PLAIN_BLOCK_BYTES) + fh.readline():
+            lines = _plain_lines(block, len(header) - 1)
+            if lines is None:
+                return None
+            ids += lines[0]
+            is_client.append(lines[1])
+    if not ids or "" in ids:
+        return None
     try:
-        return LabeledScoreSet(
-            client_ids=tuple(compress(ids, client)),
-            client_scores=matrix[client],
-            impostor_ids=tuple(compress(ids, ~client)),
-            impostor_scores=matrix[~client],
-        )
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
+        matrix = np.loadtxt(path, delimiter=",", usecols=range(2, len(header)),
+                            comments=None, skiprows=1, ndmin=2, encoding="utf-8")
+    except ValueError:
+        return None
+    if matrix.shape != (len(ids), len(header) - 2):
+        return None
+    return header[2:], ids, np.concatenate(is_client), matrix
+
+
+def _plain_lines(block: bytes, commas_per_line: int):
+    """Stripped ids and client flags of whole plain lines, or None if one is not plain."""
+    if not block.isascii() or b'"' in block or b"\x7f" in block:
+        return None
+    byte = np.frombuffer(block, np.uint8)
+    control = np.flatnonzero(byte < 0x20)
+    kind = byte[control]
+    if np.any((kind != 0x0A) & ((kind != 0x0D)
+                                | (byte.take(control + 1, mode="clip") != 0x0A))):
+        return None
+    ends = control[kind == 0x0A]
+    if byte[-1] != 0x0A:
+        ends = np.append(ends, len(byte))
+    commas = np.flatnonzero(byte == 0x2C)
+    if (np.diff(ends, prepend=-1).max() > csv.field_size_limit()
+            or np.any(np.searchsorted(commas, ends)
+                      != commas_per_line * np.arange(1, len(ends) + 1))):
+        return None
+    # Line r's k-th comma is commas[r, k].
+    commas = commas.reshape(len(ends), commas_per_line)
+    label_start = commas[:, 0] + 1
+    label_width = commas[:, 1] - label_start
+    is_client = _is_word(byte, label_start, label_width, b"client")
+    if not (is_client | _is_word(byte, label_start, label_width, b"impostor")).all():
+        return None
+    # The bytes of every id and the comma after it, gathered into one string.
+    line_start = np.append(0, ends[:-1] + 1)
+    size = label_start - line_start
+    offset = np.repeat(line_start - np.cumsum(size) + size, size)
+    ids = byte[offset + np.arange(len(offset))].tobytes().decode("ascii")
+    return list(map(str.strip, ids.split(",")[:-1])), is_client
+
+
+def _is_word(byte: np.ndarray, start: np.ndarray, width: np.ndarray, word: bytes) -> np.ndarray:
+    """Per row, whether ``byte[start:start + width]`` is ``word`` (lower case) in any case."""
+    found = width == len(word)
+    for j, letter in enumerate(word):
+        found &= (byte.take(start + j, mode="clip") | 0x20) == letter
+    return found
 
 
 def _cell_error(line_no: int, col: str, cell: str, normalize: bool) -> str | None:
@@ -275,20 +379,20 @@ def _cell_error(line_no: int, col: str, cell: str, normalize: bool) -> str | Non
     return None
 
 
-def _check_scores(path, column_names, values: array, normalize: bool) -> None:
-    """Raise the ``DataFormatError`` of the first bad cell of the parsed rows.
+def _check_scores(path, column_names, values: np.ndarray, normalize: bool) -> None:
+    """Raise the ``DataFormatError`` of the first bad cell of the parsed scores.
 
-    A cell is bad when it is not finite or, without ``normalize``, outside
-    [0, 1].  Only the failing row is read again, for its line number and
-    its cell text.
+    ``values`` holds the scores read so far in file order.  A cell is bad
+    when it is not finite or, without ``normalize``, outside [0, 1].  Only
+    the failing row is read again, for its line number and its cell text.
     """
-    x = np.frombuffer(values)
+    x = values.ravel()
     ok = np.isfinite(x) if normalize else (x >= 0.0) & (x <= 1.0)
     if ok.all():
         return
     row_index, j = divmod(int(np.argmin(ok)), len(column_names))
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(fh, strict=True)
         next(reader)
         rows = ((n, r) for n, r in enumerate(reader, start=2) if r)
         line_no, row = next(islice(rows, row_index, None))

@@ -430,10 +430,10 @@ def _violations(table: np.ndarray) -> list[str]:
     n = table.size.bit_length() - 1
     violations: list[str] = []
     if abs(table[0]) > BOUNDARY_TOL:
-        violations.append(f"m(empty set) = {table[0]!r}, must be 0")
+        violations.append(f"m(empty set) = {float(table[0])!r}, must be 0")
     full = (1 << n) - 1
     if abs(table[full] - 1.0) > BOUNDARY_TOL:
-        violations.append(f"m(full set) = {table[full]!r}, must be 1")
+        violations.append(f"m(full set) = {float(table[full])!r}, must be 1")
     # Monotone over all covering pairs A < A + {j} implies monotone over
     # every inclusion chain, so covers are sufficient and name the
     # tightest offending pair.  Row-major np.nonzero lists them by (A, j).
@@ -444,6 +444,6 @@ def _violations(table: np.ndarray) -> list[str]:
     for mask, j in zip(*np.nonzero(broken)):
         mask = int(mask)
         wider = mask | 1 << int(j)
-        violations.append(f"m({set(_mask_to_set(mask)) or '{}'}) = {table[mask]!r} exceeds "
-                          f"m({set(_mask_to_set(wider))}) = {table[wider]!r}")
+        violations.append(f"m({set(_mask_to_set(mask)) or '{}'}) = {float(table[mask])!r} "
+                          f"exceeds m({set(_mask_to_set(wider))}) = {float(table[wider])!r}")
     return violations

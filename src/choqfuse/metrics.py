@@ -253,5 +253,5 @@ def write_roc_csv(report: EvalReport, path) -> None:
     dialect) writes for the ``f"{v:.6g}"`` texts, formatted in blocks by
     ``data.write_table``.
     """
-    write_table(path, ["threshold", "far", "frr"], "{:.6g},{:.6g},{:.6g}",
+    write_table(path, ["threshold", "far", "frr"], "%.6g,%.6g,%.6g",
                 [report.thresholds, report.far_curve, report.frr_curve])

@@ -374,6 +374,16 @@ class TestFailuresWriteNothing:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_unterminated_quote_on_the_last_line_is_a_data_error(self, capsys, tmp_path):
+        bad = tmp_path / "scores.csv"
+        bad.write_bytes(b'person_id,label,m1\r\nP1,client,0.9\r\n"P3",impostor,"0.3\r\n')
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "eval", "--input", str(bad), "--rule", "mean",
+                           "--out", str(out))
+        assert code == 2
+        assert err == f"data error: {bad}: row 3 is not valid CSV (unexpected end of data)\n"
+        assert not out.exists()
+
     def test_compare_with_wrong_measure_size_writes_no_file(self, capsys, tmp_path):
         out = tmp_path / "out"
         code, _, err = run(

@@ -284,3 +284,51 @@ class TestLoadErrors:
         with pytest.raises(DataFormatError) as exc:
             load_csv(path)
         assert str(exc.value) == f"{path}: not UTF-8 text (invalid start byte: b'\\xff')"
+
+    @pytest.mark.parametrize("body,row,reason", [
+        # The last field opens a quote that the file never closes.
+        (b'person_id,label,m1\r\nP1,client,0.9\r\n"P3",impostor,"0.3\r\n', 3,
+         "unexpected end of data"),
+        # Text after a closing quote.
+        (b'person_id,label,m1\n"ab"c,client,0.9\nP2,impostor,0.3\n', 2,
+         "',' expected after '\"'"),
+    ])
+    def test_quoting_is_strict(self, tmp_path, body, row, reason):
+        path = tmp_path / "quote.csv"
+        path.write_bytes(body)
+        with pytest.raises(DataFormatError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}: row {row} is not valid CSV ({reason})"
+
+
+def plain_score_lines(rng, rows, n):
+    """Lines of a score file shaped like the benchmark's: P<i> ids, 3-decimal scores."""
+    labels = np.where(rng.random(rows) < 0.5, "client", "impostor")
+    cells = rng.integers(0, 1001, (rows, n)) / 1000
+    return ["person_id,label," + ",".join(f"m{j + 1}" for j in range(n))] + [
+        f"P{i},{label}," + ",".join(f"{v:.3f}" for v in row)
+        for i, (label, row) in enumerate(zip(labels, cells))]
+
+
+class TestPlainFileReader:
+    """Plain files are read with numpy; csv.reader reads every other file."""
+
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+    def test_plain_file_is_read_without_csv_reader(self, tmp_path, monkeypatch, line_end):
+        # About 4.5 MiB: five blocks of the numpy reader, so rows meet at block edges.
+        lines = plain_score_lines(np.random.default_rng(18), 120_000, 4)
+        path = tmp_path / "plain.csv"
+        path.write_text(line_end.join(lines) + line_end, newline="")
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text("\n".join(lines[:1] + ['"' + line.replace(",", '",', 1)
+                                                 for line in lines[1:]]), newline="")
+        reference = load_csv(quoted)
+        assert reference.client_scores.shape[0] + reference.impostor_scores.shape[0] == 120_000
+
+        def no_reader(*args, **kwargs):
+            raise AssertionError("csv.reader called")
+
+        monkeypatch.setattr(csv, "reader", no_reader)
+        assert load_csv(path) == reference
+        with pytest.raises(AssertionError, match="csv.reader called"):
+            load_csv(quoted)

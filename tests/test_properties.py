@@ -10,6 +10,7 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from hypothesis import strategies as st
 
 from choqfuse.aggregate import RULE_TAGS, choquet_fuse
 from choqfuse.cli import main
-from choqfuse.data import LabeledScoreSet, load_csv, write_csv
+from choqfuse import data as data_module
+from choqfuse.data import DataFormatError, LabeledScoreSet, load_csv, write_csv
 from choqfuse.ga import GENE_EPS
 from choqfuse.measures import ADDITIVE_TOL, LambdaMeasure, solve_lambda, solve_lambda_batch
 from choqfuse.metrics import evaluate_scores, sweep_errors
@@ -225,6 +227,87 @@ class TestCsvRoundTrip:
         else:
             with pytest.raises(ValueError, match="round-trip"):
                 write_csv(data, path)
+
+
+# Pieces of score files: those numpy's reader takes, then those it leaves to
+# the csv loop.  A file of the first kind only is plain.
+PLAIN_IDS = ["P10", "P11", " P12", "P13 ", "id-7", "x y"]
+PLAIN_LABELS = ["Client", "IMPOSTOR", "cLiEnT"]
+UNIT_CELLS = ["0.5", "0", "1", ".5", "1e-3", "0.125", " 0.25", "0.75 ", "-0.0", "1e-400",
+              "+0.5", "00.5"]
+PLAIN_CELLS = ["1.5", "-0.1", "nan", "inf", "-Infinity", "1e999"]
+OTHER_IDS = ["a,b", '"a,b"', 'say "hi"', '"q"', "\tt", "é", "", "  ", "P\x00"]
+OTHER_LABELS = [" client", "impostor ", "genuine", "", "clients", '"client"']
+OTHER_CELLS = ["1_0", "١", "0.5\x1f", "x", "", "0x1p-2", "\t0.5", '"0.5"', "0.5\x7f",
+               "0.5\r"]
+
+
+@st.composite
+def score_files(draw):
+    """Bytes of a plain score file with up to two pieces that are not plain."""
+
+    def pick(common, unusual, odds=6):
+        return draw(st.sampled_from(unusual if draw(st.integers(1, odds)) == 1 else common))
+
+    n = draw(st.integers(1, 3))
+    # One line is its fields, then its line end.
+    lines = [[pick(["person_id"], [" Person_ID"]), pick(["label"], ["LABEL "]),
+              *(f"m{j + 1}" for j in range(n)), "\n"]]
+    for row in range(draw(st.integers(2, 8))):
+        lines.append([pick([f"P{row + 10}"], PLAIN_IDS, odds=10),
+                      pick([("client", "impostor")[row % 2]], PLAIN_LABELS),
+                      *(pick(UNIT_CELLS, PLAIN_CELLS, odds=30) for _ in range(n)),
+                      pick(["\n"], ["\r\n"])])
+    for _ in range(draw(st.integers(0, 2))):
+        line = lines[draw(st.integers(0, len(lines) - 1))]
+        change = draw(st.sampled_from(["field", "blank line", "lone CR", "fewer fields"]))
+        if change == "field":
+            col = draw(st.integers(0, len(line) - 2))
+            line[col] = draw(st.sampled_from(OTHER_IDS if col == 0 else
+                                             OTHER_LABELS if col == 1 else OTHER_CELLS))
+        elif change == "blank line":
+            lines.insert(lines.index(line) + 1, [draw(st.sampled_from(["", "  "])), "\n"])
+        elif change == "lone CR":
+            line[-1] = "\r"
+        elif len(line) > 2:
+            del line[-2]
+    text = "".join(",".join(line[:-1]) + line[-1] for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode("utf-8")
+
+
+def load_or_error(path, normalize):
+    try:
+        result = load_csv(path, normalize=normalize)
+    except DataFormatError as exc:
+        return str(exc)
+    return (result.client_ids, result.client_scores.tobytes(),
+            result.impostor_ids, result.impostor_scores.tobytes())
+
+
+class TestPlainReaderAgreesWithTheCsvLoop:
+    @settings(properties, max_examples=400)
+    @given(score_files(), st.booleans())
+    def test_same_score_set_or_same_error(self, tmp_path_factory, body, normalize):
+        path = tmp_path_factory.mktemp("csv") / "scores.csv"
+        path.write_bytes(body)
+        loaded = load_or_error(path, normalize)
+        with mock.patch.object(data_module, "_read_plain", return_value=None):
+            assert loaded == load_or_error(path, normalize)
+
+    @pytest.mark.parametrize("col,piece", [(0, p) for p in OTHER_IDS]
+                             + [(1, p) for p in OTHER_LABELS] + [(3, p) for p in OTHER_CELLS])
+    @pytest.mark.parametrize("row", [1, 3])
+    def test_one_piece_that_is_not_plain(self, tmp_path, row, col, piece):
+        lines = [["person_id", "label", "m1", "m2"], ["P1", "client", "0.5", "0.25"],
+                 ["P2", "impostor", "0.125", "1"], ["P3", "client", "0", "0.75"]]
+        lines[row][col] = piece
+        path = tmp_path / "scores.csv"
+        path.write_bytes("".join(",".join(line) + "\r\n" for line in lines).encode())
+        loaded = load_or_error(path, False)
+        with mock.patch.object(data_module, "_read_plain", return_value=None):
+            assert loaded == load_or_error(path, False)
 
 
 # Config values of every JSON type; json.dumps writes non-finite floats as
