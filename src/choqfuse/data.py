@@ -15,6 +15,7 @@ package writes goes through the one table writer ``write_table``.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from array import array
 from collections import Counter
@@ -62,8 +63,24 @@ class LabeledScoreSet:
     def __post_init__(self):
         object.__setattr__(self, "client_ids", tuple(str(i) for i in self.client_ids))
         object.__setattr__(self, "impostor_ids", tuple(str(i) for i in self.impostor_ids))
-        cs = np.array(self.client_scores, dtype=float)
-        imp = np.array(self.impostor_scores, dtype=float)
+        self._check(np.array(self.client_scores, dtype=float),
+                    np.array(self.impostor_scores, dtype=float))
+
+    @classmethod
+    def _of_owned(cls, client_ids, client_scores, impostor_ids, impostor_scores):
+        """A set of str id tuples and float matrices that no one else holds.
+
+        Checked as the constructor checks, but nothing is copied or passed
+        through ``str``: the matrices are frozen in place.  For ``load_csv``.
+        """
+        self = cls.__new__(cls)
+        object.__setattr__(self, "client_ids", client_ids)
+        object.__setattr__(self, "impostor_ids", impostor_ids)
+        self._check(client_scores, impostor_scores)
+        return self
+
+    def _check(self, cs: np.ndarray, imp: np.ndarray) -> None:
+        """Check the ids and the float score matrices, then store the matrices read-only."""
         for name, ids, arr in (("client", self.client_ids, cs),
                                ("impostor", self.impostor_ids, imp)):
             if arr.ndim != 2 or arr.shape[0] == 0:
@@ -152,21 +169,175 @@ def write_csv(dataset: LabeledScoreSet, path) -> None:
 
 
 def write_table(path, header, line: str, columns) -> None:
-    """Write a CSV file: the ``header`` fields, then ``line % row`` per row.
+    """Write a UTF-8 CSV file: the ``header`` fields, then ``line % row`` per row.
 
     The rows are those of the equal-length ``columns``; every line ends in
     CRLF.  Lines are formatted and written ``_BLOCK_ROWS`` at a time.  Array
     columns turn into Python numbers one block at a time, so no number
     object is kept per row and ``%r`` writes the ``repr`` that the
     standard ``csv`` module's writer writes for a float.
+
+    A line made only of ``%.6g`` fields, on float64 array columns, is
+    formatted by numpy (``_g6_lines``), with the same bytes; ``%`` writes the
+    rows that path cannot prove.
     """
+    g6 = (line.split(",") == ["%.6g"] * len(columns)
+          and all(isinstance(c, np.ndarray) and c.dtype == np.float64 for c in columns))
     line += "\r\n"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode("utf-8"))
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
             block = [c[start:start + _BLOCK_ROWS] for c in columns]
-            fh.write("".join(map(line.__mod__, zip(*(
-                b.tolist() if isinstance(b, np.ndarray) else b for b in block)))))
+            if g6:
+                fh.write(_g6_lines(line, np.column_stack(block)))
+            else:
+                fh.write(_percent_lines(line, zip(*(
+                    b.tolist() if isinstance(b, np.ndarray) else b for b in block))))
+
+
+def _percent_lines(line: str, rows) -> bytes:
+    """``line % row`` for each row, joined and encoded."""
+    return "".join(map(line.__mod__, rows)).encode("utf-8")
+
+
+# ``_g6_lines`` indexes its per-exponent tables by e + _G6_E0, e in [-101, 100].
+_G6_E0 = 101
+
+
+@functools.cache
+def _g6_tables():
+    """The lookup tables of ``_g6_lines``, built on first use.
+
+    A field is cut from a 24-byte superset of every ``%.6g`` text of its
+    value: ``-0.000`` d1 ``.`` d2 ``.`` d3 ``.`` d4 ``.`` d5 ``.`` d6
+    ``e+-`` E1 E2, then ``,`` and a spare byte, or CRLF after the last
+    field.  The bytes come as three 8-byte words: one of d1, one of d2..d5
+    and one of d6, the exponent and the field's end.  A keep mask, looked
+    up by (last field, sign, notation, trailing zeros), picks the field's
+    text out of them.
+    """
+    digits = np.frombuffer(b"0123456789", np.uint8)
+    e = np.arange(-_G6_E0, _G6_E0)
+    head = np.frombuffer(b"-0.0000.", np.uint8).reshape(1, 8).repeat(10, axis=0)
+    head[:, 6] = digits
+    middle = np.full((10_000, 8), ord("."), np.uint8)
+    middle[:, ::2] = digits[np.indices((10,) * 4).reshape(4, -1).T]
+    tail = np.empty((2, e.size, 10, 8), np.uint8)
+    tail[...] = np.frombuffer(b"0e+-00,\0", np.uint8)
+    tail[1, ..., 6:] = np.frombuffer(b"\r\n", np.uint8)
+    tail[..., 0] = digits
+    two = np.minimum(abs(e), 99)  # |e| > 99 only reaches rows left to %
+    tail[..., 4] = digits[two // 10, np.newaxis]
+    tail[..., 5] = digits[two % 10, np.newaxis]
+    # Trailing zeros of the four digits d2..d5.
+    zeros4 = np.zeros(10_000, np.intp)
+    for step in (10, 100, 1000, 10_000):
+        zeros4[::step] += 1
+    # Notation c: exponent form below 1e-4 (c = 0), fixed form for the
+    # exponents -4..5 (c = 1..10), exponent form from 1e6 (c = 11).
+    keep = np.zeros((2, 2, 12, 7, 24), bool)  # last field, sign, c, trailing zeros
+    digit_at = 6 + 2 * np.arange(6)
+    keep[..., 22] = True
+    keep[1, ..., 23] = True
+    keep[:, 1, ..., 0] = True
+    for c in range(12):
+        exp = c - 5
+        for zeros in range(7):
+            mask = keep[:, :, c, zeros]
+            if 0 <= exp <= 5:
+                kept = 6 - min(zeros, 5 - exp)
+                mask[..., digit_at[:kept]] = True
+                mask[..., digit_at[exp] + 1] = kept > exp + 1
+            elif -4 <= exp < 0:
+                mask[..., 1:2 - exp] = True  # "0." and -e - 1 zeros
+                mask[..., digit_at[:6 - min(zeros, 5)]] = True
+            else:
+                kept = 6 - min(zeros, 5)
+                mask[..., digit_at[:kept]] = True
+                mask[..., 7] = kept > 1
+                mask[..., [17, 18 if c else 19, 20, 21]] = True
+    # 10**(5 - e), correctly rounded: Python's int-to-float and int/int are.
+    scale = np.array([float(10 ** (5 - k)) if k <= 5 else 1 / 10 ** (k - 5) for k in e.tolist()])
+    u64 = np.uint64
+    return (head.view(u64).ravel(), middle.view(u64).ravel(), tail.view(u64).ravel(),
+            keep.view(u64).reshape(-1, 3), keep.sum(axis=-1).ravel(), zeros4, scale,
+            (np.clip(e, -5, 6) + 5) * 7)
+
+
+def _g6_lines(line: str, x: np.ndarray) -> bytes:
+    """The bytes of ``line % row`` for each row of the (n, k) float block ``x``.
+
+    ``line`` is ``%.6g`` k times, comma-separated, and CRLF.  Per value,
+    with e the decimal exponent, s = |x| * 10**(5 - e) is one multiply by a
+    correctly rounded power of ten, so it is within two roundings, below
+    2.3e-10, of the true value.  e is log10's estimate, corrected once so
+    that s lies in [1e5, 1e6).  Unless s is within 1e-9 of a rounding tie,
+    rounding s to the nearest integer r gives the six digits that ``%``
+    (correctly rounded) writes; r = 10**6 is 10**5 with e + 1.  A row with a
+    value near a tie, a value outside [1e-99, 1e99) other than 0, or a
+    value s could not be brought into [1e5, 1e6) for is written by ``%``
+    and spliced in at its byte offset.
+    """
+    head, middle, tail, keep_table, length, zeros4, scale, notation = _g6_tables()
+    n, k = x.shape
+    a = np.abs(x)
+    ok = a >= 1e-99
+    ok &= a < 1e99
+    zero = a == 0.0
+    np.copyto(a, 1.0, where=~ok)  # no log10(0) or NaN below
+    j = np.floor(np.log10(a)).astype(np.intp)
+    j += _G6_E0
+    s = scale.take(j)
+    s *= a
+    # log10 may be off by one next to a power of ten.
+    above, below = s >= 1e6, s < 1e5
+    fix = np.flatnonzero(above | below)
+    if fix.size:
+        flat = j.ravel()
+        flat[fix] += above.ravel()[fix]
+        flat[fix] -= below.ravel()[fix]
+        s.ravel()[fix] = a.ravel()[fix] * scale.take(flat[fix])
+    r = np.rint(s)
+    doubt = np.abs(s - r) > 0.5 - 1e-9
+    doubt |= s < 1e5
+    doubt |= s >= 1e6
+    doubt |= ~(ok | zero)
+    up = np.flatnonzero(r == 1e6)
+    r.ravel()[up] = 1e5
+    j.ravel()[up] += 1
+    np.copyto(r, 0.0, where=zero)  # 0 has e = 0: the fixed form keeps d1
+    digits = r.astype(np.intp)
+    d1_5 = digits // 10
+    d6 = digits - 10 * d1_5
+    d1 = d1_5 // 10_000
+    d2_5 = d1_5 - 10_000 * d1
+    last = np.zeros(k, np.intp)
+    last[-1] = 1
+    words = np.empty((n, k, 3), np.uint64)
+    words[:, :, 0] = head.take(d1)
+    words[:, :, 1] = middle.take(d2_5)
+    words[:, :, 2] = tail.take(last * (tail.size // 2) + 10 * j + d6)
+    # Trailing zeros of the six digits (6 for 0).
+    zeros = zeros4.take(d2_5)
+    zeros += 1 + (digits == 0)
+    zeros *= d6 == 0
+    # The keep mask's row: (last field, sign, notation, zeros) in a (2, 2, 12, 7) table.
+    kind = notation.take(j)
+    kind += zeros
+    kind += 84 * np.signbit(x) + 168 * last
+    keep = keep_table.take(kind, axis=0)
+    bad = np.unique(np.flatnonzero(doubt) // k)
+    keep[bad] = 0
+    body = np.compress(keep.view(bool).ravel(), words.view(np.uint8).ravel()).tobytes()
+    if not bad.size:
+        return body
+    sizes = length.take(kind)
+    sizes[bad] = 0
+    ends = np.cumsum(sizes.ravel())[bad * k + k - 1].tolist()
+    parts = []
+    for row, start, end in zip(bad.tolist(), [0] + ends, ends):
+        parts += [body[start:end], _percent_lines(line, [tuple(x[row].tolist())])]
+    return b"".join(parts + [body[ends[-1]:]])
 
 
 def id_label_columns(dataset: LabeledScoreSet) -> list[list[str]]:
@@ -203,11 +374,9 @@ def load_csv(path, normalize: bool = False) -> LabeledScoreSet:
         if not rows.any():
             raise DataFormatError(f"{path}: no {label} rows")
     try:
-        return LabeledScoreSet(
-            client_ids=tuple(compress(ids, is_client)),
-            client_scores=matrix[is_client],
-            impostor_ids=tuple(compress(ids, ~is_client)),
-            impostor_scores=matrix[~is_client],
+        return LabeledScoreSet._of_owned(
+            tuple(compress(ids, is_client)), matrix[is_client],
+            tuple(compress(ids, ~is_client)), matrix[~is_client],
         )
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from None

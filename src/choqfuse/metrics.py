@@ -250,8 +250,10 @@ def write_roc_csv(report: EvalReport, path) -> None:
     """Write the threshold/FAR/FRR series as CSV (6 significant digits).
 
     The bytes are those the standard ``csv`` module's writer (excel
-    dialect) writes for the ``f"{v:.6g}"`` texts, formatted in blocks by
-    ``data.write_table``.
+    dialect) writes for the ``f"{v:.6g}"`` texts.  ``data.write_table``
+    formats them in blocks with numpy, and with ``%`` the rows holding a
+    value it cannot prove: one within 1e-9 of a rounding tie, a non-finite
+    one, or one outside [1e-99, 1e99) other than 0.
     """
     write_table(path, ["threshold", "far", "frr"], "%.6g,%.6g,%.6g",
                 [report.thresholds, report.far_curve, report.frr_curve])

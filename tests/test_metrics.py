@@ -2,15 +2,26 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from choqfuse import data as data_module
 from choqfuse.aggregate import FusionRule, choquet_fuse_batch, rule_fuse_batch
-from choqfuse.data import _BLOCK_ROWS, LabeledScoreSet, normalize_minmax, synthetic_dataset
+from choqfuse.data import (_BLOCK_ROWS, LabeledScoreSet, normalize_minmax, synthetic_dataset,
+                           write_table)
 from choqfuse.measures import LambdaMeasure
 from choqfuse.metrics import EvalReport, evaluate_scores, sweep_errors, write_roc_csv
+
+properties = settings(derandomize=True, deadline=None, database=None)
 
 
 class TestNormalizeMinmax:
@@ -265,6 +276,13 @@ ROC_REPORTS = {
         rng.uniform(0, 1e-4, 300), np.r_[rng.uniform(0, 1e-6, 150), np.zeros(150)]),
     # FAR steps of 5e-05, FRR steps of 3.33333e-05; seven blocks of rows.
     "many_rows": lambda rng: evaluate_scores(rng.uniform(size=30_000), rng.uniform(size=20_000)),
+    # Thresholds below zero, down to about -13, and a -0.0 among them.
+    "negative_thresholds": lambda rng: evaluate_scores(
+        np.r_[rng.normal(-3.0, 2.0, 4000), -0.0], rng.normal(-5.0, 2.0, 3000)),
+    # FAR steps of 1/70001: the first seven, 1.42855e-05 to 9.99986e-05,
+    # print in exponent form with six digits.
+    "exponent_far_steps": lambda rng: evaluate_scores(rng.uniform(size=1000),
+                                                      rng.uniform(size=70_001)),
     "block_minus_one": lambda rng: _curves_of_length(_BLOCK - 1),
     "one_block": lambda rng: _curves_of_length(_BLOCK),
     "block_plus_one": lambda rng: _curves_of_length(_BLOCK + 1),
@@ -331,6 +349,127 @@ class TestRocExport:
         assert best_tpr_at(choquet, 1 / 30) > best_tpr_at(mean, 1 / 30)
 
 
+def _percent_reference(x) -> bytes:
+    """The lines of ``%.6g`` fields that ``%`` writes for the rows of ``x``."""
+    line = ",".join(["%.6g"] * x.shape[1]) + "\r\n"
+    return "".join(line % row for row in map(tuple, x.tolist())).encode()
+
+
+def _g6_bytes(x) -> bytes:
+    x = np.asarray(x, dtype=float)
+    return data_module._g6_lines(",".join(["%.6g"] * x.shape[1]) + "\r\n", x)
+
+
+def _near_a_tie(v: float) -> bool:
+    """Whether the 6-digit rounding of ``v`` is within 1e-9 of a tie, read off ``%.20e``.
+
+    The digits past the sixth, as a fraction of the sixth digit's unit,
+    are exact to 5e-16 there: no numpy arithmetic is involved.
+    """
+    text = "%.20e" % abs(v)
+    rest = int((text[0] + text[2:22])[6:])  # 15 digits past the sixth
+    return abs(rest - 5 * 10**14) < 10**6
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Decimal ties (m + 1/2) * 10**p, which doubles hold only approximately.
+_DECIMAL_TIES = st.builds(lambda m, p: (m + 0.5) * 10.0**p,
+                          st.integers(10**5, 10**6 - 1), st.integers(-40, 40))
+
+
+# The doubles nearest 10**k, k = -30..29 (int-to-float and int/int round correctly).
+_POWERS_OF_TEN = np.array([float(10**k) if k >= 0 else 1 / 10**-k for k in range(-30, 30)])
+
+
+class TestSixDigitFormatter:
+    """``data._g6_lines``, the numpy path of ``write_table`` for ``%.6g`` lines."""
+
+    ADVERSARIAL = np.concatenate([
+        [123456.5, 12345.75, 1234565.0, 0.1234565, 999999.5, 999999.4, 9999995.0,
+         9.999995e-05, 9.9999949e-05, 9.9999951e-05, 1e-5, 1e-4, 0.0001, 999999.0,
+         0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-320, 1e300, -1e300,
+         1e-99, 1e99, np.nextafter(1e99, 0), np.nextafter(1e-99, 0), 1.7976931348623157e308,
+         np.inf, -np.inf, np.nan, 1.0, 0.5, 2.0, -1.0, 123456.0, 1234567.0, 0.1, 1 / 3],
+        np.nextafter(_POWERS_OF_TEN, 0.0), _POWERS_OF_TEN, np.nextafter(_POWERS_OF_TEN, np.inf),
+    ])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_adversarial_values(self, sign):
+        x = sign * self.ADVERSARIAL[:, np.newaxis]
+        assert _g6_bytes(x) == _percent_reference(x)
+
+    @pytest.mark.parametrize("n", [49_999, 50_000])
+    def test_counts_over_n(self, n):
+        x = (np.arange(n + 1) / n).reshape(-1, 1)
+        assert _g6_bytes(x) == _percent_reference(x)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 5])
+    def test_row_widths(self, width):
+        rng = np.random.default_rng(width)
+        x = rng.uniform(-2.0, 2.0, (500, width)) * 10.0 ** rng.integers(-8, 9, (500, width))
+        x[::7, -1] = 0.0
+        x[::11, 0] = 123456.5  # a tie: the row goes to %
+        assert _g6_bytes(x) == _percent_reference(x)
+
+    @settings(properties, max_examples=300)
+    @given(st.lists(st.tuples(*[st.one_of(_FINITE, _DECIMAL_TIES)] * 3), min_size=1, max_size=40))
+    def test_any_finite_floats(self, rows):
+        x = np.array(rows, dtype=float)
+        assert _g6_bytes(x) == _percent_reference(x)
+
+    def test_only_rows_near_a_tie_are_left_to_percent(self, tmp_path):
+        """The % fallback writes the rows with a value near a rounding tie, and only those.
+
+        Products of 3-decimal scores have short decimal expansions, so many
+        thresholds sit within an ulp of a tie.
+        """
+        rng = np.random.default_rng(19)
+        clients, impostors = (rng.integers(0, 1001, (50_000, 4)) / 1000 for _ in range(2))
+        report = evaluate_scores(rule_fuse_batch(clients, FusionRule("prod")),
+                                 rule_fuse_batch(impostors, FusionRule("prod")))
+        rows = np.column_stack([report.thresholds, report.far_curve, report.frr_curve])
+        assert len(rows) > 95_000
+        doubtful = sum(any(map(_near_a_tie, row)) for row in rows.tolist())
+        assert doubtful > 100
+        written = []
+        percent_lines = data_module._percent_lines
+
+        def counting(line, lines):
+            lines = list(lines)
+            written.extend(lines)
+            return percent_lines(line, lines)
+
+        with mock.patch.object(data_module, "_percent_lines", counting):
+            write_roc_csv(report, tmp_path / "roc.csv")
+        assert len(written) == doubtful
+        assert all(any(map(_near_a_tie, row)) for row in written)
+        _csv_writer_roc(report, tmp_path / "rows.csv")
+        assert (tmp_path / "roc.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_other_lines_and_columns_keep_percent(self, tmp_path):
+        columns = [np.array([0.5, 123456.5]), np.array([1e-7, 2.0])]
+        calls = []
+        percent_lines = data_module._percent_lines
+
+        def counting(line, lines):
+            calls.append(line)
+            return percent_lines(line, lines)
+
+        with mock.patch.object(data_module, "_percent_lines", counting):
+            write_table(tmp_path / "a.csv", ["a", "b"], "%.6g,%.2f", columns)
+            write_table(tmp_path / "b.csv", ["a", "b"], "%.6g,%.6g", [columns[0], [1e-7, 2.0]])
+            write_table(tmp_path / "c.csv", ["a", "b"], "%.6g,%.6g", columns)
+        assert calls == ["%.6g,%.2f\r\n", "%.6g,%.6g\r\n", "%.6g,%.6g\r\n"]
+        assert (tmp_path / "a.csv").read_bytes() == b"a,b\r\n0.5,0.00\r\n123456,2.00\r\n"
+        assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_no_warning_and_no_tables_at_import(self):
+        code = ("import warnings; warnings.simplefilter('error'); import choqfuse.data as d; "
+                "assert d._g6_tables.cache_info().currsize == 0")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": str(Path(data_module.__file__).parents[1])})
+
+
 class TestLabeledScoreSet:
     def test_field_views(self):
         data = synthetic_dataset()
@@ -359,6 +498,27 @@ class TestLabeledScoreSet:
     def test_out_of_range_scores_rejected(self):
         with pytest.raises(ValueError):
             LabeledScoreSet(("a",), [[1.5]], ("b",), [[0.4]])
+
+    def test_public_constructor_copies_stringifies_and_checks(self):
+        client_scores = np.array([[0.5, 0.25]])
+        data = LabeledScoreSet([7], client_scores, (8, "x"), [[0, 1], [1, 0]])
+        assert data.client_ids == ("7",) and data.impostor_ids == ("8", "x")
+        assert data.impostor_scores.dtype == np.float64
+        assert not data.client_scores.flags.writeable and client_scores.flags.writeable
+        client_scores[0, 0] = 0.75
+        assert data.client_scores[0, 0] == 0.5
+        for args, message in [
+            ((["a"], [0.5], ["b"], [[0.5]]), "client scores must be a non-empty matrix"),
+            ((["a"], [[0.5]], ["b"], np.empty((0, 1))), "impostor scores must be a non-empty matrix"),
+            ((["a", "c"], [[0.5]], ["b"], [[0.5]]), "2 client ids for 1 score rows"),
+            ((["a"], [[0.5]], ["b"], [[np.nan]]), "impostor scores must lie in [0, 1]"),
+            ((["a"], [[-0.5]], ["b"], [[0.5]]), "client scores must lie in [0, 1]"),
+            ((["a"], [[0.5, 0.5]], ["b"], [[0.5]]), "clients have 2 modalities, impostors 1"),
+            (([1, "b"], [[0.5], [0.5]], ["1"], [[0.5]]), "duplicate person ids: ['1']"),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                LabeledScoreSet(*args)
+            assert str(exc.value) == message
 
     def test_scores_are_frozen(self):
         data = synthetic_dataset()
