@@ -49,11 +49,10 @@ def _as_score_matrix(scores, n: int | None = None) -> np.ndarray:
         raise ValueError(f"expected {n} scores per vector, got {a.shape[1]}")
     if a.shape[1] < 1:
         raise ValueError("score vectors must not be empty")
-    if np.any(~np.isfinite(a)) or np.any(a < 0.0) or np.any(a > 1.0):
-        bad = np.argwhere(~((a >= 0.0) & (a <= 1.0)))[0]
-        raise ValueError(
-            f"score [{bad[0]},{bad[1]}] = {a[bad[0], bad[1]]!r} outside [0, 1]"
-        )
+    inside = (a >= 0.0) & (a <= 1.0)  # False at NaN and +-inf too
+    if not inside.all():
+        bad = np.argwhere(~inside)[0]
+        raise ValueError(f"score [{bad[0]},{bad[1]}] = {float(a[tuple(bad)])!r} outside [0, 1]")
     return a
 
 
@@ -165,7 +164,7 @@ def _normalized_weights(weights, n: int) -> np.ndarray:
     if np.any(w < 0.0):
         raise ValueError("weights must be nonnegative")
     if abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
+        raise ValueError(f"weights must sum to 1, got {float(w.sum())!r}")
     return w
 
 

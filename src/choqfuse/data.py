@@ -87,7 +87,7 @@ class LabeledScoreSet:
                 raise ValueError(f"{name} scores must be a non-empty matrix")
             if arr.shape[0] != len(ids):
                 raise ValueError(f"{len(ids)} {name} ids for {arr.shape[0]} score rows")
-            if np.any(~np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
+            if not ((arr >= 0.0) & (arr <= 1.0)).all():  # False at NaN and +-inf too
                 raise ValueError(f"{name} scores must lie in [0, 1]")
         if cs.shape[1] != imp.shape[1]:
             raise ValueError(

@@ -45,7 +45,7 @@ import numpy as np
 from .aggregate import SortedScores
 from .data import LabeledScoreSet
 from .measures import _as_density_matrix, _solve, _tables
-from .metrics import _sweep, _sweep_index
+from .metrics import _sweep
 
 __all__ = [
     "GENE_EPS",
@@ -120,6 +120,8 @@ class GaConfig:
             raise ValueError("eer_stop_threshold must lie in [0, 1]")
         if not 0.0 < self.mutation_bound < math.inf:
             raise ValueError("mutation_bound must be positive and finite")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
 
     @property
     def offspring_count(self) -> int:
@@ -158,22 +160,13 @@ def init_population(
 def _fitness_kernel(
     data: LabeledScoreSet,
 ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Scorer of valid (P, n) gene arrays on ``data``, unchecked (see population_fitness).
-
-    Built once: the sorted client and impostor rows, stacked so that a batch is one fuse;
-    per batch size: the fused rows, closed by the sweep's +inf column, and their index."""
+    """Stateless ``population_fitness`` on ``data`` for (P, n) gene arrays already checked."""
     scores = SortedScores(np.vstack([data.client_scores, data.impostor_scores]))
-    n_clients, n_scores = len(data.client_scores), len(scores.diffs)
-    fused = index = None
+    n_clients = len(data.client_scores)
 
     def score(genes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        nonlocal fused, index
-        if fused is None or len(fused) != len(genes):
-            fused = np.empty((len(genes), n_scores + 1))
-            fused[:, -1] = np.inf
-            index = _sweep_index(len(genes), n_clients, n_scores - n_clients)
-        scores.fuse(_tables(genes, _solve(genes)), out=fused[:, :-1])
-        return _sweep(fused, n_clients, *index)  # new arrays: the workspace stays here
+        fused = scores.fuse(_tables(genes, _solve(genes)))
+        return _sweep(fused[:, :n_clients], fused[:, n_clients:])
 
     return score
 

@@ -48,19 +48,18 @@ def _require_finite(scores: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} scores must be finite, got NaN or infinity")
 
 
-def _rank(scores: np.ndarray, n_clients: int, kind: str, row_starts):
+def _rank(scores: np.ndarray, n_clients: int, kind: str):
     """Rank each row of (P, Nc + Ni) scores, clients first, in one sort of the given kind.
 
     Returns the ranked scores, the number of clients strictly below each
     ranked position's run of tied scores (valid at the run's first
     position) and the flags of those first positions.  Those counts do not
     depend on the order inside a run, so any sort kind gives the same.
-    ``row_starts`` is the flat index of each row's first score, a (P, 1) column.
     """
     order = scores.argsort(axis=1, kind=kind)
     is_client = order < n_clients
     # Flat positions: one take, no per-axis index arrays.
-    order += row_starts
+    order += np.arange(0, scores.size, scores.shape[1])[:, np.newaxis]
     ranked = scores.take(order)
     del order
     clients_below = is_client.cumsum(axis=1)
@@ -97,7 +96,7 @@ def sweep_errors(fused_clients, fused_impostors) -> tuple[np.ndarray, np.ndarray
     """EER and minimum total error rate of each row of (P, Nc) / (P, Ni) scores.
 
     Row p equals ``evaluate_scores(fused_clients[p], fused_impostors[p])``'s
-    ``eer`` and ``min_error_rate()[0]`` exactly: the sweep ranks each row's
+    ``eer`` and ``min_error_rate()[0]`` exactly: ``_sweep`` ranks each row's
     scores once and reads the same integer error counts on the same
     candidate thresholds, at the run starts only.  Memory is O(P * (Nc + Ni)).
     """
@@ -106,29 +105,23 @@ def sweep_errors(fused_clients, fused_impostors) -> tuple[np.ndarray, np.ndarray
     if clients.ndim != 2 or impostors.ndim != 2 or len(clients) != len(impostors):
         raise ValueError(f"expected (P, Nc) and (P, Ni) score rows, got shapes "
                          f"{clients.shape} and {impostors.shape}")
-    n_clients, n_impostors = clients.shape[1], impostors.shape[1]
-    if n_clients == 0 or n_impostors == 0:
+    if clients.shape[1] == 0 or impostors.shape[1] == 0:
         raise ValueError("client and impostor scores must not be empty")
-    # A sentinel above every score closes each row: its run start has every
-    # client rejected and no impostor accepted, the grid's top sentinel.
+    for scores in (clients, impostors):
+        _require_finite(scores, "client and impostor")
+    return _sweep(clients, impostors)
+
+
+def _sweep(clients: np.ndarray, impostors: np.ndarray):
+    """``sweep_errors`` of finite, non-empty (P, Nc) and (P, Ni) float rows, unchecked.
+
+    Only this function closes a row with the +inf sentinel, the grid's top
+    one: its run start has every client rejected and no impostor accepted."""
+    n_clients, n_impostors = clients.shape[1], impostors.shape[1]
     scores = np.concatenate([clients, impostors, np.full((len(clients), 1), np.inf)], axis=1)
-    _require_finite(scores[:, :-1], "client and impostor")
-    return _sweep(scores, n_clients, *_sweep_index(len(scores), n_clients, n_impostors))
-
-
-def _sweep_index(p: int, n_clients: int, n_impostors: int):
-    """What ``_sweep`` reads of (P, Nc + Ni + 1) rows besides the scores: the flat
-    row starts, a (P, 1) column, and the count ramp Ni - arange(Nc + Ni + 1)."""
-    width = n_clients + n_impostors + 1
-    return np.arange(0, p * width, width)[:, np.newaxis], n_impostors - np.arange(width)
-
-
-def _sweep(scores: np.ndarray, n_clients: int, row_starts: np.ndarray, ramp: np.ndarray):
-    """``sweep_errors`` of finite (P, Nc + Ni + 1) rows closed by +inf, given their index."""
-    n_impostors = scores.shape[1] - 1 - n_clients
-    ranked, clients_below, first = _rank(scores, n_clients, "quicksort", row_starts)
+    ranked, clients_below, first = _rank(scores, n_clients, "quicksort")
     # Counts at every run start (elsewhere they are not read).
-    accepted = clients_below + ramp
+    accepted = clients_below + (n_impostors - np.arange(scores.shape[1]))
     far, frr = accepted / n_impostors, clients_below / n_clients
     diff = far - frr
     lo, hi = _bracket(diff, first)
@@ -204,7 +197,7 @@ def evaluate_scores(fused_clients, fused_impostors) -> EvalReport:
     scores[0, n_clients:].sort()
     lowest_client, highest_impostor = scores[0, 0], scores[0, -1]
     # Presorted halves: the stable rank is one merge.
-    ranked, clients_below, first = _rank(scores, n_clients, "stable", 0)  # one row, at 0
+    ranked, clients_below, first = _rank(scores, n_clients, "stable")
     del scores
     starts = np.flatnonzero(first[0])
     del first

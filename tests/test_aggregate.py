@@ -185,6 +185,14 @@ class TestChoquetFuse:
         with pytest.raises(ValueError):
             choquet_fuse((-0.1, 0.2, 0.1), m)
 
+    @pytest.mark.parametrize("bad,text", [
+        (1.5, "1.5"), (-0.25, "-0.25"), (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"),
+    ])
+    def test_an_out_of_range_score_is_named_as_a_float(self, bad, text):
+        with pytest.raises(ValueError) as raised:
+            choquet_fuse_batch([[0.5, 0.2], [0.1, bad]], LambdaMeasure((0.4, 0.5)))
+        assert str(raised.value) == f"score [1,1] = {text} outside [0, 1]"
+
 
 CHUNK = aggregate._CHUNK_ROWS
 # Not additive: m(A) = (sum of the weights in A)^2 for weights .5, .3, .2.
@@ -225,7 +233,7 @@ class TestChunkedFusion:
         a[row, 1] = 1.5
         with pytest.raises(ValueError) as raised:
             choquet_fuse_batch(a, LambdaMeasure((0.35, 0.25, 0.3)))
-        assert str(raised.value) == f"score [{row},1] = {a[row, 1]!r} outside [0, 1]"
+        assert str(raised.value) == f"score [{row},1] = 1.5 outside [0, 1]"
 
     def test_no_thread_outlives_a_call(self, cpus):
         m = LambdaMeasure((0.35, 0.25, 0.3))
@@ -313,6 +321,9 @@ class TestFusionRules:
             rule_fuse_batch([(0.5, 0.5)], FusionRule("weighted_sum", weights=(0.9, 0.3)))[0]
         with pytest.raises(ValueError):
             rule_fuse_batch([(0.5, 0.5)], FusionRule("weighted_sum", weights=(-0.5, 1.5)))[0]
+        with pytest.raises(ValueError) as raised:
+            rule_fuse_batch([(0.5, 0.5)], FusionRule("weighted_sum", weights=(0.6, 0.6)))
+        assert str(raised.value) == "weights must sum to 1, got 1.2"
         for threshold in (1.5, float("nan"), (0.5, float("nan"))):
             with pytest.raises(ValueError):
                 rule_fuse_batch([(0.5, 0.5)], FusionRule("and", threshold=threshold))[0]

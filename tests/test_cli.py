@@ -294,6 +294,12 @@ class TestExitCodes:
     def test_usage_error_for_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
 
+    def test_a_negative_seed_is_named(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "optimize", "--synthetic", "--seed", "-1", "--out", str(out))
+        assert code == 1 and err == "error: rng_seed must be non-negative\n"
+        assert not out.exists()
+
     def test_usage_error_for_invalid_density_values(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "fuse", "--synthetic", "--densities", "0.5,1.5",

@@ -628,8 +628,9 @@ class TestConfigValidation:
             {"mutation_bound": 0.0},
             {"mutation_bound": float("nan")},
             {"mutation_bound": float("inf")},
+            {"rng_seed": -1},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             GaConfig(**kwargs)

@@ -170,6 +170,28 @@ class TestSweepErrors:
         eers, min_errors = sweep_errors([[0.8, 0.9]], [[0.1, 0.2]])
         assert eers.tolist() == [0.0] and min_errors.tolist() == [0.0]
 
+    def test_extreme_and_signed_zero_rows_equal_evaluate_scores(self):
+        # The +inf sentinel must rank above the largest finite double, and
+        # -0.0 must tie with 0.0, as in evaluate_scores.
+        big, tiny = np.finfo(float).max, 5e-324
+        pool = np.array([-big, -1e-310, -tiny, -0.0, 0.0, tiny, 1e-310, 0.5, big])
+        rng = np.random.default_rng(97)
+        clients, impostors = rng.choice(pool, (300, 7)), rng.choice(pool, (300, 5))
+        clients[0], impostors[0] = big, -big  # separable at the extremes
+        clients[1], impostors[1] = big, big  # every score tied at the top
+        clients[2], impostors[2] = -0.0, 0.0  # every score tied at zero
+        eers, min_errors = sweep_errors(clients, impostors)
+        for c, i, value, min_error in zip(clients, impostors, eers, min_errors):
+            report = evaluate_scores(c, i)
+            assert value == report.eer
+            assert min_error == report.min_error_rate()[0]
+        assert eers[:3].tolist() == [0.0, 0.5, 0.5] and min_errors[0] == 0.0
+
+    def test_an_empty_batch_gives_empty_arrays(self):
+        eers, min_errors = sweep_errors(np.empty((0, 3)), np.empty((0, 2)))
+        assert eers.shape == min_errors.shape == (0,)
+        assert eers.dtype == min_errors.dtype == np.float64
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             sweep_errors([[0.5, 0.6]], [[0.1], [0.2]])
@@ -513,6 +535,8 @@ class TestLabeledScoreSet:
             ((["a", "c"], [[0.5]], ["b"], [[0.5]]), "2 client ids for 1 score rows"),
             ((["a"], [[0.5]], ["b"], [[np.nan]]), "impostor scores must lie in [0, 1]"),
             ((["a"], [[-0.5]], ["b"], [[0.5]]), "client scores must lie in [0, 1]"),
+            ((["a"], [[0.5]], ["b"], [[1.5]]), "impostor scores must lie in [0, 1]"),
+            ((["a"], [[-np.inf]], ["b"], [[0.5]]), "client scores must lie in [0, 1]"),
             ((["a"], [[0.5, 0.5]], ["b"], [[0.5]]), "clients have 2 modalities, impostors 1"),
             (([1, "b"], [[0.5], [0.5]], ["1"], [[0.5]]), "duplicate person ids: ['1']"),
         ]:
