@@ -30,11 +30,7 @@ from .ga import (
     GenerationRecord,
     Population,
     evolve,
-    init_population,
-    linear_crossover,
-    mutation_offsets,
     population_fitness,
-    select_parents,
 )
 from .measures import (
     ConvergenceError,
@@ -70,15 +66,11 @@ __all__ = [
     "choquet_fuse_batch",
     "evaluate_scores",
     "evolve",
-    "init_population",
     "lambda_tables",
-    "linear_crossover",
     "load_csv",
-    "mutation_offsets",
     "normalize_minmax",
     "population_fitness",
     "rule_fuse_batch",
-    "select_parents",
     "solve_lambda",
     "solve_lambda_batch",
     "sweep_errors",

@@ -216,8 +216,11 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _subset_label(mask: int, n: int) -> str:
-    return "{" + ",".join(str(i + 1) for i in range(n) if mask >> i & 1) + "}"
+def _subsets(measure: LambdaMeasure) -> list[tuple[int, str, float]]:
+    """(mask, label such as "{1,3}", measure) of each non-empty subset, in mask order."""
+    n, table = measure.n, measure.dense_table()
+    return [(mask, "{" + ",".join(str(i + 1) for i in range(n) if mask >> i & 1) + "}",
+             float(table[mask])) for mask in range(1, 1 << n)]
 
 
 def _measure_json(measure: LambdaMeasure) -> dict:
@@ -227,11 +230,7 @@ def _measure_json(measure: LambdaMeasure) -> dict:
         "n_modalities": measure.n,
     }
     if measure.n <= _DISPLAY_MAX_N:
-        table = measure.dense_table()
-        payload["subset_measures"] = {
-            _subset_label(mask, measure.n): float(table[mask])
-            for mask in range(1, 1 << measure.n)
-        }
+        payload["subset_measures"] = {label: value for _, label, value in _subsets(measure)}
     return payload
 
 
@@ -239,10 +238,9 @@ def _print_measure(measure: LambdaMeasure) -> None:
     print(f"lambda = {measure.lam:.6f}")
     if measure.n > _DISPLAY_MAX_N:
         return
-    table = measure.dense_table()
-    masks = sorted(range(1, 1 << measure.n), key=lambda m: (bin(m).count("1"), m))
-    for mask in masks:
-        print(f"m({_subset_label(mask, measure.n)}) = {table[mask]:.6f}")
+    for _, label, value in sorted(_subsets(measure),
+                                  key=lambda s: (bin(s[0]).count("1"), s[0])):
+        print(f"m({label}) = {value:.6f}")
 
 
 def _cmd_fuse(args) -> int:

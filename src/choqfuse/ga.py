@@ -53,11 +53,7 @@ __all__ = [
     "GenerationRecord",
     "Population",
     "evolve",
-    "init_population",
-    "linear_crossover",
-    "mutation_offsets",
     "population_fitness",
-    "select_parents",
 ]
 
 # Genes are clamped into [GENE_EPS, 1 - GENE_EPS]: exact 0/1 densities are
@@ -124,7 +120,7 @@ class GaConfig:
             raise ValueError("rng_seed must be non-negative")
 
     @property
-    def offspring_count(self) -> int:
+    def offspring_count(self) -> int:  # read by perfbench/spans.py until ROADMAP item 1
         return self.population_size
 
 
@@ -136,14 +132,12 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def init_population(
+def _init_population(
     cfg: GaConfig,
     n_genes: int,
     seeds: Sequence[Iterable[float]] | None = None,
 ) -> np.ndarray:
     """The (P, n) initial gene array: clamped seeds first (expert picks), then uniform draws."""
-    if n_genes < 2:
-        raise ValueError("need at least 2 genes per chromosome")
     seeded = [_clamp(np.asarray(s, dtype=float)) for s in (seeds or [])]
     for genes in seeded:
         if genes.shape != (n_genes,):
@@ -190,7 +184,7 @@ def population_fitness(genes, data: LabeledScoreSet) -> tuple[np.ndarray, np.nda
     return _fitness_kernel(data)(_as_density_matrix(genes))
 
 
-def select_parents(
+def _select_parents(
     n_members: int, shape: int | tuple[int, ...], rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Member indices of parent pairs, of the given shape, uniform (1/N) and distinct in a pair.
@@ -203,21 +197,17 @@ def select_parents(
     return first, second + (second >= first)
 
 
-def linear_crossover(a, b) -> np.ndarray:
-    """The three linear offspring of parent genes ``a``, ``b``, clamped into the box.
+def _linear_crossover(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The three linear offspring of parent gene arrays ``a``, ``b``, clamped into the box.
 
     0.5*(a + b), 1.5*a - 0.5*b and 0.5*a + 1.5*b, componentwise; parents of
     shape (..., n) give offspring of shape (..., 3, n).
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"gene length mismatch: {a.shape} vs {b.shape}")
     children = np.concatenate([0.5 * (a + b), 1.5 * a - 0.5 * b, 0.5 * a + 1.5 * b], axis=-1)
     return _clamp(children.reshape(a.shape[:-1] + (3,) + a.shape[-1:]))
 
 
-def mutation_offsets(
+def _mutation_offsets(
     shape: int | tuple[int, ...],
     generation,
     cfg: GaConfig,
@@ -231,12 +221,9 @@ def mutation_offsets(
     y / (1 + generation / g_max), shrinking as the run ages.  The power is
     scalar ``math.pow``: numpy's vectorized one rounds by the CPU's SIMD level.
     """
-    exponents = np.asarray(generation) / cfg.max_generations
-    if not np.all((exponents >= 0.0) & (exponents <= 1.0)):
-        raise ValueError("generation must lie in [0, max_generations]")
     s = rng.random(shape)
     signs = rng.integers(0, 2, size=shape) * 2 - 1
-    exponents = np.broadcast_to(exponents, s.shape)
+    exponents = np.broadcast_to(np.asarray(generation) / cfg.max_generations, s.shape)
     steps = np.fromiter(map(math.pow, (1.0 - s).flat, exponents.flat), float, s.size)
     return signs * cfg.mutation_bound * steps.reshape(s.shape)
 
@@ -275,10 +262,14 @@ def evolve(
     population) and after each later one, with the ranked ``Population``
     (read-only views of the loop's arrays, not copies) and its best member,
     the record just appended to the trace: the returned best is ``history[-1]``.
+    Raises ``ValueError`` for data of fewer than 2 modalities and for seeds
+    that are not ``data.n_modalities`` wide, NaN or more than the population.
     """
     cfg = cfg or GaConfig()
-    score = _fitness_kernel(data)
     size, n_genes = cfg.population_size, data.n_modalities
+    if n_genes < 2:
+        raise ValueError(f"the GA needs at least 2 modalities, the data has {n_genes}")
+    score = _fitness_kernel(data)
     history: list[GenerationRecord] = []
 
     def report(generation: int, genes: np.ndarray, eers: np.ndarray) -> GenerationRecord:
@@ -290,7 +281,7 @@ def evolve(
             on_generation(Population(generation, genes, eers), best)
         return best
 
-    genes = init_population(cfg, n_genes, seeds)
+    genes = _init_population(cfg, n_genes, seeds)
     eers, min_errors = score(genes)
     order = np.lexsort((min_errors, eers))  # stable: earlier rows first on ties
     genes, eers, min_errors = genes[order], eers[order], min_errors[order]
@@ -305,9 +296,9 @@ def evolve(
         if row == 0:
             # Rows past max_generations keep the block full and are never used.
             block = np.minimum(np.arange(generation, generation + _BLOCK), cfg.max_generations)
-            firsts, seconds = select_parents(size, (_BLOCK, events), rng)
-            offsets = mutation_offsets((_BLOCK, size, n_genes), block[:, None, None], cfg, rng)
-        children = linear_crossover(genes[firsts[row]], genes[seconds[row]])
+            firsts, seconds = _select_parents(size, (_BLOCK, events), rng)
+            offsets = _mutation_offsets((_BLOCK, size, n_genes), block[:, None, None], cfg, rng)
+        children = _linear_crossover(genes[firsts[row]], genes[seconds[row]])
         children = _clamp(children.reshape(-1, n_genes)[:size] + offsets[row])
         child_eers, child_min_errors = score(children)
         eers = np.concatenate([eers, child_eers])

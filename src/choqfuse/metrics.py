@@ -21,6 +21,7 @@ Conventions, fixed across the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,16 @@ def _interpolate(d0, d1, lo, hi):
     """The value at the FAR - FRR crossing, linear from ``lo`` (where FAR - FRR is
     d0 > 0) to ``hi`` (where it is d1 <= 0), and ``hi`` itself where d1 = 0."""
     return np.where(d1 == 0.0, hi, lo + d0 / (d0 - d1) * (hi - lo))
+
+
+def _threshold_at_crossing(d0: float, d1: float, lo: float, hi: float) -> float:
+    """``_interpolate`` of one pair of grid thresholds, with the same bits where
+    ``hi - lo`` is finite and lo * (1 - t) + hi * t where it overflows."""
+    if d1 == 0.0:
+        return hi
+    t = d0 / (d0 - d1)
+    span = hi - lo  # Python floats: inf on overflow, without a warning
+    return lo + t * span if span != math.inf else lo * (1.0 - t) + hi * t
 
 
 def _bracket(diff: np.ndarray, first):
@@ -203,7 +214,10 @@ def evaluate_scores(fused_clients, fused_impostors) -> EvalReport:
     del first
     size = starts.size + 2
     grid = np.empty(size)
-    grid[0], grid[-1] = ranked[0, 0] - 1.0, ranked[0, -1] + 1.0
+    low, top = float(ranked[0, 0]), float(ranked[0, -1])
+    # Past 2**53, ±1 rounds back onto the score; np.nextafter warns where it reaches ±inf.
+    grid[0] = low - 1.0 if low - 1.0 != low else math.nextafter(low, -math.inf)
+    grid[-1] = top + 1.0 if top + 1.0 != top else math.nextafter(top, math.inf)
     grid[1:-1] = ranked[0, starts]
     del ranked
     rejected = clients_below[0, starts]
@@ -220,12 +234,16 @@ def evaluate_scores(fused_clients, fused_impostors) -> EvalReport:
     np.divide(starts, n_impostors, out=far[1:-1])
     del starts
     if lowest_client > highest_impostor:
-        eer_value, eer_threshold = 0.0, float(highest_impostor + lowest_client) / 2.0
+        below, above = float(highest_impostor), float(lowest_client)
+        eer_value, eer_threshold = 0.0, (below + above) / 2.0
+        if math.isinf(eer_threshold):  # the sum overflowed
+            eer_threshold = below / 2.0 + above / 2.0
     else:
         diff = far - frr
         lo, hi = _bracket(diff, True)
         eer_value = float(_interpolate(diff[lo], diff[hi], far[lo], far[hi]))
-        eer_threshold = float(_interpolate(diff[lo], diff[hi], grid[lo], grid[hi]))
+        eer_threshold = _threshold_at_crossing(float(diff[lo]), float(diff[hi]),
+                                               float(grid[lo]), float(grid[hi]))
     for arr in (grid, far, frr):
         arr.flags.writeable = False
     return EvalReport(

@@ -17,7 +17,7 @@ import choqfuse
 from choqfuse.aggregate import FusionRule, choquet_fuse, choquet_fuse_batch, rule_fuse_batch
 from choqfuse.cli import main as cli_main
 from choqfuse.data import synthetic_dataset
-from choqfuse.ga import GaConfig, evolve, mutation_offsets, select_parents
+from choqfuse.ga import GaConfig, _mutation_offsets, _select_parents, evolve
 from choqfuse.measures import LambdaMeasure, TableMeasure, solve_lambda
 from choqfuse.metrics import evaluate_scores
 
@@ -285,7 +285,7 @@ def test_criterion_8d_mutation_magnitude_law():
     cfg = GaConfig(max_generations=4, mutation_bound=1.0)
     worst = 0.0
     for generation, x in ((1, 0.25), (2, 0.5), (4, 1.0)):
-        offsets = mutation_offsets(100_000, generation, cfg, rng)
+        offsets = _mutation_offsets(100_000, generation, cfg, rng)
         expected = cfg.mutation_bound / (1.0 + x)
         worst = max(worst, abs(np.abs(offsets).mean() - expected) / expected)
     report("criterion 8d", worst <= 0.05,
@@ -295,7 +295,7 @@ def test_criterion_8d_mutation_magnitude_law():
 def test_criterion_8e_uniform_selection_frequencies():
     rng = np.random.default_rng(2031)
     draws = 10_000  # 5000 pairs
-    first, second = select_parents(10, draws // 2, rng)
+    first, second = _select_parents(10, draws // 2, rng)
     freq = np.bincount(np.concatenate([first, second]), minlength=10) / draws
     ok = bool(np.all(freq >= 0.8 / 10) and np.all(freq <= 1.2 / 10))
     report("criterion 8e", ok,
@@ -324,11 +324,10 @@ def test_public_api_names_are_pinned():
         "ConvergenceError", "DataFormatError", "EvalReport", "FusionRule", "GaConfig",
         "GenerationRecord", "LabeledScoreSet", "LambdaMeasure", "Population",
         "RULE_TAGS", "SortedScores", "TableMeasure", "choquet_fuse", "choquet_fuse_batch",
-        "evaluate_scores", "evolve", "init_population", "lambda_tables",
-        "linear_crossover", "load_csv", "mutation_offsets", "normalize_minmax",
-        "population_fitness", "rule_fuse_batch", "select_parents", "solve_lambda",
-        "solve_lambda_batch", "sweep_errors", "synthetic_csv_path", "synthetic_dataset",
-        "write_csv", "write_roc_csv",
+        "evaluate_scores", "evolve", "lambda_tables", "load_csv", "normalize_minmax",
+        "population_fitness", "rule_fuse_batch", "solve_lambda", "solve_lambda_batch",
+        "sweep_errors", "synthetic_csv_path", "synthetic_dataset", "write_csv",
+        "write_roc_csv",
     ]
     for name in ("", ".aggregate", ".cli", ".data", ".ga", ".measures", ".metrics"):
         module = importlib.import_module("choqfuse" + name)

@@ -300,6 +300,15 @@ class TestExitCodes:
         assert code == 1 and err == "error: rng_seed must be non-negative\n"
         assert not out.exists()
 
+    def test_one_modality_input_is_refused_before_any_output(self, capsys, tmp_path):
+        source, out = tmp_path / "one.csv", tmp_path / "out"
+        source.write_text("person_id,label,m1\na,client,0.9\nb,impostor,0.1\n")
+        code, out_text, err = run(capsys, "optimize", "--input", str(source),
+                                  "--out", str(out))
+        assert code == 1 and out_text == ""
+        assert err == "error: the GA needs at least 2 modalities, the data has 1\n"
+        assert not out.exists()
+
     def test_usage_error_for_invalid_density_values(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "fuse", "--synthetic", "--densities", "0.5,1.5",

@@ -18,12 +18,12 @@ from choqfuse.data import LabeledScoreSet, synthetic_dataset
 from choqfuse.ga import (
     GENE_EPS,
     GaConfig,
+    _init_population,
+    _linear_crossover,
+    _mutation_offsets,
+    _select_parents,
     evolve,
-    init_population,
-    linear_crossover,
-    mutation_offsets,
     population_fitness,
-    select_parents,
 )
 from choqfuse.measures import LambdaMeasure
 from choqfuse.metrics import evaluate_scores
@@ -43,6 +43,15 @@ class StubRng:
         return self._bits[:size]
 
 
+def test_operators_are_private():
+    assert sorted(ga.__all__) == ["GENE_EPS", "GaConfig", "GenerationRecord", "Population",
+                                  "evolve", "population_fitness"]
+    for name in ("init_population", "select_parents", "linear_crossover", "mutation_offsets"):
+        with pytest.raises(ImportError):
+            exec(f"from choqfuse import {name}", {})
+        assert not hasattr(ga, name)
+
+
 def toy_separable():
     return LabeledScoreSet(
         ("c1", "c2", "c3"),
@@ -59,19 +68,19 @@ def toy_inseparable():
 
 class TestInitPopulation:
     def test_random_members_are_valid(self):
-        genes = init_population(GaConfig(population_size=10, rng_seed=1), n_genes=3)
+        genes = _init_population(GaConfig(population_size=10, rng_seed=1), n_genes=3)
         assert genes.shape == (10, 3)
         assert np.all((genes >= GENE_EPS) & (genes <= 1 - GENE_EPS))
 
     def test_seeds_come_first(self):
         seed = (1 / 3, 1 / 3, 1 / 3)
-        genes = init_population(GaConfig(population_size=10, rng_seed=1), 3, seeds=[seed])
+        genes = _init_population(GaConfig(population_size=10, rng_seed=1), 3, seeds=[seed])
         assert tuple(genes[0].tolist()) == seed
 
     def test_deterministic_for_fixed_seed(self):
         cfg = GaConfig(population_size=8, rng_seed=42)
-        a = init_population(cfg, 3)
-        b = init_population(cfg, 3)
+        a = _init_population(cfg, 3)
+        b = _init_population(cfg, 3)
         assert a.tolist() == b.tolist()
 
     @staticmethod
@@ -90,17 +99,17 @@ class TestInitPopulation:
                                        [(0.2, 0.3, 0.4)] * 2 + [(1e-9,) * 3]])
     def test_one_draw_equals_the_member_loop(self, rng_seed, seeds):
         cfg = GaConfig(population_size=7, rng_seed=rng_seed)
-        genes = init_population(cfg, 3, seeds=seeds)
+        genes = _init_population(cfg, 3, seeds=seeds)
         assert [tuple(row) for row in genes.tolist()] == self.member_loop(cfg, 3, seeds)
 
     def test_too_many_seeds_rejected(self):
         cfg = GaConfig(population_size=2, rng_seed=0)
         with pytest.raises(ValueError):
-            init_population(cfg, 2, seeds=[(0.5, 0.5)] * 3)
+            _init_population(cfg, 2, seeds=[(0.5, 0.5)] * 3)
 
     def test_nan_seed_rejected(self):
         with pytest.raises(ValueError, match="genes outside"):
-            init_population(GaConfig(population_size=4), 2, seeds=[(float("nan"), 0.5)])
+            _init_population(GaConfig(population_size=4), 2, seeds=[(float("nan"), 0.5)])
 
 
 def eer_of(genes, data):
@@ -250,22 +259,22 @@ class TestSurvivors:
 
 class TestSelectParents:
     def test_two_member_population_always_returns_both(self):
-        first, second = select_parents(2, 50, np.random.default_rng(0))
+        first, second = _select_parents(2, 50, np.random.default_rng(0))
         assert all({i, j} == {0, 1} for i, j in zip(first.tolist(), second.tolist()))
 
     def test_selection_is_uniform(self):
         pairs = 5000  # 10,000 individual selections
-        first, second = select_parents(10, pairs, np.random.default_rng(2024))
+        first, second = _select_parents(10, pairs, np.random.default_rng(2024))
         freq = np.bincount(np.concatenate([first, second]), minlength=10) / (2 * pairs)
         assert np.all(freq >= 0.08) and np.all(freq <= 0.12)
 
     def test_parents_distinct_within_pair(self):
-        first, second = select_parents(5, 200, np.random.default_rng(9))
+        first, second = _select_parents(5, 200, np.random.default_rng(9))
         assert np.all(first != second)
 
     def test_ordered_pairs_are_uniform(self):
         draws = 12_000  # 1000 per ordered pair
-        first, second = select_parents(4, draws, np.random.default_rng(2029))
+        first, second = _select_parents(4, draws, np.random.default_rng(2029))
         counts = np.bincount(4 * first + second, minlength=16).reshape(4, 4)
         assert np.all(np.diag(counts) == 0)
         off_diagonal = counts[~np.eye(4, dtype=bool)]
@@ -273,7 +282,7 @@ class TestSelectParents:
         assert np.all((off_diagonal >= 800) & (off_diagonal <= 1200))
 
     def test_shape_draws_all_first_then_all_second_parents(self):
-        first, second = select_parents(6, (4, 5), np.random.default_rng(11))
+        first, second = _select_parents(6, (4, 5), np.random.default_rng(11))
         rng = np.random.default_rng(11)
         expected_first = rng.integers(0, 6, size=(4, 5))
         expected_second = rng.integers(0, 5, size=(4, 5))
@@ -282,14 +291,14 @@ class TestSelectParents:
         assert np.array_equal(second, expected_second + (expected_second >= expected_first))
 
     def test_reproducible_pair_sequence(self):
-        seq1 = select_parents(5, 10, np.random.default_rng(5))
-        seq2 = select_parents(5, 10, np.random.default_rng(5))
+        seq1 = _select_parents(5, 10, np.random.default_rng(5))
+        seq2 = _select_parents(5, 10, np.random.default_rng(5))
         assert [a.tolist() for a in seq1] == [a.tolist() for a in seq2]
 
 
 class TestLinearCrossover:
     def test_componentwise_formulas(self):
-        h1, h2, h3 = linear_crossover((0.4, 0.4, 0.4), (0.6, 0.6, 0.6))
+        h1, h2, h3 = _linear_crossover(np.array([0.4, 0.4, 0.4]), np.array([0.6, 0.6, 0.6]))
         assert h1 == pytest.approx((0.5, 0.5, 0.5))
         assert h2 == pytest.approx((0.3, 0.3, 0.3))
         # 0.5*0.4 + 1.5*0.6 = 1.1 clamps to the box ceiling
@@ -299,13 +308,13 @@ class TestLinearCrossover:
         # h1 and h2 reproduce the parent; h3 = 0.5*c + 1.5*c doubles it
         # (the recombination coefficients of h3 sum to 2, not 1)
         c = (0.42, 0.17, 0.89)
-        h1, h2, h3 = linear_crossover(c, c)
+        h1, h2, h3 = _linear_crossover(np.array(c), np.array(c))
         assert h1 == pytest.approx(c)
         assert h2 == pytest.approx(c)
         assert h3 == pytest.approx((0.84, 0.34, 1 - GENE_EPS))
 
     def test_lower_clamp(self):
-        h1, h2, h3 = linear_crossover((0.2,), (0.8,))
+        h1, h2, h3 = _linear_crossover(np.array([0.2]), np.array([0.8]))
         assert h1 == pytest.approx((0.5,))
         assert h2.tolist() == [GENE_EPS]  # 1.5*0.2 - 0.5*0.8 = -0.1
         assert h3 == pytest.approx((1 - GENE_EPS,))  # 0.1 + 1.2 = 1.3
@@ -313,20 +322,16 @@ class TestLinearCrossover:
     def test_pairs_of_parent_arrays(self):
         a = np.array([[0.4, 0.4, 0.4], [0.42, 0.17, 0.89]])
         b = np.array([[0.6, 0.6, 0.6], [0.42, 0.17, 0.89]])
-        children = linear_crossover(a, b)
+        children = _linear_crossover(a, b)
         assert children.shape == (2, 3, 3)
         for k in range(2):
-            assert np.array_equal(children[k], linear_crossover(a[k], b[k]))
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            linear_crossover((0.5, 0.5), (0.5,))
+            assert np.array_equal(children[k], _linear_crossover(a[k], b[k]))
 
 
 class TestNonuniformMutation:
     @staticmethod
     def mutate(genes, generation, cfg, rng):
-        offsets = mutation_offsets(len(genes), generation, cfg, rng)
+        offsets = _mutation_offsets(len(genes), generation, cfg, rng)
         return np.clip(np.asarray(genes) + offsets, GENE_EPS, 1 - GENE_EPS).tolist()
 
     def test_unit_draw_leaves_genes_unchanged(self):
@@ -348,29 +353,22 @@ class TestNonuniformMutation:
         # E|delta| = y * integral (1-s)^x ds = y / (1 + x), x = itt / g_m
         cfg = GaConfig(max_generations=4, mutation_bound=bound)
         rng = np.random.default_rng(97)
-        offsets = mutation_offsets(100_000, generation, cfg, rng)
+        offsets = _mutation_offsets(100_000, generation, cfg, rng)
         expected = bound / denominator
         assert abs(np.abs(offsets).mean() - expected) <= 0.05 * expected
 
     def test_signs_are_fair(self):
         cfg = GaConfig(max_generations=10)
         rng = np.random.default_rng(101)
-        offsets = mutation_offsets(100_000, 5, cfg, rng)
+        offsets = _mutation_offsets(100_000, 5, cfg, rng)
         positive = (offsets > 0).mean()
         assert abs(positive - 0.5) <= 0.01
-
-    @pytest.mark.parametrize("shape,generation", [(3, 11), ((2, 3), [[10], [11]]),
-                                                  ((2, 3), [[-1], [0]])])
-    def test_generation_out_of_range_rejected(self, shape, generation):
-        cfg = GaConfig(max_generations=10)
-        with pytest.raises(ValueError, match="generation must lie"):
-            mutation_offsets(shape, generation, cfg, np.random.default_rng(0))
 
     @pytest.mark.parametrize("generation", [5, [[3], [10]], [[0, 1, 2]]])
     def test_shape_draws_all_steps_then_all_signs(self, generation):
         # A generation array gives each row (or column) its own exponent.
         cfg = GaConfig(max_generations=10, mutation_bound=0.5)
-        offsets = mutation_offsets((2, 3), generation, cfg, np.random.default_rng(103))
+        offsets = _mutation_offsets((2, 3), generation, cfg, np.random.default_rng(103))
         rng = np.random.default_rng(103)
         s = rng.random((2, 3)).tolist()
         signs = (rng.integers(0, 2, size=(2, 3)) * 2 - 1).tolist()
@@ -384,7 +382,7 @@ class TestNonuniformMutation:
 def reference_populations(data, cfg):
     """The documented generation as plain loops over Python tuples.
 
-    Generation 0 is ``init_population`` (key (0, 0)).  Generation g reads
+    Generation 0 is ``_init_population`` (key (0, 0)).  Generation g reads
     row (g - 1) mod 64 of a block of 64 generations, all drawn from one
     generator with key (1, 0) as: all first-parent indices, all second-parent indices,
     the mutation draws s, the mutation signs; the mutation power is scalar
@@ -401,7 +399,7 @@ def reference_populations(data, cfg):
 
     size, n = cfg.population_size, data.n_modalities
     pool = sorted(((rank(genes), tuple(genes))
-                   for genes in init_population(cfg, n).tolist()), key=lambda m: m[0])
+                   for genes in _init_population(cfg, n).tolist()), key=lambda m: m[0])
     populations = [pool]
     events = -(-size // 3)
     rng = np.random.Generator(np.random.PCG64(
@@ -477,7 +475,7 @@ class TestEvolve:
         best, history = evolve(synthetic_dataset(), cfg,
                                on_generation=lambda pop, best: handed.append(best))
         assert len(history) == generations + 1
-        assert counts["rng"] == 2  # init_population's stream, then one for all generations
+        assert counts["rng"] == 2  # _init_population's stream, then one for all generations
         # one record per generation, none per offspring
         assert counts["record"] == generations + 1
         assert best is history[-1]
@@ -489,6 +487,12 @@ class TestEvolve:
             evolve(data, cfg, seeds=[(0.5,) * 4] * 4)
         with pytest.raises(ValueError, match="a seed has 2 genes, the population 3"):
             evolve(data, cfg, seeds=[(0.5,) * 3, (0.5,) * 2])
+
+    def test_one_modality_data_rejected(self):
+        data = LabeledScoreSet(("c1", "c2"), [[0.9], [0.8]], ("i1",), [[0.1]])
+        with pytest.raises(ValueError) as excinfo:
+            evolve(data, GaConfig(population_size=4))
+        assert str(excinfo.value) == "the GA needs at least 2 modalities, the data has 1"
 
     def test_separable_toy_set_stops_immediately(self):
         best, history = evolve(toy_separable(), GaConfig(population_size=6, rng_seed=3))

@@ -150,6 +150,33 @@ class TestEer:
             assert min(bracket) - 1e-12 <= value <= max(bracket) + 1e-12
 
 
+class TestFullFloatRange:
+    """Scores anywhere in the double range, up to the largest finite one."""
+
+    BIG = 1.7976931348623157e308
+
+    def test_crossing_between_the_extremes(self):
+        # Its threshold is a grid point; the unused interpolation spans 2 * BIG.
+        report = evaluate_scores([-self.BIG, self.BIG], [-self.BIG, self.BIG])
+        assert (report.eer, report.eer_threshold) == (0.5, self.BIG)
+        assert report.thresholds.tolist() == [-math.inf, -self.BIG, self.BIG, math.inf]
+
+    def test_separable_midpoint_without_overflow(self):
+        report = evaluate_scores([self.BIG], [1.6e308])
+        assert report.eer == 0.0
+        assert report.eer_threshold == 1.6e308 / 2 + self.BIG / 2
+        assert 1.6e308 < report.eer_threshold < self.BIG
+
+    def test_sentinels_clear_scores_past_two_to_the_53(self):
+        # 2**53 + 1.0 rounds back to 2**53: the top sentinel is the next double.
+        report = evaluate_scores([0.0], [1.0, 2.0**53])
+        assert report.min_error_rate() == (1 / 3, 2.0**53 + 2)
+        assert report.error_rate_at(2.0**53 + 2) == 1 / 3
+        assert report.error_rate_at(2.0**53) == 2 / 3
+        low = evaluate_scores([-(2.0**53), 1.0], [0.0])
+        assert low.thresholds[:2].tolist() == [-(2.0**53) - 2, -(2.0**53)]
+
+
 class TestSweepErrors:
     def test_rows_equal_evaluate_scores_exactly(self):
         rng = np.random.default_rng(89)
