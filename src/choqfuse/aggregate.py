@@ -219,16 +219,20 @@ def rule_fuse_batch(scores, rule: FusionRule) -> np.ndarray:
         return choquet_fuse_batch(scores, rule.measure)
     a = _as_score_matrix(scores)
     n = a.shape[1]
-    if rule.tag == "mean":
-        return a.mean(axis=1)
+    if rule.tag in ("mean", "weighted_sum"):
+        # Summed left to right, as SortedScores.fuse sums, never by BLAS or
+        # numpy's pairwise blocks, so the bits depend on neither the CPU nor n.
+        w = np.ones(n) if rule.tag == "mean" else _normalized_weights(rule.weights, n)
+        total = a[:, 0] * w[0]
+        for j in range(1, n):
+            total += a[:, j] * w[j]
+        return total / n if rule.tag == "mean" else total
     if rule.tag == "prod":
         return a.prod(axis=1)
     if rule.tag == "min":
         return a.min(axis=1)
     if rule.tag == "max":
         return a.max(axis=1)
-    if rule.tag == "weighted_sum":
-        return a @ _normalized_weights(rule.weights, n)
     accepts = a >= _thresholds_array(rule.threshold, n)
     if rule.tag == "and":
         return accepts.all(axis=1).astype(float)

@@ -123,7 +123,7 @@ def _merge_config(args: argparse.Namespace, option_types: dict[str, type]) -> ar
     if not args.config:
         return args
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8-sig") as fh:
             values = json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"config file not found: {args.config}") from None
@@ -170,7 +170,7 @@ def _load_measure(args, n: int) -> LambdaMeasure | None:
                              f"got {args.densities!r}") from None
     elif getattr(args, "measure_file", None):
         try:
-            with open(args.measure_file, "r", encoding="utf-8") as fh:
+            with open(args.measure_file, "r", encoding="utf-8-sig") as fh:
                 payload = json.load(fh)
         except FileNotFoundError:
             raise UsageError(f"measure file not found: {args.measure_file}") from None

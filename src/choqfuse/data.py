@@ -128,9 +128,11 @@ def normalize_minmax(raw) -> np.ndarray:
         raise ValueError("cannot normalize an empty list")
     if not np.all(np.isfinite(x)):
         raise ValueError("cannot normalize non-finite values")
-    lo, hi = x.min(), x.max()
+    lo, hi = float(x.min()), float(x.max())
     if hi == lo:
         return np.full_like(x, 0.5)
+    if math.isinf(hi - lo):  # halved only here, so every other column keeps its bits
+        return (x / 2 - lo / 2) / (hi / 2 - lo / 2)
     return (x - lo) / (hi - lo)
 
 
@@ -397,7 +399,7 @@ def _read_rows(path, normalize: bool):
     """
     line_no = 0  # the last row read: a csv.Error comes from the next one
     try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
+        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh, strict=True)
             try:
                 header = next(reader)
@@ -560,7 +562,7 @@ def _check_scores(path, column_names, values: np.ndarray, normalize: bool) -> No
     if ok.all():
         return
     row_index, j = divmod(int(np.argmin(ok)), len(column_names))
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, strict=True)
         next(reader)
         rows = ((n, r) for n, r in enumerate(reader, start=2) if r)

@@ -88,6 +88,11 @@ class GenerationRecord:
     genes: tuple[float, ...]
 
 
+_BLOCK = 64  # generations per block of random draws (see the module docstring)
+# A block's generation numbers, up to generation + _BLOCK, must fit in int64.
+_MAX_GENERATIONS = np.iinfo(np.int64).max - _BLOCK
+
+
 @dataclass(frozen=True)
 class GaConfig:
     """Run parameters for the measure optimizer.
@@ -108,10 +113,14 @@ class GaConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("population_size", "max_generations", "rng_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
         if self.population_size < 2:
             raise ValueError("population_size must be at least 2")
-        if self.max_generations < 1:
-            raise ValueError("max_generations must be at least 1")
+        if not 1 <= self.max_generations <= _MAX_GENERATIONS:
+            raise ValueError(f"max_generations must lie in [1, {_MAX_GENERATIONS}]")
         if not 0.0 <= self.eer_stop_threshold <= 1.0:
             raise ValueError("eer_stop_threshold must lie in [0, 1]")
         if not 0.0 < self.mutation_bound < math.inf:
@@ -122,9 +131,6 @@ class GaConfig:
     @property
     def offspring_count(self) -> int:  # read by perfbench/spans.py until ROADMAP item 1
         return self.population_size
-
-
-_BLOCK = 64  # generations per block of random draws (see the module docstring)
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:

@@ -96,42 +96,39 @@ def _excess(d: np.ndarray) -> np.ndarray:
     return s + err
 
 
-def _times_plus(a, b, c):
-    """a * b + c for numbers held as (mantissa, exponent) pairs, worth
-    mantissa * 2^exponent: rounded as in floats, but the integer exponent
-    kept apart never overflows or underflows."""
-    product = a[1] + b[1]
-    top = np.maximum(product, c[1])
-    mantissa, shift = np.frexp(np.ldexp(a[0] * b[0], product - top) + np.ldexp(c[0], c[1] - top))
-    return mantissa, top + shift
+def _coefficients(d: np.ndarray, c: np.ndarray):
+    """Per row the rescale exponent s and c, e2', ..., e_n': the coefficients
+    of g(2^s * y) = c + e2' * y + ... + e_n' * y^(n-1), e_k' = e_k * 2^((k-1)s).
 
-
-def _coefficients(d: np.ndarray, c: np.ndarray) -> list:
-    """Per row c, e2, ..., e_n as (mantissa, exponent) pairs: the coefficients of g.
-
-    e_k, the k-th elementary symmetric sum of the densities, comes from the
-    recurrence e_k += m * e_(k-1), a sum of positive terms, so it keeps its
-    digits however small it is.
+    s = 0 where c > 0 (a root in (-1, 0)).  Where c < 0 every term
+    e_k * lam^(k-1) is below |c| at the root and e_k >= 2^(L_k - k), L_k the
+    sum of the row's k largest binary exponents, so lam < 2^bound with
+    bound = min over k of (exp(c) - L_k + k) / (k - 1).  s is the even
+    number at or below min(bound, 1022): y < 4 at the root, 2^-s is normal
+    and sqrt keeps the scale.  The recurrence e_k += m * e_(k-1) on the
+    densities times 2^s from e_0' = 2^-s gives e_k'; its steps and the Horner
+    steps on y round as on the unscaled numbers while both stay normal.
     """
-    m, k = np.frexp(d)
-    # Column j holds e_j of the densities so far; a zero mantissa carries a
-    # far negative exponent, so it never outweighs a nonzero addend.
-    e = np.zeros((len(d), d.shape[1] + 1)), np.full((len(d), d.shape[1] + 1), -(1 << 20))
-    e[0][:, 0], e[1][:, 0] = 1.0, 0
+    k = np.arange(2, d.shape[1] + 1)
+    largest = np.sort(np.frexp(d)[1], axis=1)[:, ::-1].cumsum(axis=1)[:, 1:]  # L_2, ..., L_n
+    bound = ((np.frexp(c)[1][:, None] - largest + k) / (k - 1)).min(axis=1)
+    s = np.where(c > 0.0, 0, 2 * (np.minimum(bound, 1022.0) // 2)).astype(int)
+    m = np.ldexp(d, s[:, None])
+    # Column j holds e_j' of the densities so far.
+    e = np.zeros((len(d), d.shape[1] + 1))
+    e[:, 0] = np.ldexp(1.0, -s)
     for i in range(d.shape[1]):
-        e[0][:, 1:], e[1][:, 1:] = _times_plus((e[0][:, :-1], e[1][:, :-1]), (m[:, i:i + 1], k[:, i:i + 1]),
-                                               (e[0][:, 1:], e[1][:, 1:]))
-    return [np.frexp(c), *zip(e[0].T[2:], e[1].T[2:])]
+        e[:, 1:] = e[:, :-1] * m[:, i:i + 1] + e[:, 1:]
+    return s, [c, *e.T[2:]]
 
 
 def _polynomial(coefs: list, x: np.ndarray):
-    """g(x) and g'(x) per row as (mantissa, exponent) pairs, by Horner's rule."""
-    x = np.frexp(x)
+    """g(x) and g'(x) per row, by Horner's rule."""
     slope = coefs[-1]
-    g = _times_plus(slope, x, coefs[-2])
+    g = slope * x + coefs[-2]
     for coef in coefs[-3::-1]:
-        slope = _times_plus(slope, x, g)
-        g = _times_plus(g, x, coef)
+        slope = slope * x + g
+        g = g * x + coef
     return g, slope
 
 
@@ -192,47 +189,50 @@ def _newton(d: np.ndarray, c: np.ndarray, linear: np.ndarray, start: np.ndarray)
     With c < 0 it lies in (min(linear, 1) / 2, linear]: g < c + 2*e2*lam
     below, as e_k <= e2 * e1^(k-2) and e1 < 1.
     """
-    coefs = _coefficients(d, c)
+    s, coefs = _coefficients(d, c)
+    # Steps run on y = lam / 2^s (s = 0 wherever the root is negative).
+    linear, start = np.ldexp(linear, -s), np.ldexp(start, -s)
+    top = np.ldexp(_FLOAT_MAX, -s)
     positive = linear > 0.0
-    lo = np.where(positive, 0.5 * np.minimum(linear, 1.0), -1.0)
-    hi = np.where(positive, np.minimum(linear, _FLOAT_MAX), 0.0)
+    lo = np.where(positive, 0.5 * np.minimum(linear, np.ldexp(1.0, -s)), -1.0)
+    hi = np.where(positive, np.minimum(linear, top), 0.0)
     inside = (start > -1.0) & (start < 0.0)
-    x = np.where(positive | inside, np.minimum(start, hi), np.maximum(linear, -0.5))
+    y = np.where(positive | inside, np.minimum(start, hi), np.maximum(linear, -0.5))
     # Where -c / e2 passes the largest float, so may the root: g is tried there first.
-    x[linear > _FLOAT_MAX] = _FLOAT_MAX
+    y = np.where(linear > top, top, y)
     last_step = hi - lo
     done = np.zeros(len(d), dtype=bool)
     for _ in range(_MAX_ITER):
-        (g, g_exp), (slope, slope_exp) = _polynomial(coefs, x)
+        g, slope = _polynomial(coefs, y)
         below = g < 0.0
-        beyond = below & (x == _FLOAT_MAX)
+        beyond = below & (y == top)
         if beyond.any():
             raise ValueError(f"densities {d[np.argmax(beyond)].tolist()} are too "
                              f"small: their lambda exceeds the largest float")
-        lo = np.where(below, x, lo)
-        hi = np.where(below, hi, x)
-        newton = x - np.ldexp(g / slope, g_exp - slope_exp)
-        newton_step = np.abs(newton - x)
+        lo = np.where(below, y, lo)
+        hi = np.where(below, hi, y)
+        newton = y - g / slope
+        newton_step = np.abs(newton - y)
         # Newton while it stays inside the bracket and at least halves the
         # previous step, bisection otherwise.  Over a bracket wider than a
         # factor 2 bisection is over exponents, and Newton must do better:
-        # far above a root it shrinks x by (k - 1) / k, k the dominant degree.
+        # far above a root it shrinks y by (k - 1) / k, k the dominant degree.
         wide = (lo > 0.0) & (hi > 2.0 * lo)
         take = (newton > lo) & (newton < hi) & (newton_step <= np.where(wide, 0.4, 0.5) * last_step)
         middle = np.where(wide, np.sqrt(lo) * np.sqrt(hi), 0.5 * lo + 0.5 * hi)
         step_to = np.where(take, newton, middle)
-        last_step = np.abs(step_to - x)
-        # Converged once the Newton step is below 2^-30 |x| (quadratic
+        last_step = np.abs(step_to - y)
+        # Converged once the Newton step is below 2^-30 |y| (quadratic
         # convergence leaves an error far below one ulp after it) or the
-        # bracket has closed on x.
-        close = newton_step <= 2.0 ** -30 * np.abs(x)
-        converged = close | (step_to == x)
+        # bracket has closed on y.
+        close = newton_step <= 2.0 ** -30 * np.abs(y)
+        converged = close | (step_to == y)
         # Finished rows stay frozen, so no row depends on the others.
-        x = np.where(done, x, np.where(close, newton, step_to))
+        y = np.where(done, y, np.where(close, newton, step_to))
         done |= converged
         if done.all():
             break
-    x = np.maximum(x, _ABOVE_MINUS_ONE)
+    x = np.maximum(np.ldexp(y, s), _ABOVE_MINUS_ONE)
     f, failed = _misses_contract(d, x)
     if failed.any():
         k = int(np.argmax(failed))
@@ -254,10 +254,10 @@ def solve_lambda_batch(densities) -> np.ndarray:
     rare n <= 3 rows whose closed form misses the residual contract, Newton
     steps on the polynomial c + e2*lambda + ... + e_n*lambda^(n-1) by
     Horner's rule, safeguarded by bisection of its bracket, start at that
-    quadratic root; exponents are held apart, so no term overflows or
-    underflows.  Only +, -, *, /, sqrt and exact scalings by powers of two
-    are used, so the bits do not depend on the CPU.  Rows are solved
-    independently: a row's root does not depend on the other rows.
+    quadratic root; they run in plain floats on lambda / 2^s, with one power
+    of two per row that keeps tiny densities and huge roots in range.  Only
+    +, -, *, /, sqrt and exact scalings by powers of two are used, so the
+    bits do not depend on the CPU.  A row's root does not depend on the others.
 
     Raises ``ValueError`` for rows of fewer than two densities, densities
     outside (0, 1) or densities so small that lambda exceeds the largest

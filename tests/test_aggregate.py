@@ -312,6 +312,42 @@ class TestFusionRules:
         rule = FusionRule("choquet", measure=m)
         assert rule_fuse_batch([(0.7, 0.8, 0.9)], rule)[0] == choquet_fuse((0.7, 0.8, 0.9), m)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 12, 16])
+    def test_mean_and_weighted_sum_are_summed_left_to_right(self, n):
+        # Bit for bit against a plain left-to-right loop: no BLAS kernel and
+        # no pairwise blocks (numpy's own reductions use them from n = 8).
+        rng = np.random.default_rng(900 + n)
+        a = rng.uniform(0.0, 1.0, (20_000, n))
+        w = rng.uniform(0.0, 1.0, n)
+        w /= w.sum()
+        expected_mean, expected_sum = a[:, 0].copy(), a[:, 0] * w[0]
+        for j in range(1, n):
+            expected_mean = expected_mean + a[:, j]
+            expected_sum = expected_sum + a[:, j] * w[j]
+        mean = rule_fuse_batch(a, FusionRule("mean"))
+        weighted = rule_fuse_batch(a, FusionRule("weighted_sum", weights=tuple(w)))
+        assert mean.tobytes() == (expected_mean / n).tobytes()
+        assert weighted.tobytes() == expected_sum.tobytes()
+
+    def test_weighted_sum_does_not_depend_on_the_blas_kernel(self):
+        # OPENBLAS_CORETYPE picks OpenBLAS's CPU kernel; a matrix product
+        # rounds differently under the Sandybridge kernel on a newer CPU.
+        script = ("import hashlib\nimport numpy as np\n"
+                  "from choqfuse.aggregate import FusionRule, rule_fuse_batch\n"
+                  "a = np.random.default_rng(5).uniform(0.0, 1.0, (20_000, 4))\n"
+                  "rule = FusionRule('weighted_sum', weights=(0.3, 0.2, 0.25, 0.25))\n"
+                  "print(hashlib.sha256(rule_fuse_batch(a, rule).tobytes()).hexdigest())\n")
+        outputs = []
+        for coretype in (None, "Sandybridge"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+            env["PYTHONPATH"] = str(Path(choqfuse.__file__).resolve().parents[1])
+            if coretype:
+                env["OPENBLAS_CORETYPE"] = coretype
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                 text=True, timeout=120, check=True)
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1] and len(outputs[0]) == 65
+
     def test_invalid_rules_rejected(self):
         with pytest.raises(ValueError):
             FusionRule("median")

@@ -12,7 +12,7 @@ from choqfuse.aggregate import choquet_fuse, choquet_fuse_batch
 from choqfuse.cli import main
 from choqfuse.data import LabeledScoreSet, synthetic_dataset, write_csv
 from choqfuse.ga import GaConfig, evolve
-from choqfuse.measures import LambdaMeasure
+from choqfuse.measures import ConvergenceError, LambdaMeasure
 
 
 def run(capsys, *args):
@@ -485,3 +485,89 @@ class TestFailuresWriteNothing:
                            "--out", str(out))
         assert code == 1 and "densities" in err
         assert not out.exists() or not any(out.iterdir())
+
+
+class TestLearnThenFuse:
+    @pytest.mark.parametrize("command", [["fuse"], ["eval"], ["compare"]])
+    def test_a_learned_measure_file_equals_its_densities(self, capsys, tmp_path, command):
+        # optimize writes measure.json; reading it back with --measure-file
+        # gives the bytes and stdout of the same densities given inline.
+        run_dir, out = tmp_path / "run", tmp_path / "out"
+        code, _, _ = run(capsys, "optimize", "--synthetic", "--generations", "5",
+                         "--out", str(run_dir))
+        assert code == 0
+        densities = json.loads((run_dir / "measure.json").read_text())["densities"]
+        results = []
+        for source in (["--measure-file", str(run_dir / "measure.json")],
+                       ["--densities", ",".join(map(repr, densities))]):
+            code, stdout, err = run(capsys, *command, "--synthetic", *source, "--out", str(out))
+            assert code == 0 and err == ""
+            results.append((stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+            for path in out.iterdir():
+                path.unlink()
+        assert results[0] == results[1] and results[0][1]
+
+
+class TestErrorPaths:
+    def test_a_header_only_csv_has_no_data_rows(self, capsys, tmp_path):
+        source, out = tmp_path / "empty.csv", tmp_path / "out"
+        source.write_text("person_id,label,m1,m2\n")
+        code, _, err = run(capsys, "eval", "--input", str(source), "--rule", "mean",
+                           "--out", str(out))
+        assert code == 2 and err == f"data error: {source}: no data rows\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("body, message", [
+        (None, "config file not found: {path}"),
+        ("{not json", "config file {path} is not valid JSON: "),
+        ("[1, 2]", "config file {path} must hold a JSON object"),
+    ])
+    def test_a_config_that_is_missing_not_json_or_not_an_object(self, capsys, tmp_path, body,
+                                                                 message):
+        path, out = tmp_path / "run.json", tmp_path / "out"
+        if body is not None:
+            path.write_text(body)
+        code, _, err = run(capsys, "fuse", "--config", str(path), "--synthetic",
+                           "--densities", "0.35,0.25,0.3", "--out", str(out))
+        assert code == 1 and err.startswith("error: " + message.format(path=path))
+        assert not out.exists()
+
+    def test_densities_and_a_measure_file_together(self, capsys, tmp_path):
+        source, out = tmp_path / "measure.json", tmp_path / "out"
+        source.write_text(json.dumps({"densities": [0.35, 0.25, 0.3]}))
+        code, _, err = run(capsys, "fuse", "--synthetic", "--densities", "0.35,0.25,0.3",
+                           "--measure-file", str(source), "--out", str(out))
+        assert code == 1
+        assert err == "error: give either --densities or --measure-file, not both\n"
+        assert not out.exists()
+
+    def test_a_convergence_error_is_a_numeric_failure(self, capsys, tmp_path, monkeypatch):
+        def fail(data, cfg):
+            raise ConvergenceError("root residual 1.000e-03 exceeds 1e-10")
+
+        monkeypatch.setattr("choqfuse.cli.evolve", fail)
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, "optimize", "--synthetic", "--out", str(out))
+        assert code == 3 and stdout == ""
+        assert err == "numeric failure: root residual 1.000e-03 exceeds 1e-10\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["99999999999999999999", str(2 ** 63)])
+    def test_more_generations_than_int64_holds_are_refused(self, capsys, tmp_path, value):
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, "optimize", "--synthetic", "--generations", value,
+                                "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err == f"error: max_generations must lie in [1, {2 ** 63 - 65}]\n"
+        assert not out.exists()
+
+    def test_a_byte_order_mark_in_a_config_and_a_measure_file(self, capsys, tmp_path):
+        # Editors that save "UTF-8 with BOM" start the file with U+FEFF.
+        config, measure, out = tmp_path / "run.json", tmp_path / "measure.json", tmp_path / "out"
+        config.write_text("\ufeff" + json.dumps({"synthetic": True}), encoding="utf-8")
+        measure.write_text("\ufeff" + json.dumps({"densities": [0.35, 0.25, 0.3]}),
+                           encoding="utf-8")
+        code, stdout, err = run(capsys, "fuse", "--config", str(config),
+                                "--measure-file", str(measure), "--out", str(out))
+        assert code == 0 and err == ""
+        assert parse_measure_lines(stdout)["lambda"] == pytest.approx(0.361, abs=5e-4)

@@ -129,6 +129,19 @@ class TestCsvRoundTrip:
         data = load_csv(path)
         assert data.client_ids == ("a",)
 
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with U+FEFF.
+        body = "person_id,label,m1,m2\r\nP1,client,0.9,0.8\r\nP2,impostor,0.1,0.25\r\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(body, newline="")
+        marked.write_text("\ufeff" + body, encoding="utf-8", newline="")
+        assert load_csv(marked) == load_csv(plain)
+        marked.write_text("\ufeff" + body.replace("0.25", "1.25"), encoding="utf-8", newline="")
+        with pytest.raises(DataFormatError) as exc:
+            load_csv(marked)
+        assert str(exc.value).endswith("row 3, column m2: score 1.25 outside [0, 1] "
+                                       "(use normalize=True for raw scores)")
+
 
 class TestNormalization:
     def test_normalize_maps_each_column_to_unit_range(self, tmp_path):
@@ -152,6 +165,15 @@ class TestNormalization:
         data = load_csv(path, normalize=True)
         assert data.client_scores[0, 0] == 1.0
 
+    def test_a_span_past_the_largest_float_is_halved(self, tmp_path):
+        # hi - lo overflows for the first column only; the second keeps the
+        # plain form's bits.
+        path = tmp_path / "raw.csv"
+        path.write_text("person_id,label,m1,m2\na,client,1e308,3\nb,impostor,-1e308,1\n"
+                        "c,client,5e307,2.2\n")
+        data = load_csv(path, normalize=True)
+        assert data.client_scores.tolist() == [[1.0, 1.0], [0.75, (2.2 - 1) / (3 - 1)]]
+        assert data.impostor_scores.tolist() == [[0.0, 0.0]]
 
 # Files with several faults, the normalize flag, and the whole message after
 # "<path>: ": the first fault in file order (row, then column) is reported.

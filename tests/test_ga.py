@@ -638,3 +638,39 @@ class TestConfigValidation:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             GaConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"population_size": 30.0},
+            {"population_size": True},
+            {"max_generations": 2.5},
+            {"max_generations": True},
+            {"max_generations": 2 ** 63 - 64},
+            {"max_generations": 10 ** 20},
+            {"rng_seed": 1.5},
+            {"rng_seed": False},
+        ],
+    )
+    def test_values_evolve_cannot_run_are_refused(self, kwargs):
+        # A float or bool where evolve needs an int, or so many generations
+        # that a block of generation numbers leaves int64.
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            GaConfig(**kwargs)
+
+    def test_the_largest_generation_count_runs(self):
+        cfg = GaConfig(population_size=np.int64(4), max_generations=2 ** 63 - 65,
+                       eer_stop_threshold=0.0, rng_seed=np.int32(3))
+        seen = []
+
+        class Stop(Exception):
+            pass
+
+        def stop_after_two(population, best):
+            seen.append(best.generation)
+            if best.generation == 2:
+                raise Stop
+
+        with pytest.raises(Stop):
+            evolve(toy_inseparable(), cfg, on_generation=stop_after_two)
+        assert seen == [0, 1, 2]
