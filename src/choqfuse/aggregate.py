@@ -14,6 +14,7 @@ rules) are provided for benchmarking.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -56,16 +57,43 @@ def _as_score_matrix(scores, n: int | None = None) -> np.ndarray:
     return a
 
 
+@functools.cache
+def _merge_network(n: int) -> tuple[tuple[int, int], ...]:
+    """Comparators (p, q), p < q, of Batcher's odd-even merge sort on n inputs.
+
+    Built for the next power of two and cut to the pairs with q < n: padding
+    the input with +inf above n leaves every such pad in place, so the pairs
+    cut are the ones that would compare two pads or a pad with a smaller
+    real value (Batcher, AFIPS 1968).
+    """
+    size = 1 << (n - 1).bit_length()
+    pairs = []
+    span = 1
+    while span < size:  # merge sorted runs of length span into runs of 2 * span
+        k = span
+        while k >= 1:
+            for j in range(k % span, size - k, 2 * k):
+                for i in range(j, min(j + k, size - k)):
+                    if i // (2 * span) == (i + k) // (2 * span) and i + k < n:
+                        pairs.append((i, i + k))
+            k //= 2
+        span *= 2
+    return tuple(pairs)
+
+
 class SortedScores:
     """The measure-independent part of the Choquet integral of a score matrix.
 
     For every row (N rows, n criteria): the ascending increments
     ``a_(i) - a_(i-1)`` with ``a_(0) = 0`` in ``diffs`` and the bitmask of
     the criteria still in play at each sorted position in ``masks``, both of
-    shape (N, n).  Ties in the sort are broken by criterion index; for a
+    shape (N, n) (transposed views of (n, N) arrays).  Ties in the sort are
+    broken by criterion index, the order of a stable argsort: for a
     lambda-measure the result is tie-order independent, the fixed order
-    just keeps explicit-table measures deterministic too.  Build it once per
-    score matrix and fuse it against any number of measure tables.
+    just keeps explicit-table measures deterministic too.  The rows are
+    sorted by one compare-exchange network applied to whole columns, so
+    the work is a few numpy calls per comparator whatever N is.  Build it
+    once per score matrix and fuse it against any number of measure tables.
     """
 
     def __init__(self, scores, n: int | None = None):
@@ -79,18 +107,42 @@ class SortedScores:
         return self
 
     def _sort(self, a: np.ndarray) -> None:
-        order = np.argsort(a, axis=1, kind="stable").astype(np.int64, copy=False)
-        n = order.shape[1]
-        # Increments in place, right to left, so each column still reads
-        # its left neighbour's sorted score (a_(0) = 0 leaves column 0).
-        self.diffs = np.take_along_axis(a, order, axis=1)
+        # Always a copy: a.T of a one-row or Fortran-ordered matrix is
+        # already C-contiguous, and the network below writes in place.
+        values = a.T.copy()
+        n, rows = values.shape
+        bits = values.view(np.int64)
+        masks = np.empty((n, rows), np.int64)
+        # Outputs first, scratch last: freeing the scratch then leaves no
+        # hole under a live block, which keeps a thread's heap small.
+        self.diffs, self.masks = values.T, masks.T
+        criteria = np.arange(n, dtype=np.int8)[:, np.newaxis].repeat(rows, axis=1)
+        flip = np.empty(rows, np.int64)
+        flip8 = flip.view(np.int8)[:rows]
+        swap = np.empty(rows, bool)
+        tie = np.empty(rows, bool)
+        # Swap where (value, criterion) at q is below that at p; with -0.0 ==
+        # 0.0 this is the stable argsort order.  The swaps XOR the raw bits,
+        # so every score moves bit for bit.
+        for p, q in _merge_network(n):
+            np.less(values[q], values[p], out=swap)
+            np.equal(values[q], values[p], out=tie)
+            tie &= criteria[q] < criteria[p]
+            swap |= tie
+            for column, f in ((bits, flip), (criteria, flip8)):
+                np.bitwise_xor(column[p], column[q], out=f)
+                f *= swap
+                column[p] ^= f
+                column[q] ^= f
+        # Increments in place, bottom up, so each row still reads the sorted
+        # score above it (a_(0) = 0 leaves row 0).
         for i in range(n - 1, 0, -1):
-            self.diffs[:, i] -= self.diffs[:, i - 1]
+            values[i] -= values[i - 1]
         # Mask of criteria whose sorted position is >= i: a running OR from
-        # the right (sum works because each bit appears once per row).
-        self.masks = np.left_shift(1, order, out=order)
+        # the bottom (sum works because each bit appears once per column).
+        np.left_shift(1, criteria, out=masks, dtype=np.int64)  # 1 << 7 already overflows int8
         for i in range(n - 2, -1, -1):
-            self.masks[:, i] += self.masks[:, i + 1]
+            masks[i] += masks[i + 1]
 
     def fuse(self, tables: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Choquet integral of every row under every table: (P, 2^n) -> (P, N).
@@ -101,10 +153,12 @@ class SortedScores:
         depend on the numpy build.  ``out``, a (P, N) array, receives the
         result when given.
         """
-        weights = tables[:, self.masks]
-        total = np.multiply(self.diffs[:, 0], weights[..., 0], out=out)
-        for i in range(1, self.diffs.shape[1]):
-            total += self.diffs[:, i] * weights[..., i]
+        diffs, masks = self.diffs.T, self.masks.T  # (n, N), contiguous rows
+        weights = tables.take(masks[0], axis=1)  # (P, N), reused at every position
+        total = np.multiply(diffs[0], weights, out=out)
+        for i in range(1, len(diffs)):
+            tables.take(masks[i], axis=1, out=weights)
+            total += np.multiply(diffs[i], weights, out=weights)
         return total
 
 
@@ -132,7 +186,9 @@ def choquet_fuse_batch(scores, measure: LambdaMeasure | TableMeasure) -> np.ndar
 
     The matrix is checked whole, then fused in chunks of ``_CHUNK_ROWS`` rows,
     on one thread per CPU (at most one per chunk) when there are several of
-    each.  Rows are independent, so the bits do not depend on either count.
+    each.  Each chunk is sorted by ``SortedScores``, one compare-exchange
+    network over its columns.  Rows are independent, so the bits do not
+    depend on either count.
     """
     a = _as_score_matrix(scores, measure.n)
     table = measure.dense_table()[np.newaxis]

@@ -1,5 +1,6 @@
 """Choquet integral and classical fusion rules."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -246,6 +247,18 @@ class TestChunkedFusion:
             choquet_fuse_batch(a, m)
         assert threading.active_count() == before
 
+    def test_two_chunk_batches_of_every_width_are_pinned(self, cpus):
+        # Two chunks per width, n = 2..16: scores on five levels, so nearly
+        # every row holds a tie, with -0.0 cells and whole -0.0 rows.
+        digest = hashlib.sha256()
+        for n in range(2, 17):
+            rng = np.random.default_rng(2300 + n)
+            a = rng.integers(0, 5, (70_000, n)) * 0.25
+            a[(a == 0.0) & (rng.random(a.shape) < 0.5)] = -0.0
+            a[rng.random(len(a)) < 0.05] = -0.0
+            digest.update(choquet_fuse_batch(a, LambdaMeasure(tuple(rng.uniform(0.02, 0.4, n)))).tobytes())
+        assert digest.hexdigest() == "2a65d60b94ac0be57d8dfbcc6742c4189beb9b145d883ce1ecb64883bb6ebd79"
+
     def test_a_one_chunk_batch_does_not_import_the_thread_pool(self):
         script = ("import sys\nimport numpy as np\nfrom choqfuse import LambdaMeasure\n"
                   "from choqfuse.aggregate import _CHUNK_ROWS, choquet_fuse_batch\n"
@@ -255,6 +268,40 @@ class TestChunkedFusion:
         run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                              text=True, timeout=120, check=True)
         assert run.stdout == "False\n"
+
+
+def unsorted_rows(rows):
+    return np.random.default_rng(73).uniform(0, 1, (rows, 4))
+
+
+# The sort works on a transposed copy; a.T of a one-row or Fortran-ordered
+# matrix is already C-contiguous, so anything short of a copy would sort
+# the caller's scores in place.
+CALLER_SCORES = {
+    "0-rows": lambda: unsorted_rows(0),
+    "1-row": lambda: unsorted_rows(1),
+    "vector": lambda: unsorted_rows(1)[0],
+    "fortran": lambda: np.asfortranarray(unsorted_rows(50)),
+    "fortran-2-chunks": lambda: np.asfortranarray(unsorted_rows(CHUNK + 9)),
+    "strided": lambda: unsorted_rows(150)[::3, ::-1],
+    "1-row-strided": lambda: unsorted_rows(3)[1:2, ::-1],
+}
+
+
+class TestCallerScoresAreNotWritten:
+    @pytest.mark.parametrize("make", CALLER_SCORES.values(), ids=CALLER_SCORES.keys())
+    def test_fusing_leaves_the_input_bytes(self, cpus, make):
+        m = LambdaMeasure((0.1, 0.2, 0.3, 0.25))
+        scores = make()
+        before = scores.copy()
+        expected = SortedScores(before.copy()).fuse(m.dense_table()[np.newaxis])[0]
+        calls = [lambda: SortedScores(scores), lambda: choquet_fuse_batch(scores, m)]
+        if scores.size == 4:
+            calls.append(lambda: choquet_fuse(scores, m))
+        for call in calls:
+            call()
+            assert scores.tobytes() == before.tobytes()
+        assert choquet_fuse_batch(scores, m).tobytes() == expected.tobytes()
 
 
 class TestFusionRules:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choqfuse.aggregate import RULE_TAGS, choquet_fuse
+from choqfuse.aggregate import RULE_TAGS, SortedScores, choquet_fuse
 from choqfuse.cli import main
 from choqfuse import data as data_module
 from choqfuse.data import DataFormatError, LabeledScoreSet, load_csv, write_csv
@@ -84,6 +84,48 @@ class TestChoquetAxioms:
     def test_constant_vector_is_a_fixed_point(self, case, t):
         measure, scores = case
         assert choquet_fuse([t] * len(scores), measure) == t
+
+
+def _argsort_sorted_scores(a):
+    """``diffs`` and ``masks`` of ``SortedScores`` from a stable argsort."""
+    order = np.argsort(a, axis=1, kind="stable")
+    ranked = np.take_along_axis(a, order, axis=1)
+    diffs = ranked.copy()
+    diffs[:, 1:] = ranked[:, 1:] - ranked[:, :-1]
+    masks = np.cumsum((1 << order)[:, ::-1], axis=1)[:, ::-1]
+    return diffs, masks
+
+
+@st.composite
+def score_matrices(draw):
+    """1 to 40 rows of 1 to 16 scores: tie-heavy, with mixed -0.0 and 0.0."""
+    n = draw(st.integers(1, 16))
+    cell = st.sampled_from((-0.0, 0.0, 0.25, 0.5, 1.0)) | unit
+    return np.array(draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=1, max_size=40)))
+
+
+class TestSortedScoresOracle:
+    @properties
+    @given(score_matrices())
+    def test_equals_a_stable_argsort_bit_for_bit(self, a):
+        diffs, masks = _argsort_sorted_scores(a)
+        sorted_scores = SortedScores(a)
+        assert sorted_scores.diffs.tobytes() == diffs.tobytes()
+        assert sorted_scores.masks.dtype == np.int64
+        assert sorted_scores.masks.tolist() == masks.tolist()
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_every_row_of_zeros_and_ones_of_every_width(self, zero):
+        # A compare-exchange network that sorts every 0/1 input sorts every
+        # input (Knuth, TAOCP vol. 3, 5.3.4): each width gets all 2^n rows.
+        for n in range(1, 17):
+            rows = np.arange(1 << n)[:, None]
+            a = np.where((rows >> np.arange(n)) & 1, 1.0, zero)
+            a[(a == 0.0) & (rows % 3 == 0) & (np.arange(n) % 2 == 0)] = -zero  # both zeros in a row
+            diffs, masks = _argsort_sorted_scores(a)
+            sorted_scores = SortedScores(a)
+            assert sorted_scores.diffs.tobytes() == diffs.tobytes(), n
+            assert sorted_scores.masks.tolist() == masks.tolist(), n
 
 
 # Scores on a 1e-3 grid: ties are frequent, and each rescaling below keeps
