@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import LambdaMeasure, TableMeasure
+from .measures import _TABLE_MAX_N, LambdaMeasure, TableMeasure
 
 __all__ = [
     "FusionRule",
@@ -97,7 +97,12 @@ class SortedScores:
     """
 
     def __init__(self, scores, n: int | None = None):
-        self._sort(_as_score_matrix(scores, n))
+        a = _as_score_matrix(scores, n)
+        # No measure table is wider; past 62 criteria the int64 masks would wrap too.
+        if a.shape[1] > _TABLE_MAX_N:
+            raise ValueError(f"SortedScores supports at most {_TABLE_MAX_N} criteria, "
+                             f"got {a.shape[1]}")
+        self._sort(a)
 
     @classmethod
     def _of_checked(cls, a: np.ndarray) -> SortedScores:

@@ -82,11 +82,13 @@ def _build_parser() -> _Parser:
 
     fuse = sub.add_parser("fuse", help="Choquet-fuse every person's scores",
                           option_types=types)
+    fuse.set_defaults(run=_cmd_fuse)
     add_common(fuse)
     add_measure_source(fuse)
 
     optimize = sub.add_parser("optimize", help="learn densities with the GA",
                               option_types=types)
+    optimize.set_defaults(run=_cmd_optimize)
     add_common(optimize)
     optimize.add_argument("--seed", type=int, help="GA RNG seed (default 0)")
     optimize.add_argument("--generations", type=int, help="max generations (default 1000)")
@@ -95,6 +97,7 @@ def _build_parser() -> _Parser:
 
     compare = sub.add_parser("compare", help="error-rate table across fusion rules",
                              option_types=types)
+    compare.set_defaults(run=_cmd_compare)
     add_common(compare)
     add_measure_source(compare)
     compare.add_argument("--threshold", type=float,
@@ -102,6 +105,7 @@ def _build_parser() -> _Parser:
 
     evaluate = sub.add_parser("eval", help="detailed report for one rule or measure",
                               option_types=types)
+    evaluate.set_defaults(run=_cmd_eval)
     add_common(evaluate)
     add_measure_source(evaluate)
     evaluate.add_argument("--rule", help="fusion rule name (default: choquet)")
@@ -386,20 +390,12 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "fuse": _cmd_fuse,
-    "optimize": _cmd_optimize,
-    "compare": _cmd_compare,
-    "eval": _cmd_eval,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         args = _merge_config(args, parser.option_types)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -48,7 +48,6 @@ from .measures import _as_density_matrix, _solve, _tables
 from .metrics import _sweep
 
 __all__ = [
-    "GENE_EPS",
     "GaConfig",
     "GenerationRecord",
     "Population",

@@ -193,9 +193,9 @@ def evaluate_scores(fused_clients, fused_impostors) -> EvalReport:
 
     Each class is sorted, and ``_rank``'s stable sort merges the two
     sorted runs; the grid is the first score of every tied
-    run, between a sentinel below and one above every score.  When the
-    classes are perfectly separated the EER is 0 and its threshold the
-    midpoint of the separating gap.
+    run, between a sentinel below and one above every score.  A score of
+    -0.0 reads as 0.0.  When the classes are perfectly separated the EER
+    is 0 and its threshold the midpoint of the separating gap.
     """
     # Each intermediate is dropped once used: at a million scores they, not
     # the returned curves, would set the peak memory.
@@ -204,6 +204,8 @@ def evaluate_scores(fused_clients, fused_impostors) -> EvalReport:
     n_clients, n_impostors = clients.size, impostors.size
     scores = np.concatenate([clients, impostors])[np.newaxis]
     del clients, impostors
+    # -0.0 becomes 0.0: np.sort orders tied zeros per SIMD level, and the grid keeps a run's first.
+    scores += 0.0
     scores[0, :n_clients].sort()
     scores[0, n_clients:].sort()
     lowest_client, highest_impostor = scores[0, 0], scores[0, -1]

@@ -194,6 +194,17 @@ class TestChoquetFuse:
             choquet_fuse_batch([[0.5, 0.2], [0.1, bad]], LambdaMeasure((0.4, 0.5)))
         assert str(raised.value) == f"score [1,1] = {text} outside [0, 1]"
 
+    @pytest.mark.parametrize("n", [17, 130])
+    def test_more_criteria_than_a_measure_table_holds_are_refused(self, n):
+        with pytest.raises(ValueError, match=f"at most 16 criteria, got {n}$"):
+            SortedScores(np.full((2, n), 0.5))
+
+    def test_sixteen_criteria_still_fuse(self):
+        a = np.random.default_rng(53).uniform(0, 1, (5, 16))
+        tables = np.stack([max_measure(16).dense_table(), min_measure(16).dense_table()])
+        fused = SortedScores(a).fuse(tables)
+        assert fused.tolist() == [a.max(axis=1).tolist(), a.min(axis=1).tolist()]
+
 
 CHUNK = aggregate._CHUNK_ROWS
 # Not additive: m(A) = (sum of the weights in A)^2 for weights .5, .3, .2.

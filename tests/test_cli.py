@@ -232,6 +232,28 @@ class TestCompare:
         assert not (tmp_path / "roc_choquet.csv").exists()
 
 
+def test_negative_zero_scores_give_the_bytes_of_zero(capsys, tmp_path):
+    # np.sort orders tied zeros of both signs per SIMD level; read as 0 they
+    # give the same outputs at every level.
+    rng = np.random.default_rng(24)
+    cells = np.where(rng.uniform(size=(400, 3)) < 0.3, "-0",
+                     rng.choice(["0", "0.25", "0.5", "1"], (400, 3)))
+    lines = [f"P{i},{'client' if i % 2 else 'impostor'}," + ",".join(row)
+             for i, row in enumerate(cells)]
+    text = "person_id,label,m1,m2,m3\n" + "\n".join(lines) + "\n"
+    for name, body in (("signed", text), ("zero", text.replace(",-0", ",0"))):
+        (tmp_path / f"{name}.csv").write_text(body)
+        for args in (["compare", "--densities", "0.3,0.3,0.3"], ["eval", "--rule", "min"]):
+            code, _, _ = run(capsys, *args, "--input", str(tmp_path / f"{name}.csv"),
+                             "--out", str(tmp_path / name / args[0]))
+            assert code == 0
+    signed = [path for path in (tmp_path / "signed").rglob("*") if path.is_file()]
+    assert len(signed) == 14
+    for path in signed:
+        twin = tmp_path / "zero" / path.relative_to(tmp_path / "signed")
+        assert path.read_bytes() == twin.read_bytes(), path.name
+
+
 class TestEval:
     def test_mean_rule_report(self, capsys, tmp_path):
         code, _, _ = run(
@@ -338,9 +360,11 @@ class TestConfigFile:
         assert code == 0
         assert parse_measure_lines(out)["lambda"] == 0.0
 
-    @pytest.mark.parametrize("key,value", [("mystery", 1), ("command", "eval"), ("seed", 3)])
+    @pytest.mark.parametrize("key,value", [("mystery", 1), ("command", "eval"), ("run", "eval"),
+                                           ("seed", 3)])
     def test_unknown_config_key_rejected(self, capsys, tmp_path, key, value):
-        # "command" is the subcommand's own attribute, "seed" an option of optimize only.
+        # "command" and "run" are the subcommand's own attributes, "seed" an option of
+        # optimize only.
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"synthetic": True, "densities": "0.35,0.25,0.3", key: value}))
         code, _, err = run(capsys, "fuse", "--config", str(cfg), "--out", str(tmp_path / "o"))

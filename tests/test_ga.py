@@ -44,8 +44,8 @@ class StubRng:
 
 
 def test_operators_are_private():
-    assert sorted(ga.__all__) == ["GENE_EPS", "GaConfig", "GenerationRecord", "Population",
-                                  "evolve", "population_fitness"]
+    assert sorted(ga.__all__) == ["GaConfig", "GenerationRecord", "Population", "evolve",
+                                  "population_fitness"]
     for name in ("init_population", "select_parents", "linear_crossover", "mutation_offsets"):
         with pytest.raises(ImportError):
             exec(f"from choqfuse import {name}", {})

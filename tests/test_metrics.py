@@ -1,6 +1,7 @@
 """Normalization, FAR/FRR, EER, and report export."""
 
 import csv
+import dataclasses
 import math
 import os
 import subprocess
@@ -123,6 +124,21 @@ class TestEer:
         report = evaluate_scores([0.8, 0.6, 0.4], [0.7, 0.3, 0.2])
         assert report.eer == pytest.approx(1 / 3)
         assert report.eer_threshold == pytest.approx(0.6)
+
+    def test_negative_zero_reads_as_zero(self):
+        # np.sort orders tied zeros of both signs per SIMD level, so a grid
+        # that kept a -0.0 would depend on the level.
+        rng = np.random.default_rng(103)
+        cases = [(rng.choice([0.0, 0.0, 0.5, 1.0], 300), rng.choice([0.0, 0.25, 0.5], 200)),
+                 ([0.0, 1.0], [0.0]), ([0.0], [0.0]), ([0.0], [-1.0]), ([1.0], [0.0])]
+        for clients, impostors in cases:
+            plus = evaluate_scores(clients, impostors)
+            minus = evaluate_scores(*(np.where(np.asarray(x) == 0.0, -0.0, x)
+                                      for x in (clients, impostors)))
+            assert not np.signbit(minus.thresholds[minus.thresholds == 0.0]).any()
+            for field in dataclasses.fields(EvalReport):
+                value, expected = getattr(minus, field.name), getattr(plus, field.name)
+                assert np.asarray(value).tobytes() == np.asarray(expected).tobytes(), field.name
 
     def test_invariant_under_increasing_transforms(self):
         rng = np.random.default_rng(67)
