@@ -15,11 +15,11 @@ rules) are provided for benchmarking.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._threads import fan_out
 from .measures import _TABLE_MAX_N, LambdaMeasure, TableMeasure
 
 __all__ = [
@@ -179,13 +179,6 @@ def choquet_fuse(scores, measure: LambdaMeasure | TableMeasure) -> float:
     return float(SortedScores._of_checked(a).fuse(measure.dense_table()[np.newaxis])[0, 0])
 
 
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def choquet_fuse_batch(scores, measure: LambdaMeasure | TableMeasure) -> np.ndarray:
     """Choquet integral of each row of a score matrix. Vectorized.
 
@@ -203,16 +196,7 @@ def choquet_fuse_batch(scores, measure: LambdaMeasure | TableMeasure) -> np.ndar
         hi = lo + _CHUNK_ROWS
         SortedScores._of_checked(a[lo:hi]).fuse(table, out=fused[np.newaxis, lo:hi])
 
-    starts = range(0, len(a), _CHUNK_ROWS)
-    workers = min(_cpu_count(), len(starts))
-    if workers < 2:
-        for lo in starts:
-            fuse_chunk(lo)
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # only large batches pay the import
-
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(fuse_chunk, starts))  # reading every result re-raises a chunk's error
+    fan_out(fuse_chunk, range(0, len(a), _CHUNK_ROWS))
     return fused
 
 

@@ -217,12 +217,6 @@ def tied_scores(rows, seed=71):
     return np.round(np.random.default_rng(seed).integers(0, 21, (rows, 3)) * 0.05, 3)
 
 
-@pytest.fixture(params=[1, 4], ids=["1-cpu", "4-cpus"])
-def cpus(request, monkeypatch):
-    monkeypatch.setattr(aggregate, "_cpu_count", lambda: request.param)
-    return request.param
-
-
 class TestChunkedFusion:
     @pytest.mark.parametrize("measure", [LambdaMeasure((0.35, 0.25, 0.3)), SQUARED_WEIGHTS],
                              ids=["lambda", "table"])

@@ -2,10 +2,14 @@
 
 import csv
 import dataclasses
+import hashlib
+import itertools
 import math
 import os
+import struct
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -15,7 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import choqfuse
 from choqfuse import data as data_module
+from choqfuse import metrics
 from choqfuse.aggregate import FusionRule, choquet_fuse_batch, rule_fuse_batch
 from choqfuse.data import (_BLOCK_ROWS, LabeledScoreSet, normalize_minmax, synthetic_dataset,
                            write_table)
@@ -244,6 +250,132 @@ class TestSweepErrors:
             sweep_errors(np.empty((1, 0)), [[0.2]])
 
 
+CHUNK = metrics._CHUNK_SCORES
+
+
+def report_bytes(report):
+    """Every field of a report, and its minimum error rate, as bytes."""
+    fields = [np.asarray(getattr(report, f.name)).tobytes() for f in dataclasses.fields(EvalReport)]
+    return fields + [struct.pack("<2d", *report.min_error_rate())]
+
+
+def one_piece(monkeypatch, clients, impostors):
+    """``evaluate_scores`` ranking every score in one merge on the calling thread."""
+    with monkeypatch.context() as patch:
+        patch.setattr(metrics, "_CHUNK_SCORES", 10**12)
+        return evaluate_scores(clients, impostors)
+
+
+def overlapping(size, decimals=None, seed=2501):
+    """``size`` scores, 55% clients, with the classes overlapping."""
+    rng = np.random.default_rng(seed)
+    n_clients = size * 55 // 100
+    clients, impostors = rng.beta(5, 2, n_clients), rng.beta(2, 5, size - n_clients)
+    if decimals is not None:
+        clients, impostors = np.round(clients, decimals), np.round(impostors, decimals)
+    return clients, impostors
+
+
+def signed_zeros(size):
+    clients, impostors = overlapping(size, 2, seed=2502)
+    for scores in (clients, impostors):
+        scores[scores < 0.2] = 0.0
+        scores[(scores == 0.0) & (np.arange(scores.size) % 3 == 0)] = -0.0
+    return clients, impostors
+
+
+def one_class_in_a_chunk(size):
+    clients, impostors = overlapping(size, seed=2503)
+    return clients, 0.5 + impostors[:500] * 1e-4  # 500 impostors in one narrow value range
+
+
+def runs_longer_than_a_chunk(size):
+    clients, impostors = overlapping(size, 3, seed=2504)
+    impostors[:CHUNK + 9] = 0.0  # the lowest run: no chunk may lie below it
+    clients[:CHUNK + 9] = 0.75
+    return clients, impostors
+
+
+CHUNKED_CASES = {
+    # About 400 scores per 3-decimal value: the pivots fall inside runs of ties.
+    "3-decimal-ties": lambda size: overlapping(size, 3),
+    "runs-longer-than-a-chunk": runs_longer_than_a_chunk,
+    "signed-zeros": signed_zeros,
+    "separable": lambda size: (0.6 + overlapping(size)[0] * 0.4, overlapping(size)[1] * 0.4),
+    "one-class-in-a-chunk": one_class_in_a_chunk,
+    "one-class-in-a-chunk-swapped": lambda size: one_class_in_a_chunk(size)[::-1],
+}
+
+
+class TestChunkedEvaluation:
+    """Above ``_CHUNK_SCORES`` scores, ``evaluate_scores`` merges value-range chunks on threads."""
+
+    @pytest.mark.parametrize("size", [CHUNK - 1, CHUNK + 1, 3 * CHUNK + 7])
+    def test_chunks_give_the_bits_of_one_piece(self, cpus, monkeypatch, size):
+        clients, impostors = overlapping(size)
+        expected = one_piece(monkeypatch, clients, impostors)
+        assert report_bytes(evaluate_scores(clients, impostors)) == report_bytes(expected)
+
+    @pytest.mark.parametrize("make", CHUNKED_CASES.values(), ids=CHUNKED_CASES.keys())
+    def test_ties_zeros_and_lopsided_classes_give_the_bits_of_one_piece(self, cpus, monkeypatch,
+                                                                        make):
+        clients, impostors = make(3 * CHUNK + 7)
+        expected = one_piece(monkeypatch, clients, impostors)
+        assert report_bytes(evaluate_scores(clients, impostors)) == report_bytes(expected)
+
+    def test_a_million_scores_are_pinned(self, cpus):
+        # Taken before the chunked path existed: 30% of the scores at 3
+        # decimals, 0.5% -0.0 and 0.5% 0.0.
+        rng = np.random.default_rng(2500)
+        clients, impostors = rng.beta(5, 2, 550_000), rng.beta(2, 5, 450_000)
+        for scores in (clients, impostors):
+            pick = rng.random(scores.size)
+            scores[pick < 0.3] = np.round(scores[pick < 0.3], 3)
+            scores[pick > 0.99] = -0.0
+            scores[pick > 0.995] = 0.0
+        report = evaluate_scores(clients, impostors)
+        digest = hashlib.sha256()
+        for curve in (report.thresholds, report.far_curve, report.frr_curve):
+            digest.update(curve.tobytes())
+        digest.update(struct.pack("<4d", report.eer, report.eer_threshold,
+                                  *report.min_error_rate()))
+        assert report.thresholds.size == 690_968
+        assert digest.hexdigest() == "5921362a1d7f79c380a893bd654f135705435bd54d5bfbd776a2226d75f6df57"
+
+    def test_no_thread_outlives_a_call(self, cpus, monkeypatch):
+        clients, impostors = overlapping(3 * CHUNK + 7, 3)
+        before = threading.active_count()
+        evaluate_scores(clients, impostors)
+        assert threading.active_count() == before
+        calls, write_runs = itertools.count(), metrics._write_runs
+
+        def third_chunk_fails(*args):
+            if next(calls) == 2:
+                raise RuntimeError("third chunk")
+            return write_runs(*args)
+
+        monkeypatch.setattr(metrics, "_write_runs", third_chunk_fails)
+        with pytest.raises(RuntimeError, match="third chunk"):
+            evaluate_scores(clients, impostors)
+        assert threading.active_count() == before
+        impostors[-1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_scores(clients, impostors)
+        assert threading.active_count() == before
+
+    def test_a_one_piece_call_does_not_import_the_thread_pool(self):
+        script = ("import sys\nimport numpy as np\n"
+                  "from choqfuse.metrics import _CHUNK_SCORES, evaluate_scores\n"
+                  "n = _CHUNK_SCORES // 2\n"
+                  "report = evaluate_scores(np.linspace(0.2, 1, n), np.linspace(0, 0.8, n))\n"
+                  "report.min_error_rate()\n"
+                  "print('concurrent.futures' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(choqfuse.__file__).resolve().parents[1]))
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert run.stdout == "False\n"
+
+
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
@@ -310,6 +442,17 @@ class TestEvalReport:
                     for t in report.thresholds) / 50
         assert rate == pytest.approx(brute, abs=1e-12)
         assert report.error_rate_at(threshold) == pytest.approx(rate, abs=1e-12)
+
+
+    def test_min_error_rate_keeps_the_first_minimum_across_blocks(self):
+        block = metrics._BLOCK_POINTS
+        size = 3 * block + 5
+        errors = np.random.default_rng(2504).integers(5, 100, size).astype(float)
+        errors[[block + 7, 2 * block + 3, 3 * block + 1]] = 2.0
+        report = EvalReport(thresholds=np.arange(size, dtype=float), far_curve=errors / size,
+                            frr_curve=np.zeros(size), eer=0.5, eer_threshold=0.5,
+                            n_clients=1, n_impostors=size)
+        assert report.min_error_rate() == (2 / (size + 1), float(block + 7))
 
 
 def _csv_writer_roc(report, path):
