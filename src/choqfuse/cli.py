@@ -36,12 +36,8 @@ _COMPARE_RULES = ("and", "or", "prod", "mean", "min", "max", "majority_vote")
 _DISPLAY_MAX_N = 6
 
 
-class UsageError(Exception):
-    """Bad flags or config; maps to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
-    """Raises UsageError instead of exiting; records each option's value type.
+    """Raises ValueError (exit 1) instead of exiting; records each option's value type.
 
     The type map is shared with the subcommand parsers and checks the
     values a config file supplies (``_merge_config``).
@@ -58,7 +54,7 @@ class _Parser(argparse.ArgumentParser):
         return action
 
     def error(self, message):  # keep exit-code control in main()
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _build_parser() -> _Parser:
@@ -122,26 +118,31 @@ def _has_type(value, expected: type) -> bool:
     return isinstance(value, (int, float) if expected is float else expected)
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in ``path`` (a UTF-8 BOM is skipped); ``what`` names the file in errors."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ValueError(f"{what} not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
 def _merge_config(args: argparse.Namespace, option_types: dict[str, type]) -> argparse.Namespace:
     """Fill unset flags from the optional JSON config file."""
     if not args.config:
         return args
-    try:
-        with open(args.config, "r", encoding="utf-8-sig") as fh:
-            values = json.load(fh)
-    except FileNotFoundError:
-        raise UsageError(f"config file not found: {args.config}") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {args.config} is not valid JSON: {exc}") from None
+    values = _read_json(args.config, "config file")
     if not isinstance(values, dict):
-        raise UsageError(f"config file {args.config} must hold a JSON object")
+        raise ValueError(f"config file {args.config} must hold a JSON object")
     for key, value in values.items():
         attr = key.replace("-", "_")
         if attr == "config" or attr not in option_types or not hasattr(args, attr):
-            raise UsageError(f"config key {key!r} is not an option a config file can set")
+            raise ValueError(f"config key {key!r} is not an option a config file can set")
         expected = option_types[attr]
         if not _has_type(value, expected):
-            raise UsageError(f"config key {key!r} must be of type {expected.__name__}, "
+            raise ValueError(f"config key {key!r} must be of type {expected.__name__}, "
                              f"got {value!r}")
         current = getattr(args, attr)
         if current is None or current is False:  # unset flag; explicit 0 wins
@@ -151,10 +152,10 @@ def _merge_config(args: argparse.Namespace, option_types: dict[str, type]) -> ar
 
 def _load_dataset(args) -> LabeledScoreSet:
     if bool(args.input) == bool(args.synthetic):
-        raise UsageError("exactly one input source required: --input PATH or --synthetic")
+        raise ValueError("exactly one input source required: --input PATH or --synthetic")
     if args.synthetic:
         if args.normalize:
-            raise UsageError("--normalize applies to --input only, not to --synthetic")
+            raise ValueError("--normalize applies to --input only, not to --synthetic")
         return synthetic_dataset()
     try:
         return load_csv(args.input, normalize=args.normalize)
@@ -164,32 +165,26 @@ def _load_dataset(args) -> LabeledScoreSet:
 
 def _load_measure(args, n: int) -> LambdaMeasure | None:
     """The measure of --densities or --measure-file, if either is given, for ``n`` modalities."""
-    if getattr(args, "densities", None) and getattr(args, "measure_file", None):
-        raise UsageError("give either --densities or --measure-file, not both")
-    if getattr(args, "densities", None):
+    if args.densities and args.measure_file:
+        raise ValueError("give either --densities or --measure-file, not both")
+    if args.densities:
         try:
-            values = [float(v) for v in str(args.densities).split(",")]
+            values = [float(v) for v in args.densities.split(",")]
         except ValueError:
-            raise UsageError(f"--densities must be comma-separated numbers, "
+            raise ValueError(f"--densities must be comma-separated numbers, "
                              f"got {args.densities!r}") from None
-    elif getattr(args, "measure_file", None):
-        try:
-            with open(args.measure_file, "r", encoding="utf-8-sig") as fh:
-                payload = json.load(fh)
-        except FileNotFoundError:
-            raise UsageError(f"measure file not found: {args.measure_file}") from None
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"measure file is not valid JSON: {exc}") from None
+    elif args.measure_file:
+        payload = _read_json(args.measure_file, "measure file")
         densities = payload.get("densities") if isinstance(payload, dict) else None
         if not isinstance(densities, list) or not all(_has_type(v, float) for v in densities):
-            raise UsageError(f"measure file {args.measure_file} needs a 'densities' "
+            raise ValueError(f"measure file {args.measure_file} needs a 'densities' "
                              f"list of numbers")
         values = [float(v) for v in densities]
     else:
         return None
     measure = LambdaMeasure(tuple(values))
     if measure.n != n:
-        raise UsageError(f"measure has {measure.n} densities but the data has "
+        raise ValueError(f"measure has {measure.n} densities but the data has "
                          f"{n} modalities")
     return measure
 
@@ -198,7 +193,7 @@ def _threshold(args) -> float:
     """The --threshold value (default 0.5), checked before any output is written."""
     threshold = 0.5 if args.threshold is None else args.threshold
     if not 0.0 <= threshold <= 1.0:
-        raise UsageError(f"--threshold must lie in [0, 1], got {threshold!r}")
+        raise ValueError(f"--threshold must lie in [0, 1], got {threshold!r}")
     return threshold
 
 
@@ -251,11 +246,11 @@ def _cmd_fuse(args) -> int:
     dataset = _load_dataset(args)
     measure = _load_measure(args, dataset.n_modalities)
     if measure is None:
-        raise UsageError("fuse needs --densities or --measure-file")
-    _print_measure(measure)
+        raise ValueError("fuse needs --densities or --measure-file")
     fused = np.concatenate([choquet_fuse_batch(dataset.client_scores, measure),
                             choquet_fuse_batch(dataset.impostor_scores, measure)])
     fused_path = _out_dir(args) / "fused_scores.csv"
+    _print_measure(measure)
     write_table(fused_path, ["person_id", "label", "fused"], "%s,%s,%r",
                 id_label_columns(dataset) + [fused])
     print(f"wrote {fused_path}")
@@ -353,14 +348,10 @@ def _cmd_eval(args) -> int:
     measure = _load_measure(args, n)
     threshold = _threshold(args)
     tag = args.rule or "choquet"
-    if tag == "choquet":
-        if measure is None:
-            raise UsageError("eval of the choquet rule needs --densities or "
-                             "--measure-file")
-        rule = FusionRule(tag="choquet", measure=measure)
-    else:
-        weights = tuple([1.0 / n] * n) if tag == "weighted_sum" else None
-        rule = FusionRule(tag=tag, weights=weights, threshold=threshold)
+    if tag == "choquet" and measure is None:
+        raise ValueError("eval of the choquet rule needs --densities or "
+                         "--measure-file")
+    rule = FusionRule(tag, measure, (1.0 / n,) * n, threshold)
 
     report = _evaluate(dataset, rule)
     operating = 0.5 if rule.is_decision else threshold
@@ -396,9 +387,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         args = _merge_config(args, parser.option_types)
         return args.run(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except DataFormatError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

@@ -475,6 +475,18 @@ class TestFailuresWriteNothing:
         assert code == 1 and "measure has 2 densities but the data has 3 modalities" in err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", [["fuse", "--densities", "0.35,0.25,0.3"],
+                                         ["optimize", "--generations", "2"],
+                                         ["compare"], ["eval", "--rule", "mean"]])
+    def test_an_out_path_under_a_regular_file_prints_nothing(self, capsys, tmp_path, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "sub"
+        code, stdout, err = run(capsys, command[0], "--synthetic", *command[1:],
+                                "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err.startswith("error: ") and str(out) in err
+
     def test_config_value_of_wrong_type_is_a_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"generations": "5"}))
@@ -545,14 +557,18 @@ class TestErrorPaths:
         (None, "config file not found: {path}"),
         ("{not json", "config file {path} is not valid JSON: "),
         ("[1, 2]", "config file {path} must hold a JSON object"),
+        (None, "measure file not found: {path}"),
+        ("{not json", "measure file {path} is not valid JSON: "),
     ])
     def test_a_config_that_is_missing_not_json_or_not_an_object(self, capsys, tmp_path, body,
                                                                  message):
+        # The message names the file each case reads: a config, or a measure file.
         path, out = tmp_path / "run.json", tmp_path / "out"
         if body is not None:
             path.write_text(body)
-        code, _, err = run(capsys, "fuse", "--config", str(path), "--synthetic",
-                           "--densities", "0.35,0.25,0.3", "--out", str(out))
+        source = (["--config", str(path), "--densities", "0.35,0.25,0.3"]
+                  if message.startswith("config") else ["--measure-file", str(path)])
+        code, _, err = run(capsys, "fuse", *source, "--synthetic", "--out", str(out))
         assert code == 1 and err.startswith("error: " + message.format(path=path))
         assert not out.exists()
 

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choqfuse.aggregate import RULE_TAGS, SortedScores, choquet_fuse
@@ -46,8 +46,13 @@ def density_batches(draw):
 
 
 class TestLambdaRoots:
+    # n = 16 rows at the extremes of lambda share one batch: near -1
+    # ([0.5] * 16), about 1.4e6 ([1e-6] * 16), and two in between.
     @properties
     @given(density_batches())
+    @example([[0.5] * 16, [1e-6] * 16, [0.1] * 16, [0.2, 0.3, 0.25, 0.1] + [0.01] * 12])
+    @example([[0.2, 0.3, 0.25, 0.1] + [0.01] * 12, [1e-6] * 16, [0.5] * 16])
+    @example([[1e-6] * 16, [0.1] * 16, [0.5] * 16, [1e-6] * 16])
     def test_sign_round_trip_and_batch_equals_one_row(self, rows):
         roots = solve_lambda_batch(rows).tolist()
         for d, lam in zip(rows, roots):
