@@ -246,6 +246,8 @@ class FusionRule:
             raise ValueError("the choquet rule needs a measure")
         if self.weights is not None:
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        if np.ndim(self.threshold):  # a tuple, as weights: hashable and not the caller's
+            object.__setattr__(self, "threshold", tuple(float(t) for t in self.threshold))
 
     @property
     def is_decision(self) -> bool:
@@ -258,30 +260,31 @@ def rule_fuse_batch(scores, rule: FusionRule) -> np.ndarray:
     Score rules return a fused similarity in [0, 1]; decision rules return
     1.0 for accept and 0.0 for reject so that every rule can go through the
     same threshold machinery downstream (decision outputs are evaluated at
-    the fixed threshold 0.5).
+    the fixed threshold 0.5).  Each rule but ``choquet`` folds its columns,
+    the scores (times the weights) or the accepts ``c_j >= t_j``, left to
+    right into one buffer, ``(c0 op c1) op c2 ...``: one whole-column ufunc
+    per modality, and sums rounded in that order whatever the CPU and n.
     """
     if rule.tag == "choquet":
         return choquet_fuse_batch(scores, rule.measure)
     a = _as_score_matrix(scores)
     n = a.shape[1]
-    if rule.tag in ("mean", "weighted_sum"):
-        # Summed left to right, as SortedScores.fuse sums, never by BLAS or
-        # numpy's pairwise blocks, so the bits depend on neither the CPU nor n.
-        w = np.ones(n) if rule.tag == "mean" else _normalized_weights(rule.weights, n)
-        total = a[:, 0] * w[0]
-        for j in range(1, n):
-            total += a[:, j] * w[j]
-        return total / n if rule.tag == "mean" else total
-    if rule.tag == "prod":
-        return a.prod(axis=1)
-    if rule.tag == "min":
-        return a.min(axis=1)
-    if rule.tag == "max":
-        return a.max(axis=1)
-    accepts = a >= _thresholds_array(rule.threshold, n)
-    if rule.tag == "and":
-        return accepts.all(axis=1).astype(float)
-    if rule.tag == "or":
-        return accepts.any(axis=1).astype(float)
-    # majority_vote: strict majority of per-modality accepts
-    return (accepts.sum(axis=1) > n / 2).astype(float)
+    if rule.is_decision:
+        t = _thresholds_array(rule.threshold, n)
+        columns = (a[:, j] >= t[j] for j in range(n))
+    elif rule.tag == "weighted_sum":
+        w = _normalized_weights(rule.weights, n)
+        columns = (a[:, j] * w[j] for j in range(n))
+    else:
+        columns = (a[:, j] for j in range(n))
+    fold = {"prod": np.multiply, "min": np.minimum, "max": np.maximum, "and": np.logical_and,
+            "or": np.logical_or}.get(rule.tag, np.add)  # majority_vote adds up the accepts
+    # np.array copies: the fold writes its buffer, and a[:, 0] is the caller's.
+    total = np.array(next(columns), np.intp if rule.tag == "majority_vote" else None)
+    for column in columns:
+        fold(total, column, out=total)
+    if rule.tag == "mean":
+        total /= n
+    elif rule.tag == "majority_vote":
+        total = total > n / 2  # a strict majority of accepts
+    return total.astype(float, copy=False)

@@ -1,6 +1,8 @@
 """Choquet integral and classical fusion rules."""
 
+import functools
 import hashlib
+import operator
 import os
 import subprocess
 import sys
@@ -275,6 +277,33 @@ class TestChunkedFusion:
         assert run.stdout == "False\n"
 
 
+CLASSICAL_TAGS = [tag for tag in aggregate.RULE_TAGS if tag != "choquet"]
+
+
+def fold(values, op):
+    """``op`` applied left to right over ``values``, in Python floats."""
+    return functools.reduce(op, values)
+
+
+def random_weights(n):
+    w = np.random.default_rng(900 + n).uniform(0.0, 1.0, n)
+    return (w / w.sum()).tolist()
+
+
+def signed_zero_scores(n, decimals, rows=2000, seed=27):
+    """Scores at full precision or rounded, with zeros of both signs in
+    about a third of the rows, and a tenth of the rows made of zeros only."""
+    rng = np.random.default_rng([seed, n])
+    a = rng.uniform(0.0, 1.0, (rows, n))
+    if decimals is not None:
+        a = np.round(a, decimals)
+    zeroed = rng.random((rows, 1)) < 0.3
+    a[zeroed & (rng.random(a.shape) < 0.4)] = 0.0
+    a[rng.random(rows) < 0.1] = 0.0
+    a[(a == 0.0) & (rng.random(a.shape) < 0.5)] = -0.0
+    return a
+
+
 def unsorted_rows(rows):
     return np.random.default_rng(73).uniform(0, 1, (rows, 4))
 
@@ -364,39 +393,90 @@ class TestFusionRules:
         rule = FusionRule("choquet", measure=m)
         assert rule_fuse_batch([(0.7, 0.8, 0.9)], rule)[0] == choquet_fuse((0.7, 0.8, 0.9), m)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 12, 16])
-    def test_mean_and_weighted_sum_are_summed_left_to_right(self, n):
-        # Bit for bit against a plain left-to-right loop: no BLAS kernel and
-        # no pairwise blocks (numpy's own reductions use them from n = 8).
-        rng = np.random.default_rng(900 + n)
-        a = rng.uniform(0.0, 1.0, (20_000, n))
-        w = rng.uniform(0.0, 1.0, n)
-        w /= w.sum()
-        expected_mean, expected_sum = a[:, 0].copy(), a[:, 0] * w[0]
-        for j in range(1, n):
-            expected_mean = expected_mean + a[:, j]
-            expected_sum = expected_sum + a[:, j] * w[j]
-        mean = rule_fuse_batch(a, FusionRule("mean"))
-        weighted = rule_fuse_batch(a, FusionRule("weighted_sum", weights=tuple(w)))
-        assert mean.tobytes() == (expected_mean / n).tobytes()
-        assert weighted.tobytes() == expected_sum.tobytes()
+    @pytest.mark.parametrize("decimals", [None, 1, 3], ids=["full", "1dp", "3dp"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 12, 16, 17])
+    def test_score_rules_fold_the_columns_left_to_right(self, n, decimals):
+        # Bit for bit against a plain per-row loop: no BLAS kernel and no
+        # pairwise blocks (numpy's own reductions use them from n = 8).  On
+        # ties of 0.0 and -0.0, np.minimum and np.maximum keep their second
+        # argument; numpy's min and max reductions pick a sign that varies
+        # with n and the SIMD level, so they are compared as values only.
+        a, w = signed_zero_scores(n, decimals), random_weights(n)
+        rows = a.tolist()
+        expected = {
+            "mean": [fold(row, operator.add) / n for row in rows],
+            "weighted_sum": [fold([x * v for x, v in zip(row, w)], operator.add) for row in rows],
+            "prod": [fold(row, operator.mul) for row in rows],
+            "min": [fold(row, lambda s, x: s if s < x else x) for row in rows],
+            "max": [fold(row, lambda s, x: s if s > x else x) for row in rows],
+        }
+        for tag, values in expected.items():
+            fused = rule_fuse_batch(a, FusionRule(tag, weights=tuple(w)))
+            assert fused.tobytes() == np.array(values).tobytes(), tag
+        assert np.array_equal(rule_fuse_batch(a, FusionRule("min")), a.min(axis=1))
+        assert np.array_equal(rule_fuse_batch(a, FusionRule("max")), a.max(axis=1))
+        assert np.signbit(a).any()
 
-    def test_weighted_sum_does_not_depend_on_the_blas_kernel(self):
+    @pytest.mark.parametrize("per_modality", [False, True], ids=["scalar", "per-modality"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 16, 17])
+    def test_decision_rules_count_the_accepts(self, n, per_modality):
+        a = signed_zero_scores(n, 1)
+        t = tuple(np.random.default_rng(n).integers(0, 11, n) / 10) if per_modality else 0.5
+        levels = np.broadcast_to(t, n).tolist()
+        counts = [sum(x >= level for x, level in zip(row, levels)) for row in a.tolist()]
+        for tag, accept in (("and", lambda k: k == n), ("or", lambda k: k > 0),
+                            ("majority_vote", lambda k: 2 * k > n)):
+            fused = rule_fuse_batch(a, FusionRule(tag, threshold=t))
+            assert fused.dtype == float
+            assert fused.tolist() == [float(accept(k)) for k in counts], tag
+
+    def test_one_column_is_copied_into_a_fresh_array(self):
+        a = signed_zero_scores(1, 3)
+        a.flags.writeable = False
+        for tag in CLASSICAL_TAGS:
+            fused = rule_fuse_batch(a, FusionRule(tag, weights=(1.0,)))
+            assert fused.flags.writeable and fused.flags.c_contiguous, tag
+            assert not np.shares_memory(fused, a), tag
+            if not FusionRule(tag).is_decision:
+                assert fused.tobytes() == a[:, 0].tobytes(), tag
+
+    def test_a_threshold_sequence_is_stored_as_a_tuple(self):
+        levels = [0.5, 0.9]
+        rule = FusionRule("and", threshold=levels)
+        levels[1] = 0.1
+        assert rule.threshold == (0.5, 0.9)
+        assert hash(rule) == hash(FusionRule("and", threshold=(0.5, 0.9)))
+        assert rule_fuse_batch([(0.6, 0.5)], rule)[0] == 0.0
+
+    @pytest.mark.parametrize("variable, value", [
+        ("OPENBLAS_CORETYPE", "Sandybridge"),
+        ("NPY_DISABLE_CPU_FEATURES", "AVX512_SPR AVX512_ICL X86_V4"),
+    ])
+    def test_classical_rules_depend_on_neither_blas_nor_simd(self, variable, value):
         # OPENBLAS_CORETYPE picks OpenBLAS's CPU kernel; a matrix product
         # rounds differently under the Sandybridge kernel on a newer CPU.
-        script = ("import hashlib\nimport numpy as np\n"
+        # Without AVX-512, numpy's min reduction keeps the other zero of a
+        # 0.0 / -0.0 tie from n = 7.  numpy accepts unknown feature names
+        # silently: a host without AVX-512 runs the same code twice.
+        script = ("import hashlib, sys\nsys.path.insert(0, sys.argv[1])\n"
                   "from choqfuse.aggregate import FusionRule, rule_fuse_batch\n"
-                  "a = np.random.default_rng(5).uniform(0.0, 1.0, (20_000, 4))\n"
-                  "rule = FusionRule('weighted_sum', weights=(0.3, 0.2, 0.25, 0.25))\n"
-                  "print(hashlib.sha256(rule_fuse_batch(a, rule).tobytes()).hexdigest())\n")
+                  "from test_aggregate import CLASSICAL_TAGS, signed_zero_scores\n"
+                  "digest = hashlib.sha256()\n"
+                  "for n in (4, 7, 8, 16, 17):\n"
+                  "    w = (1.0 / n,) * n\n"
+                  "    for decimals in (None, 1):\n"
+                  "        a = signed_zero_scores(n, decimals)\n"
+                  "        for tag in CLASSICAL_TAGS:\n"
+                  "            digest.update(rule_fuse_batch(a, FusionRule(tag, weights=w)).tobytes())\n"
+                  "print(digest.hexdigest())\n")
         outputs = []
-        for coretype in (None, "Sandybridge"):
-            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        for setting in (None, value):
+            env = {k: v for k, v in os.environ.items() if k != variable}
             env["PYTHONPATH"] = str(Path(choqfuse.__file__).resolve().parents[1])
-            if coretype:
-                env["OPENBLAS_CORETYPE"] = coretype
-            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                                 text=True, timeout=120, check=True)
+            if setting:
+                env[variable] = setting
+            run = subprocess.run([sys.executable, "-c", script, str(Path(__file__).parent)],
+                                 env=env, capture_output=True, text=True, timeout=120, check=True)
             outputs.append(run.stdout)
         assert outputs[0] == outputs[1] and len(outputs[0]) == 65
 

@@ -225,6 +225,37 @@ class TestCompare:
             b"max,30.00\r\nmajority_vote,13.33\r\nchoquet,6.67\r\n"
         )
 
+    def test_every_output_of_a_large_tied_file_is_pinned(self, capsys, tmp_path):
+        # 20,000 rows per class of 3-decimal scores over 4 modalities: every
+        # classical rule's ROC meets ties and full-precision sums and products.
+        rng = np.random.default_rng(27)
+        clients = np.maximum(*rng.integers(0, 1001, (2, 20_000, 4))) / 1000
+        impostors = np.minimum(*rng.integers(0, 1001, (2, 20_000, 4))) / 1000
+        ids = [f"P{i}" for i in range(40_000)]
+        write_csv(LabeledScoreSet(tuple(ids[:20_000]), clients, tuple(ids[20_000:]), impostors),
+                  tmp_path / "scores.csv")
+        code, _, _ = run(capsys, "compare", "--input", str(tmp_path / "scores.csv"),
+                         "--densities", "0.3,0.2,0.25,0.15", "--out", str(tmp_path / "out"))
+        assert code == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in (tmp_path / "out").iterdir()}
+        assert digests == {
+            "comparison.csv": "8d444a1a89f93310a494dfe59cda09c1719110970b0beb2ee98ba6dc3d3ff562",
+            "roc_m1.csv": "99ef5bbe8d71f3371a89a11dffefdb7f8c8c6d6421af90413705d9fb7cce0877",
+            "roc_m2.csv": "6cc9185872ac5b228ae6d2dab145663759cf5b7e14eb4a1517ffa24fafebfb84",
+            "roc_m3.csv": "4046c7f94c102e0e616625b1981b08998884d7d4a57e75f6b08c33e0fc38d1df",
+            "roc_m4.csv": "9b1310be3c5791b1458ee73a8d0c3f52ee95c87afec2bd0a79a2abb3bdd7b654",
+            "roc_and.csv": "2692673ae455c0ccfc213c4335e9e886eca8188d94c3fc021c305ec68760f89a",
+            "roc_or.csv": "34fe49a2bc20c577f5e1fe3d814eeed957de7cfab5615e9d360605e81a619b48",
+            "roc_prod.csv": "db54e8a6faf5fc555d9fb1f82c57348396ec699a3c882e1a8b9564406ecd08e0",
+            "roc_mean.csv": "814b059e65f20416066f024d4fe04747387c2af9598d858d5c927b36bec02aec",
+            "roc_min.csv": "ef54bcbdd40d2359bf7977204a0e85006e6257c287313dc1d2c94b464fa4ce23",
+            "roc_max.csv": "d8b8e0c6d62a29cb4e873e0f5ca765ed25cd515193563bcaceceea5eebb40c02",
+            "roc_majority_vote.csv":
+                "66dcd1e06fe2567d7d526a1773c41a7f3db717ca66080ed8287198f1955463a9",
+            "roc_choquet.csv": "afd9b0e4954fe64736141323def72ecd85705b475f9ee4a1fa59f8585aa81241",
+        }
+
     def test_without_measure_skips_choquet_row(self, capsys, tmp_path):
         code, out, _ = run(capsys, "compare", "--synthetic", "--out", str(tmp_path))
         assert code == 0
