@@ -246,8 +246,9 @@ class FusionRule:
             raise ValueError("the choquet rule needs a measure")
         if self.weights is not None:
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if np.ndim(self.threshold):  # a tuple, as weights: hashable and not the caller's
-            object.__setattr__(self, "threshold", tuple(float(t) for t in self.threshold))
+        # A float or a tuple, as weights: hashable and not the caller's.
+        object.__setattr__(self, "threshold", tuple(float(t) for t in self.threshold)
+                           if np.ndim(self.threshold) else float(self.threshold))
 
     @property
     def is_decision(self) -> bool:

@@ -358,7 +358,8 @@ def load_csv(path, normalize: bool = False) -> LabeledScoreSet:
     faults the first in file order is reported, row by row and, within a
     row, column by column.  Broken CSV quoting (an unterminated quote, text
     after a closing quote) and text that is not UTF-8 are data errors too
-    (``DataFormatError``).
+    (``DataFormatError``); text that is not UTF-8 is reported as soon as the
+    decoder reaches it, which can be before a fault in an earlier row.
 
     A plain file is read with numpy (``_read_plain``).  Every other file
     is read by the ``csv`` loop (``_read_rows``), which reports any fault in
@@ -405,7 +406,6 @@ def _read_rows(path, normalize: bool):
                 header = next(reader)
             except StopIteration:
                 raise DataFormatError(f"{path}: empty file") from None
-            line_no = 1
             header = [h.strip() for h in header]
             if not _header_ok(header):
                 raise DataFormatError(
@@ -424,6 +424,7 @@ def _read_rows(path, normalize: bool):
                 _check_scores(path, column_names, np.frombuffer(values), normalize)
                 raise DataFormatError(f"{path}: {message}")
 
+            line_no = 1  # from here on a csv.Error goes through ``fail``
             for line_no, row in enumerate(reader, start=2):
                 if not row:
                     continue
@@ -446,12 +447,17 @@ def _read_rows(path, normalize: bool):
                 ids.append(pid)
                 is_client.append(label == "client")
     except csv.Error as exc:
-        raise DataFormatError(f"{path}: row {line_no + 1} is not valid CSV ({exc})") from None
+        broken = f"row {line_no + 1} is not valid CSV ({exc})"
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason}: "
                               f"{exc.object[exc.start:exc.end]!r})") from None
-    matrix = np.frombuffer(values).reshape(len(ids), len(column_names))
-    return column_names, ids, np.frombuffer(is_client, dtype=bool), matrix
+    else:
+        matrix = np.frombuffer(values).reshape(len(ids), len(column_names))
+        return column_names, ids, np.frombuffer(is_client, dtype=bool), matrix
+    # Raised outside the handler, so the csv.Error is not chained to it.
+    if line_no:  # a data row: a bad score in an earlier row comes first
+        fail(broken)
+    raise DataFormatError(f"{path}: {broken}")
 
 
 def _read_plain(path):

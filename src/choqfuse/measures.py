@@ -20,7 +20,7 @@ sum above 1 forces -1 < lambda < 0 (sub-additive, redundant criteria).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -372,63 +372,50 @@ class LambdaMeasure(_PowerSetTable):
 
 @dataclass(frozen=True)
 class TableMeasure(_PowerSetTable):
-    """A fuzzy measure given by an explicit power-set table.
+    """A fuzzy measure given by its power-set table, up to 16 criteria.
 
-    Covers measures outside the Sugeno family (e.g. the max- and
-    min-degenerate measures), up to 16 criteria.  Construction validates
-    the boundary and monotonicity conditions.
+    ``values`` holds 2^n floats, n >= 1; entry ``mask`` is the measure of the
+    criteria in ``mask`` (bit i for criterion i), the layout of
+    ``dense_table()`` and ``lambda_tables``.  For 3 criteria that is m({}),
+    m({0}), m({1}), m({0, 1}), m({2}), m({0, 2}), m({1, 2}), m({0, 1, 2}):
+    ``TableMeasure([0, .35, .25, .63, .3, .69, .58, 1])``.  Construction
+    checks the boundary and monotonicity conditions and refuses NaN.
+    ``values`` is kept as a tuple of floats, so two measures are equal, and
+    hash equal, exactly when their tables are.
     """
 
-    values: Mapping[frozenset[int] | tuple[int, ...] | int, float]
+    values: tuple[float, ...]
     _table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        table = _dense_from_mapping(self.values)
+        table = np.array(self.values, dtype=float)
+        n = table.size.bit_length() - 1
+        if table.ndim != 1 or not 1 <= n <= _TABLE_MAX_N or table.size != 1 << n:
+            raise ValueError(f"a measure table holds 2^n values for n >= 1 and at most "
+                             f"{_TABLE_MAX_N} criteria, got shape {table.shape}")
         violations = _violations(table)
         if violations:
             raise ValueError("invalid fuzzy measure: " + "; ".join(violations))
         table.flags.writeable = False
         object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "values", dict(self.values))
+        object.__setattr__(self, "values", tuple(table.tolist()))
 
 
-def _mask_to_set(mask: int) -> frozenset[int]:
-    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def _dense_from_mapping(values: Mapping) -> np.ndarray:
-    by_mask: dict[int, float] = {}
-    union = 0
-    for key, val in values.items():
-        try:
-            mask = _subset_mask(key, _TABLE_MAX_N)
-        except IndexError:
-            raise ValueError(f"subset {key!r} lies outside the {_TABLE_MAX_N} criteria "
-                             f"a measure table supports") from None
-        by_mask[mask] = float(val)
-        union |= mask
-    n = union.bit_length()
-    if n < 1:
-        raise ValueError("measure table has no non-empty subset")
-    missing = [m for m in range(1 << n) if m not in by_mask]
-    if missing:
-        raise ValueError(f"measure table is missing {len(missing)} of {1 << n} subsets, "
-                         f"e.g. {sorted(_mask_to_set(missing[0]))}")
-    table = np.empty(1 << n)
-    for mask, val in by_mask.items():
-        table[mask] = val
-    return table
+def _subset_name(mask: int) -> str:
+    """``{0, 2}`` for the bitmask 0b101, ``{}`` for the empty set."""
+    return str({i for i in range(mask.bit_length()) if mask >> i & 1} or "{}")
 
 
 def _violations(table: np.ndarray) -> list[str]:
     """What breaks the measure conditions of a power-set table, one message each.
 
-    Empty when m(empty) = 0, m(full) = 1 (both within ``BOUNDARY_TOL``)
-    and m(A) <= m(B) + ``MONOTONE_TOL`` whenever A is a subset of B;
-    otherwise one message per violated boundary or covering pair.
+    Empty when no entry is NaN, m(empty) = 0, m(full) = 1 (both within
+    ``BOUNDARY_TOL``) and m(A) <= m(B) + ``MONOTONE_TOL`` whenever A is a
+    subset of B; otherwise one message per NaN entry, violated boundary or
+    covering pair.
     """
     n = table.size.bit_length() - 1
-    violations: list[str] = []
+    violations = [f"m({_subset_name(int(m))}) is NaN" for m in np.flatnonzero(np.isnan(table))]
     if abs(table[0]) > BOUNDARY_TOL:
         violations.append(f"m(empty set) = {float(table[0])!r}, must be 0")
     full = (1 << n) - 1
@@ -444,6 +431,6 @@ def _violations(table: np.ndarray) -> list[str]:
     for mask, j in zip(*np.nonzero(broken)):
         mask = int(mask)
         wider = mask | 1 << int(j)
-        violations.append(f"m({set(_mask_to_set(mask)) or '{}'}) = {float(table[mask])!r} "
-                          f"exceeds m({set(_mask_to_set(wider))}) = {float(table[wider])!r}")
+        violations.append(f"m({_subset_name(mask)}) = {float(table[mask])!r} "
+                          f"exceeds m({_subset_name(wider)}) = {float(table[wider])!r}")
     return violations

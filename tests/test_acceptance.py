@@ -249,8 +249,8 @@ def test_criterion_8b_degenerate_measures():
     worst = 0.0
     for n in (2, 3, 4):
         full = (1 << n) - 1
-        hi = TableMeasure({m: (1.0 if m else 0.0) for m in range(1 << n)})
-        lo = TableMeasure({m: (1.0 if m == full else 0.0) for m in range(1 << n)})
+        hi = TableMeasure([1.0 if m else 0.0 for m in range(1 << n)])
+        lo = TableMeasure([1.0 if m == full else 0.0 for m in range(1 << n)])
         w = rng.uniform(0.1, 1.0, n)
         w /= w.sum()
         additive = LambdaMeasure(tuple(w)) if abs(w.sum() - 1) <= 1e-12 else None

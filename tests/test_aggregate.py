@@ -22,19 +22,33 @@ from choqfuse.aggregate import (
     rule_fuse_batch,
 )
 from choqfuse.data import synthetic_dataset
-from choqfuse.measures import LambdaMeasure, TableMeasure
+from choqfuse.ga import GENE_EPS
+from choqfuse.measures import LambdaMeasure, TableMeasure, lambda_tables
 
 
 def max_measure(n):
-    return TableMeasure({m: (1.0 if m else 0.0) for m in range(1 << n)})
+    return TableMeasure([1.0 if m else 0.0 for m in range(1 << n)])
 
 
 def min_measure(n):
     full = (1 << n) - 1
-    return TableMeasure({m: (1.0 if m == full else 0.0) for m in range(1 << n)})
+    return TableMeasure([1.0 if m == full else 0.0 for m in range(1 << n)])
 
 
 class TestChoquetFuse:
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_a_lambda_table_as_a_table_measure_fuses_the_same_bits(self, n):
+        rng = np.random.default_rng(300 + n)
+        # Drawn densities, the additive 1/n and the GA's two clamp corners.
+        densities = np.vstack([rng.uniform(GENE_EPS, 1.0 - GENE_EPS, (3, n)),
+                               np.full((3, n), [[1.0 / n], [GENE_EPS], [1.0 - GENE_EPS]])])
+        scores = np.vstack([rng.uniform(0, 1, (300, n)), np.round(rng.uniform(0, 1, (300, n)), 1)])
+        for d, table in zip(densities, lambda_tables(densities)):
+            lam = LambdaMeasure(tuple(d))
+            expected = choquet_fuse_batch(scores, lam).tobytes()
+            assert choquet_fuse_batch(scores, TableMeasure(lam.dense_table())).tobytes() == expected
+            assert choquet_fuse_batch(scores, TableMeasure(table)).tobytes() == expected
+
     def test_reference_worked_example(self):
         m = LambdaMeasure((0.35, 0.25, 0.3))
         fused = choquet_fuse((0.7, 0.8, 0.9), m)
@@ -210,8 +224,8 @@ class TestChoquetFuse:
 
 CHUNK = aggregate._CHUNK_ROWS
 # Not additive: m(A) = (sum of the weights in A)^2 for weights .5, .3, .2.
-SQUARED_WEIGHTS = TableMeasure({m: sum(w for i, w in enumerate((0.5, 0.3, 0.2)) if m >> i & 1) ** 2
-                                for m in range(8)})
+SQUARED_WEIGHTS = TableMeasure([sum(w for i, w in enumerate((0.5, 0.3, 0.2)) if m >> i & 1) ** 2
+                                for m in range(8)])
 
 
 def tied_scores(rows, seed=71):
@@ -447,6 +461,11 @@ class TestFusionRules:
         assert rule.threshold == (0.5, 0.9)
         assert hash(rule) == hash(FusionRule("and", threshold=(0.5, 0.9)))
         assert rule_fuse_batch([(0.6, 0.5)], rule)[0] == 0.0
+
+    def test_a_scalar_threshold_is_stored_as_a_float(self):
+        rule = FusionRule("and", threshold=np.array(0.5))
+        assert rule == FusionRule("and", threshold=0.5)
+        assert hash(rule) == hash(FusionRule("and", threshold=0.5))
 
     @pytest.mark.parametrize("variable, value", [
         ("OPENBLAS_CORETYPE", "Sandybridge"),

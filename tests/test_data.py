@@ -209,6 +209,9 @@ MULTI_FAULT_FILES = {
     "normalize_inf_before_non_numeric": (
         "person_id,label,m1,m2\na,client,5,7\nb,impostor,12,inf\nc,client,3,x\n", True,
         "row 3, column m2: non-finite score 'inf'"),
+    "range_row_2_before_broken_quote_row_3": (
+        'person_id,label,m1\nP1,client,1.5\n"ab"c,impostor,0.3\nP3,impostor,0.2\n', False,
+        "row 2, column m1: score 1.5 outside [0, 1] (use normalize=True for raw scores)"),
 }
 
 
@@ -293,6 +296,8 @@ class TestLoadErrors:
         with pytest.raises(DataFormatError) as exc:
             load_csv(path)
         assert str(exc.value).startswith(f"{path}: row 6 is not valid CSV (")
+        # One message: no csv.Error is shown chained to it.
+        assert exc.value.__context__ is None or exc.value.__suppress_context__
         path.write_text('"person_id,label,m1\r\n' + "x" * 200_000)
         with pytest.raises(DataFormatError) as exc:
             load_csv(path)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from choqfuse import measures
+from choqfuse.aggregate import FusionRule
 from choqfuse.ga import GENE_EPS
 from choqfuse.measures import (
     ADDITIVE_TOL,
@@ -580,24 +581,20 @@ def rejection(values) -> str:
 
 class TestMeasureCheck:
     def _reference_table(self):
-        return {
-            (): 0.0,
-            (0,): 0.35, (1,): 0.25, (2,): 0.3,
-            (0, 1): 0.631, (0, 2): 0.687, (1, 2): 0.577,
-            (0, 1, 2): 1.0,
-        }
+        # m({}), m({0}), m({1}), m({0, 1}), m({2}), m({0, 2}), m({1, 2}), m({0, 1, 2})
+        return [0.0, 0.35, 0.25, 0.631, 0.3, 0.687, 0.577, 1.0]
 
     def test_reference_values_are_a_valid_measure(self):
         assert TableMeasure(self._reference_table()).n == 3
 
     def test_monotone_two_criteria_table(self):
-        values = {(): 0.0, (0,): 0.6, (1,): 0.5, (0, 1): 1.0}
+        values = [0.0, 0.6, 0.5, 1.0]
         assert TableMeasure(values).n == 2
 
     def test_monotonicity_violation_names_the_pair(self):
         # 0.7 on {0} exceeds 0.5 on {0,1}; the full set 0.5 also breaks the
         # boundary condition, so two findings come back
-        values = {(): 0.0, (0,): 0.7, (1,): 0.1, (0, 1): 0.5}
+        values = [0.0, 0.7, 0.1, 0.5]
         found = rejection(values).removeprefix("invalid fuzzy measure: ").split("; ")
         assert len(found) == 2
         assert found[0].startswith("m(full set)")
@@ -605,28 +602,20 @@ class TestMeasureCheck:
         assert "0.7" in found[1] and "0.5" in found[1]
 
     def test_single_monotonicity_violation_with_valid_boundaries(self):
-        values = {
-            (): 0.0, (0,): 0.7, (1,): 0.1, (2,): 0.2,
-            (0, 1): 0.5, (0, 2): 0.8, (1, 2): 0.8, (0, 1, 2): 1.0,
-        }
+        values = [0.0, 0.7, 0.1, 0.5, 0.2, 0.8, 0.8, 1.0]
         assert rejection(values) == "invalid fuzzy measure: m({0}) = 0.7 exceeds m({0, 1}) = 0.5"
 
     def test_boundary_violations(self):
-        values = {(): 0.1, (0,): 0.2, (1,): 0.3, (0, 1): 0.9}
+        values = [0.1, 0.2, 0.3, 0.9]
         found = rejection(values).removeprefix("invalid fuzzy measure: ").split("; ")
         assert [f.split(" = ")[0] for f in found] == ["m(empty set)", "m(full set)"]
 
-    def test_missing_subset_is_an_error(self):
+    @pytest.mark.parametrize("mask, name", [(0, "{}"), (2, "{1}"), (7, "{0, 1, 2}")],
+                             ids=["empty", "singleton", "full"])
+    def test_nan_is_refused_and_named(self, mask, name):
         values = self._reference_table()
-        del values[(0, 2)]
-        with pytest.raises(ValueError, match="missing"):
-            TableMeasure(values)
-
-    def test_accepts_bitmask_keys(self):
-        values = {0: 0.0, 1: 0.6, 2: 0.5, 3: 1.0}
-        by_tuple = {(): 0.0, (0,): 0.6, (1,): 0.5, (0, 1): 1.0}
-        assert TableMeasure(values).dense_table().tolist() == \
-            TableMeasure(by_tuple).dense_table().tolist()
+        values[mask] = math.nan
+        assert rejection(values) == f"invalid fuzzy measure: m({name}) is NaN"
 
 
 def loop_violations(table):
@@ -670,10 +659,10 @@ class TestMeasureCheckAgainstTheLoop:
             table[-1] = [1.0, 0.1, 1.0 + 2e-9, 1.0 - 1e-9][trial]
             expected = loop_violations(table)
             if expected:
-                assert rejection(dict(enumerate(table))) == (
+                assert rejection(list(table)) == (
                     "invalid fuzzy measure: " + "; ".join(m for _, m in expected))
             else:
-                assert TableMeasure(dict(enumerate(table))).dense_table().tolist() == table.tolist()
+                assert TableMeasure(list(table)).dense_table().tolist() == table.tolist()
             kinds.update(k for k, _ in expected)
         assert kinds == {"empty", "full", "monotonicity"}
 
@@ -681,30 +670,37 @@ class TestMeasureCheckAgainstTheLoop:
 class TestTableMeasure:
     def test_thirteen_criteria_are_accepted(self):
         # Additive uniform measure: m(A) = |A| / 13, a multiple of 1/13.
-        sizes = [bin(mask).count("1") for mask in range(1 << 13)]
-        values = {mask: size / 13 for mask, size in enumerate(sizes)}
+        values = [bin(mask).count("1") / 13 for mask in range(1 << 13)]
         t = TableMeasure(values)
         assert t.n == 13
         assert t.value_of(range(13)) == 1.0
         assert t.value_of([0, 12]) == 2 / 13
 
     def test_seventeen_criteria_are_refused(self):
-        sizes = [bin(mask).count("1") for mask in range(1 << 17)]
-        values = {mask: size / 17 for mask, size in enumerate(sizes)}
+        values = [bin(mask).count("1") / 17 for mask in range(1 << 17)]
         with pytest.raises(ValueError, match="16 criteria"):
             TableMeasure(values)
-        with pytest.raises(ValueError, match="16 criteria"):
-            TableMeasure({(): 0.0, (16,): 1.0})
+
+    @pytest.mark.parametrize("size", [1, 3, 6])
+    def test_a_table_of_no_power_of_two_length_above_1_is_refused(self, size):
+        values = np.linspace(0.0, 1.0, size)
+        assert rejection(values) == (
+            f"a measure table holds 2^n values for n >= 1 and at most 16 criteria, "
+            f"got shape ({size},)")
+
+    def test_a_table_of_two_dimensions_is_refused(self):
+        with pytest.raises(ValueError, match="at most 16 criteria"):
+            TableMeasure([[0.0, 0.5], [0.5, 1.0]])
 
     def test_valid_table_round_trips(self):
-        values = {(): 0.0, (0,): 0.6, (1,): 0.5, (0, 1): 1.0}
+        values = [0.0, 0.6, 0.5, 1.0]
         t = TableMeasure(values)
         assert t.n == 2
         assert t.value_of([0]) == 0.6
         assert t.value_of([0, 1]) == 1.0
 
     def test_rejection_lists_every_violation(self):
-        values = {(): 0.1, (0,): 0.7, (1,): 0.1, (0, 1): 0.5}
+        values = [0.1, 0.7, 0.1, 0.5]
         assert rejection(values) == (
             "invalid fuzzy measure: m(empty set) = 0.1, must be 0; "
             "m(full set) = 0.5, must be 1; "
@@ -712,14 +708,31 @@ class TestTableMeasure:
 
     def test_table_is_not_an_argument(self):
         with pytest.raises(TypeError):
-            TableMeasure({(): 0.0, (0,): 0.6, (1,): 0.5, (0, 1): 1.0}, np.zeros(4))
+            TableMeasure([0.0, 0.6, 0.5, 1.0], np.zeros(4))
 
     def test_invalid_table_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
-            TableMeasure({
-                (): 0.0, (0,): 0.7, (1,): 0.1, (2,): 0.2,
-                (0, 1): 0.5, (0, 2): 0.8, (1, 2): 0.8, (0, 1, 2): 1.0,
-            })
+            TableMeasure([0.0, 0.7, 0.1, 0.5, 0.2, 0.8, 0.8, 1.0])
 
     def test_an_empty_table_is_refused(self):
-        assert rejection({}) == "measure table has no non-empty subset"
+        assert rejection([]) == ("a measure table holds 2^n values for n >= 1 and at most "
+                                 "16 criteria, got shape (0,)")
+
+    def test_equal_tables_make_equal_hashable_measures(self):
+        table = [0.0, 0.35, 0.25, 0.631, 0.3, 0.687, 0.577, 1.0]
+        same = [TableMeasure(table), TableMeasure(tuple(table)), TableMeasure(np.array(table))]
+        other = TableMeasure([0.0, 0.35, 0.25, 0.631, 0.3, 0.687, 0.6, 1.0])
+        assert all(m == same[0] and hash(m) == hash(same[0]) for m in same)
+        assert same[0].values == tuple(table)
+        assert other != same[0]
+        assert len({*same, other}) == 2
+        assert hash(FusionRule("choquet", same[2])) == hash(FusionRule("choquet", same[0]))
+
+    def test_the_table_is_the_callers_copy_and_read_only(self):
+        table = np.array([0.0, 0.6, 0.5, 1.0])
+        t = TableMeasure(table)
+        table[1] = 0.9
+        assert t.dense_table().tolist() == [0.0, 0.6, 0.5, 1.0]
+        assert table.flags.writeable
+        with pytest.raises(ValueError):
+            t.dense_table()[1] = 0.9
