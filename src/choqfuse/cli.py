@@ -130,23 +130,22 @@ def _read_json(path: str, what: str):
 
 
 def _merge_config(args: argparse.Namespace, option_types: dict[str, type]) -> argparse.Namespace:
-    """Fill unset flags from the optional JSON config file."""
+    """Fill unset flags from the optional JSON config file, keyed by option name (``stop_eer``)."""
     if not args.config:
         return args
     values = _read_json(args.config, "config file")
     if not isinstance(values, dict):
         raise ValueError(f"config file {args.config} must hold a JSON object")
     for key, value in values.items():
-        attr = key.replace("-", "_")
-        if attr == "config" or attr not in option_types or not hasattr(args, attr):
+        if key == "config" or key not in option_types or not hasattr(args, key):
             raise ValueError(f"config key {key!r} is not an option a config file can set")
-        expected = option_types[attr]
+        expected = option_types[key]
         if not _has_type(value, expected):
             raise ValueError(f"config key {key!r} must be of type {expected.__name__}, "
                              f"got {value!r}")
-        current = getattr(args, attr)
+        current = getattr(args, key)
         if current is None or current is False:  # unset flag; explicit 0 wins
-            setattr(args, attr, expected(value))  # a JSON 1 for a float option is 1.0
+            setattr(args, key, expected(value))  # a JSON 1 for a float option is 1.0
     return args
 
 

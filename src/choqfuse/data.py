@@ -30,7 +30,6 @@ __all__ = [
     "LabeledScoreSet",
     "load_csv",
     "normalize_minmax",
-    "synthetic_csv_path",
     "synthetic_dataset",
     "write_csv",
 ]
@@ -118,14 +117,14 @@ class LabeledScoreSet:
 
 
 def normalize_minmax(raw) -> np.ndarray:
-    """Affinely map values onto [0, 1]: x -> (x - min) / (max - min).
+    """Affinely map one score column onto [0, 1]: x -> (x - min) / (max - min).
 
     A degenerate input (max == min) maps everything to 0.5 rather than
     erroring out, so batch pipelines survive constant columns.
     """
     x = np.asarray(raw, dtype=float)
-    if x.size == 0:
-        raise ValueError("cannot normalize an empty list")
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError(f"can only normalize one non-empty column, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("cannot normalize non-finite values")
     lo, hi = float(x.min()), float(x.max())
@@ -142,14 +141,9 @@ def synthetic_dataset() -> LabeledScoreSet:
     30 clients (P1-P30) and 30 impostors (P31-P60) scored by three virtual
     modalities, built to cover the combinations a score-fusion module can
     face (agreeing/contradicting modalities, borderline cases).  Read from
-    ``synthetic_csv_path()``.
+    the package resource ``synthetic.csv``.
     """
-    return load_csv(synthetic_csv_path())
-
-
-def synthetic_csv_path():
-    """Path of the packaged CSV file holding ``synthetic_dataset()``."""
-    return resources.files(__package__).joinpath("synthetic.csv")
+    return load_csv(resources.files(__package__).joinpath("synthetic.csv"))
 
 
 def write_csv(dataset: LabeledScoreSet, path) -> None:

@@ -17,7 +17,8 @@ Conventions, fixed across the package:
   reported threshold is the midpoint of the separating gap;
 * ``EvalReport.far_frr_at`` and ``EvalReport.error_rate_at`` read the
   counts off the curves at the first candidate at or above the threshold;
-* scores must be finite and thresholds not NaN (``ValueError``).
+* ``evaluate_scores`` takes two non-empty score vectors, ``sweep_errors`` two
+  (P, N) matrices; other shapes, non-finite scores and NaN thresholds raise.
 """
 
 from __future__ import annotations
@@ -41,17 +42,15 @@ _CHUNK_SCORES = 131_072  # larger evaluate_scores calls merge value-range chunks
 _BLOCK_POINTS = 65_536  # grid points EvalReport.min_error_rate scans at a time
 
 
-def _as_scores(values, name: str) -> np.ndarray:
-    x = np.asarray(values, dtype=float).ravel()
-    if x.size == 0:
-        raise ValueError(f"{name} scores must not be empty")
-    _require_finite(x, name)
-    return x
-
-
-def _require_finite(scores: np.ndarray, name: str) -> None:
-    if not np.isfinite(scores).all():
+def _as_scores(values, ndim: int, name: str) -> np.ndarray:
+    """``values`` as floats, checked: ``ndim`` axes, a non-empty last one, all finite."""
+    x = np.asarray(values, dtype=float)
+    if x.ndim != ndim or x.shape[-1] == 0:
+        raise ValueError(f"{name} scores must be {ndim}-D with a non-empty last axis, "
+                         f"got shape {x.shape}")
+    if not np.isfinite(x).all():
         raise ValueError(f"{name} scores must be finite, got NaN or infinity")
+    return x
 
 
 def _rank(scores: np.ndarray, n_clients: int, kind: str):
@@ -119,15 +118,10 @@ def sweep_errors(fused_clients, fused_impostors) -> tuple[np.ndarray, np.ndarray
     scores once and reads the same integer error counts on the same
     candidate thresholds, at the run starts only.  Memory is O(P * (Nc + Ni)).
     """
-    clients = np.asarray(fused_clients, dtype=float)
-    impostors = np.asarray(fused_impostors, dtype=float)
-    if clients.ndim != 2 or impostors.ndim != 2 or len(clients) != len(impostors):
-        raise ValueError(f"expected (P, Nc) and (P, Ni) score rows, got shapes "
-                         f"{clients.shape} and {impostors.shape}")
-    if clients.shape[1] == 0 or impostors.shape[1] == 0:
-        raise ValueError("client and impostor scores must not be empty")
-    for scores in (clients, impostors):
-        _require_finite(scores, "client and impostor")
+    clients = _as_scores(fused_clients, 2, "client")
+    impostors = _as_scores(fused_impostors, 2, "impostor")
+    if len(clients) != len(impostors):
+        raise ValueError(f"{len(clients)} client score rows but {len(impostors)} impostor rows")
     return _sweep(clients, impostors)
 
 
@@ -150,9 +144,9 @@ def _sweep(clients: np.ndarray, impostors: np.ndarray):
     return value, errors / (n_clients + n_impostors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalReport:
-    """FAR/FRR curves over a shared threshold grid and the EER."""
+    """FAR/FRR curves over a shared threshold grid and the EER; equal only to itself."""
 
     thresholds: np.ndarray
     far_curve: np.ndarray
@@ -308,8 +302,8 @@ def evaluate_scores(fused_clients, fused_impostors) -> EvalReport:
     """
     # Each intermediate is dropped once used: at a million scores they, not
     # the returned curves, would set the peak memory.
-    clients = _as_scores(fused_clients, "client")
-    impostors = _as_scores(fused_impostors, "impostor")
+    clients = _as_scores(fused_clients, 1, "client")
+    impostors = _as_scores(fused_impostors, 1, "impostor")
     totals = n_clients, n_impostors = clients.size, impostors.size
     scores = np.concatenate([clients, impostors])
     del clients, impostors

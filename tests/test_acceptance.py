@@ -326,7 +326,7 @@ def test_public_api_names_are_pinned():
         "RULE_TAGS", "SortedScores", "TableMeasure", "choquet_fuse", "choquet_fuse_batch",
         "evaluate_scores", "evolve", "lambda_tables", "load_csv", "normalize_minmax",
         "population_fitness", "rule_fuse_batch", "solve_lambda", "solve_lambda_batch",
-        "sweep_errors", "synthetic_csv_path", "synthetic_dataset", "write_csv",
+        "sweep_errors", "synthetic_dataset", "write_csv",
         "write_roc_csv",
     ]
     for name in ("", ".aggregate", ".cli", ".data", ".ga", ".measures", ".metrics"):

@@ -215,6 +215,16 @@ class TestChoquetFuse:
             choquet_fuse_batch([[0.5, 0.2], [0.1, bad]], LambdaMeasure((0.4, 0.5)))
         assert str(raised.value) == f"score [1,1] = {text} outside [0, 1]"
 
+    @pytest.mark.parametrize("scores, message", [
+        (np.full((2, 2, 2), 0.5), "scores must be a vector or a matrix, got shape (2, 2, 2)"),
+        (np.empty((2, 0)), "score vectors must not be empty"),
+    ], ids=["3-D", "zero-width"])
+    def test_score_arrays_of_other_shapes_are_refused(self, scores, message):
+        for fuse in (lambda a: rule_fuse_batch(a, FusionRule("mean")), SortedScores):
+            with pytest.raises(ValueError) as raised:
+                fuse(scores)
+            assert str(raised.value) == message
+
     @pytest.mark.parametrize("n", [17, 130])
     def test_more_criteria_than_a_measure_table_holds_are_refused(self, n):
         with pytest.raises(ValueError, match=f"at most 16 criteria, got {n}$"):

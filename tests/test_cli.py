@@ -67,6 +67,24 @@ class TestFuse:
         assert code == 1
         assert "densities" in err
 
+    def test_a_measure_past_six_criteria_is_shown_by_lambda_alone(self, capsys, tmp_path):
+        # 127 subsets are too many to print or report one by one.
+        rng = np.random.default_rng(7)
+        source, densities = tmp_path / "seven.csv", "0.1,0.15,0.2,0.05,0.1,0.12,0.08"
+        write_csv(LabeledScoreSet(["a", "b"], rng.uniform(0, 1, (2, 7)),
+                                  ["c", "d", "e"], rng.uniform(0, 1, (3, 7))), source)
+        code, out, _ = run(capsys, "fuse", "--input", str(source), "--densities", densities,
+                           "--out", str(tmp_path / "fuse"))
+        lam = LambdaMeasure(tuple(map(float, densities.split(",")))).lam
+        assert code == 0
+        assert out == f"lambda = {lam:.6f}\nwrote {tmp_path / 'fuse' / 'fused_scores.csv'}\n"
+        code, _, _ = run(capsys, "eval", "--input", str(source), "--densities", densities,
+                         "--out", str(tmp_path / "eval"))
+        assert code == 0
+        measure = json.loads((tmp_path / "eval" / "eval.json").read_text())["measure"]
+        assert sorted(measure) == ["densities", "lambda", "n_modalities"]
+        assert measure["n_modalities"] == 7
+
     @pytest.mark.parametrize("ids,n_clients,n_impostors", [
         (["a,b", 'say "hi"', "x\ny", "cr\rlf", '"', "P1", "plain id", "semi;colon"], 5, 3),
         (None, 8191, 1),
@@ -410,6 +428,20 @@ class TestConfigFile:
                                    "densities": "0.35,0.25,0.3"}))
         code, _, err = run(capsys, "fuse", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == 1 and "'config'" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("values", [
+        {"stop-eer": 1}, {"stop-eer": 0.5, "stop_eer": 0.01}, {"stop_eer": 0.01, "stop-eer": 0.5},
+    ], ids=["dash", "dash-first", "underscore-first"])
+    def test_a_key_has_one_spelling(self, capsys, tmp_path, values):
+        # A key is its option's name; the flag's dash spelling is refused, so
+        # two spellings of one option cannot both stand in a file.
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        code, out, err = run(capsys, "optimize", "--synthetic", "--generations", "3",
+                             "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert (code, out) == (1, "")
+        assert err == "error: config key 'stop-eer' is not an option a config file can set\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("from_config", [False, True])

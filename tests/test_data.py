@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -10,10 +11,13 @@ from choqfuse.data import (
     DataFormatError,
     LabeledScoreSet,
     load_csv,
-    synthetic_csv_path,
     synthetic_dataset,
     write_csv,
 )
+
+
+# The packaged file that ``synthetic_dataset`` reads.
+SYNTHETIC_CSV = resources.files("choqfuse").joinpath("synthetic.csv")
 
 
 class TestSyntheticDataset:
@@ -38,11 +42,15 @@ class TestSyntheticDataset:
         assert a == b
         assert a is not b
 
+    def test_a_score_set_is_not_equal_to_another_type(self):
+        data = synthetic_dataset()
+        assert data.__eq__(object()) is NotImplemented
+        assert (data == object()) is False and data != "P1"
+
     def test_packaged_csv_is_pinned(self):
-        path = synthetic_csv_path()
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        digest = hashlib.sha256(SYNTHETIC_CSV.read_bytes()).hexdigest()
         assert digest == "8d0bee502d3b039cc484b23adedf6d56929949d0d9ed9c57816a0e80fde9a4b7"
-        data = load_csv(path)
+        data = load_csv(SYNTHETIC_CSV)
         assert data.client_scores.shape == data.impostor_scores.shape == (30, 3)
         assert data.client_ids == tuple(f"P{i}" for i in range(1, 31))
         assert data.impostor_ids == tuple(f"P{i}" for i in range(31, 61))
@@ -50,7 +58,7 @@ class TestSyntheticDataset:
     def test_packaged_csv_round_trips_exactly(self, tmp_path):
         path = tmp_path / "synthetic.csv"
         write_csv(synthetic_dataset(), path)
-        assert path.read_bytes() == synthetic_csv_path().read_bytes()
+        assert path.read_bytes() == SYNTHETIC_CSV.read_bytes()
 
 
 class TestCsvRoundTrip:

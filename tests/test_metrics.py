@@ -45,6 +45,20 @@ class TestNormalizeMinmax:
         with pytest.raises(ValueError):
             normalize_minmax([])
 
+    @pytest.mark.parametrize("raw", [[[0, 10], [5, 20]], [[0.2], [0.4]], 3.0, np.float64(0.5)],
+                             ids=["2x2", "2x1", "float", "0-d"])
+    def test_only_one_column_is_normalized(self, raw):
+        # One min and one max over a whole matrix would mix the matchers' score scales.
+        with pytest.raises(ValueError) as raised:
+            normalize_minmax(raw)
+        shape = np.shape(raw)
+        assert str(raised.value) == f"can only normalize one non-empty column, got shape {shape}"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            normalize_minmax([0.2, bad, 0.4])
+
 
 class TestFarFrr:
     def test_perfect_separation(self):
@@ -79,6 +93,20 @@ class TestFarFrr:
             evaluate_scores([], [0.5])
         with pytest.raises(ValueError):
             evaluate_scores([0.5], [])
+
+    def test_only_score_vectors_are_evaluated(self):
+        # A score matrix is not a batch of scores: flattened, the (30, 3)
+        # synthetic matrices would pass as 90 clients and 90 impostors.
+        data = synthetic_dataset()
+        for clients, impostors, name, shape in (
+                (data.client_scores, data.impostor_scores, "client", (30, 3)),
+                (data.client_scores[:, 0], data.impostor_scores[:, :1], "impostor", (30, 1)),
+                (0.7, 0.2, "client", ()),
+                ([0.7], np.float64(0.2), "impostor", ())):
+            with pytest.raises(ValueError) as raised:
+                evaluate_scores(clients, impostors)
+            assert str(raised.value) == (f"{name} scores must be 1-D with a non-empty "
+                                         f"last axis, got shape {shape}")
 
 
 class TestErrorRateAt:
@@ -249,6 +277,20 @@ class TestSweepErrors:
         with pytest.raises(ValueError):
             sweep_errors(np.empty((1, 0)), [[0.2]])
 
+    @pytest.mark.parametrize("clients, impostors, message", [
+        ([0.5, 0.6], [[0.1]], "client scores must be 2-D with a non-empty last axis, "
+                              "got shape (2,)"),
+        ([[0.5]], np.empty((1, 0)), "impostor scores must be 2-D with a non-empty last axis, "
+                                    "got shape (1, 0)"),
+        ([[0.5, 0.6]], [[0.1], [0.2]], "1 client score rows but 2 impostor rows"),
+        ([[0.5, math.nan]], [[0.1]], "client scores must be finite, got NaN or infinity"),
+        ([[0.5]], [[-math.inf]], "impostor scores must be finite, got NaN or infinity"),
+    ], ids=["1-D", "zero-width", "rows", "nan", "inf"])
+    def test_each_message_names_the_class_at_fault(self, clients, impostors, message):
+        with pytest.raises(ValueError) as raised:
+            sweep_errors(clients, impostors)
+        assert str(raised.value) == message
+
 
 CHUNK = metrics._CHUNK_SCORES
 
@@ -405,6 +447,14 @@ class TestNonFiniteInputs:
 
 
 class TestEvalReport:
+    def test_reports_compare_and_hash_by_identity(self):
+        # Fields holding arrays have no single truth value, so field-wise
+        # equality (and a hash of the fields) would raise.
+        report, same = (evaluate_scores([0.8, 0.9], [0.1, 0.2]) for _ in range(2))
+        assert report == report and report != same
+        assert report in [same, report] and [same].count(report) == 0
+        assert len({report, same, report}) == 2
+
     def test_curve_monotonicity_on_random_scores(self):
         rng = np.random.default_rng(73)
         for _ in range(50):
