@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._threads import fan_out
+from .data import _within
 from .measures import _TABLE_MAX_N, LambdaMeasure, TableMeasure
 
 __all__ = [
@@ -50,9 +51,8 @@ def _as_score_matrix(scores, n: int | None = None) -> np.ndarray:
         raise ValueError(f"expected {n} scores per vector, got {a.shape[1]}")
     if a.shape[1] < 1:
         raise ValueError("score vectors must not be empty")
-    inside = (a >= 0.0) & (a <= 1.0)  # False at NaN and +-inf too
-    if not inside.all():
-        bad = np.argwhere(~inside)[0]
+    if not _within(a, 0.0, 1.0):
+        bad = np.argwhere(~((a >= 0.0) & (a <= 1.0)))[0]  # the first bad cell, row by row
         raise ValueError(f"score [{bad[0]},{bad[1]}] = {float(a[tuple(bad)])!r} outside [0, 1]")
     return a
 
@@ -159,8 +159,9 @@ class SortedScores:
         result when given.
         """
         diffs, masks = self.diffs.T, self.masks.T  # (n, N), contiguous rows
-        weights = tables.take(masks[0], axis=1)  # (P, N), reused at every position
-        total = np.multiply(diffs[0], weights, out=out)
+        # Position 0's coalition is every criterion: the tables' last column.
+        total = np.multiply(diffs[0], tables[:, -1:], out=out)
+        weights = np.empty(total.shape, tables.dtype)  # reused at every further position
         for i in range(1, len(diffs)):
             tables.take(masks[i], axis=1, out=weights)
             total += np.multiply(diffs[i], weights, out=weights)

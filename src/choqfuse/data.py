@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -39,6 +40,14 @@ __all__ = [
 _BLOCK_ROWS = 8192
 # Bytes of a score file read at a time by ``load_csv``'s numpy reader.
 _PLAIN_BLOCK_BYTES = 1 << 20
+
+
+def _within(x: np.ndarray, lo: float, hi: float) -> bool:
+    """Whether every value of ``x`` lies in [lo, hi]: two reductions, no temporary.
+
+    NaN fails both (min and max propagate it); an empty array passes.
+    """
+    return x.size == 0 or bool(x.min() >= lo and x.max() <= hi)
 
 
 class DataFormatError(ValueError):
@@ -86,7 +95,7 @@ class LabeledScoreSet:
                 raise ValueError(f"{name} scores must be a non-empty matrix")
             if arr.shape[0] != len(ids):
                 raise ValueError(f"{len(ids)} {name} ids for {arr.shape[0]} score rows")
-            if not ((arr >= 0.0) & (arr <= 1.0)).all():  # False at NaN and +-inf too
+            if not _within(arr, 0.0, 1.0):
                 raise ValueError(f"{name} scores must lie in [0, 1]")
         if cs.shape[1] != imp.shape[1]:
             raise ValueError(
@@ -558,9 +567,11 @@ def _check_scores(path, column_names, values: np.ndarray, normalize: bool) -> No
     the failing row is read again, for its line number and its cell text.
     """
     x = values.ravel()
-    ok = np.isfinite(x) if normalize else (x >= 0.0) & (x <= 1.0)
-    if ok.all():
+    # The finite floats are [-max, max]; the mask is built only to find the cell.
+    lo, hi = (-sys.float_info.max, sys.float_info.max) if normalize else (0.0, 1.0)
+    if _within(x, lo, hi):
         return
+    ok = (x >= lo) & (x <= hi)
     row_index, j = divmod(int(np.argmin(ok)), len(column_names))
     with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, strict=True)

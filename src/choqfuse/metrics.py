@@ -219,7 +219,7 @@ def _write_runs(scores: np.ndarray, n_clients: int, curves, at: int, clients_bef
     np.take(ranked[0], starts, out=grid, mode="clip")  # "raise" would buffer the output
     del ranked
     # Counts up to 2**53 are exact in floats, so each rate has the bits of count / total.
-    np.add(clients_below[0, starts], clients_before, out=frr)
+    np.add(clients_below[0].take(starts), clients_before, out=frr)
     del clients_below
     # Impostors accepted at a run start: all but those ranked below it.
     starts += at - 1

@@ -237,6 +237,65 @@ class TestChoquetFuse:
         assert fused.tolist() == [a.max(axis=1).tolist(), a.min(axis=1).tolist()]
 
 
+# Each entry point checks the whole matrix before it fuses.
+CHECKED_FUSES = {
+    "choquet": lambda a: choquet_fuse_batch(a, LambdaMeasure((0.35, 0.25, 0.3))),
+    "mean": lambda a: rule_fuse_batch(a, FusionRule("mean")),
+    "sorted": lambda a: SortedScores(a).fuse(LambdaMeasure((0.35, 0.25, 0.3)).dense_table()[np.newaxis])[0],
+}
+
+
+class TestRangeCheck:
+    @pytest.mark.parametrize("fuse", CHECKED_FUSES.values(), ids=CHECKED_FUSES)
+    @pytest.mark.parametrize("bad,text", [
+        (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"), (1.5, "1.5"), (-1e-300, "-1e-300"),
+    ])
+    def test_the_first_bad_cell_in_row_major_order_is_named(self, fuse, bad, text):
+        a = np.full((5, 3), 0.5)
+        a[3, 0] = 2.0  # a later row, an earlier column
+        a[2, 2] = bad
+        a[4, 1] = bad
+        with pytest.raises(ValueError) as raised:
+            fuse(a)
+        assert str(raised.value) == f"score [2,2] = {text} outside [0, 1]"
+
+    @pytest.mark.parametrize("fuse", CHECKED_FUSES.values(), ids=CHECKED_FUSES)
+    def test_negative_zero_and_the_bounds_pass(self, fuse):
+        a = np.array([[-0.0, 0.0, 1.0], [-0.0, -0.0, -0.0], [1.0, 1.0, 1.0]])
+        assert fuse(a).tolist() == fuse(a + 0.0).tolist()  # a + 0.0 has no -0.0
+
+    @pytest.mark.parametrize("fuse", CHECKED_FUSES.values(), ids=CHECKED_FUSES)
+    def test_a_matrix_of_no_rows_fuses_to_an_empty_result(self, fuse):
+        fused = fuse(np.empty((0, 3)))
+        assert fused.shape == (0,) and fused.dtype == float
+
+
+def gathered_fuse(sorted_scores, tables):
+    """``SortedScores.fuse`` with every position's weights gathered from its mask."""
+    diffs, masks = sorted_scores.diffs, sorted_scores.masks
+    total = diffs[:, 0] * tables.take(masks[:, 0], axis=1)
+    for i in range(1, diffs.shape[1]):
+        total = total + diffs[:, i] * tables.take(masks[:, i], axis=1)
+    return total
+
+
+class TestFuseAgainstGatheredWeights:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_the_full_set_column_gives_the_bits_of_the_gather(self, n):
+        rng = np.random.default_rng(3100 + n)
+        a = np.vstack([rng.uniform(0, 1, (200, n)), rng.integers(0, 5, (200, n)) * 0.25])
+        sorted_scores = SortedScores(a)
+        assert sorted_scores.masks.shape == (len(a), n)
+        assert (sorted_scores.masks[:, 0] == (1 << n) - 1).all()
+        densities = rng.uniform(GENE_EPS, 1.0 - GENE_EPS, (4, n))
+        tables = lambda_tables(densities) if n > 1 else np.array([[0.0, 1.0]] * 4)
+        unsnapped = tables.copy()
+        unsnapped[:, -1] = 1.0 - 1e-10
+        for t in (tables, unsnapped):
+            assert sorted_scores.fuse(t).tobytes() == gathered_fuse(sorted_scores, t).tobytes()
+        assert (sorted_scores.fuse(unsnapped) != sorted_scores.fuse(tables)).any()
+
+
 CHUNK = aggregate._CHUNK_ROWS
 # Not additive: m(A) = (sum of the weights in A)^2 for weights .5, .3, .2.
 SQUARED_WEIGHTS = TableMeasure([sum(w for i, w in enumerate((0.5, 0.3, 0.2)) if m >> i & 1) ** 2
@@ -295,16 +354,12 @@ class TestChunkedFusion:
             digest.update(choquet_fuse_batch(a, LambdaMeasure(tuple(rng.uniform(0.02, 0.4, n)))).tobytes())
         assert digest.hexdigest() == "2a65d60b94ac0be57d8dfbcc6742c4189beb9b145d883ce1ecb64883bb6ebd79"
 
-    def test_a_one_chunk_batch_does_not_import_the_thread_pool(self):
-        script = ("import sys\nimport numpy as np\nfrom choqfuse import LambdaMeasure\n"
-                  "from choqfuse.aggregate import _CHUNK_ROWS, choquet_fuse_batch\n"
-                  "choquet_fuse_batch(np.full((_CHUNK_ROWS, 3), 0.5), LambdaMeasure((0.35, 0.25, 0.3)))\n"
-                  "print('concurrent.futures' in sys.modules)\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(choqfuse.__file__).resolve().parents[1]))
-        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                             text=True, timeout=120, check=True)
-        assert run.stdout == "False\n"
-
+    def test_a_one_chunk_batch_starts_no_thread(self, cpus, monkeypatch):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        fused = choquet_fuse_batch(np.full((CHUNK, 3), 0.5), LambdaMeasure((0.35, 0.25, 0.3)))
+        assert (fused == 0.5).all()
+        assert started == []
 
 CLASSICAL_TAGS = [tag for tag in aggregate.RULE_TAGS if tag != "choquet"]
 

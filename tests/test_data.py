@@ -217,6 +217,13 @@ MULTI_FAULT_FILES = {
     "normalize_inf_before_non_numeric": (
         "person_id,label,m1,m2\na,client,5,7\nb,impostor,12,inf\nc,client,3,x\n", True,
         "row 3, column m2: non-finite score 'inf'"),
+    "tiny_negative_after_negative_zero": (
+        "person_id,label,m1,m2\na,client,-0,-0.0\nb,impostor,0.1,-1e-300\n", False,
+        "row 3, column m2: score -1e-300 outside [0, 1] (use normalize=True for raw scores)"),
+    "normalize_nan_after_the_largest_floats": (
+        "person_id,label,m1,m2\na,client,1.7976931348623157e308,-1.7976931348623157e308\n"
+        "b,impostor,0.1,nan\n", True,
+        "row 3, column m2: non-finite score 'nan'"),
     "range_row_2_before_broken_quote_row_3": (
         'person_id,label,m1\nP1,client,1.5\n"ab"c,impostor,0.3\nP3,impostor,0.2\n', False,
         "row 2, column m1: score 1.5 outside [0, 1] (use normalize=True for raw scores)"),

@@ -405,18 +405,14 @@ class TestChunkedEvaluation:
             evaluate_scores(clients, impostors)
         assert threading.active_count() == before
 
-    def test_a_one_piece_call_does_not_import_the_thread_pool(self):
-        script = ("import sys\nimport numpy as np\n"
-                  "from choqfuse.metrics import _CHUNK_SCORES, evaluate_scores\n"
-                  "n = _CHUNK_SCORES // 2\n"
-                  "report = evaluate_scores(np.linspace(0.2, 1, n), np.linspace(0, 0.8, n))\n"
-                  "report.min_error_rate()\n"
-                  "print('concurrent.futures' in sys.modules)\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(choqfuse.__file__).resolve().parents[1]))
-        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                             text=True, timeout=120, check=True)
-        assert run.stdout == "False\n"
-
+    def test_a_one_piece_call_starts_no_thread(self, cpus, monkeypatch):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        n = CHUNK // 2
+        report = evaluate_scores(np.linspace(0.2, 1, n), np.linspace(0, 0.8, n))
+        report.min_error_rate()
+        assert report.thresholds.size == 2 * n + 2
+        assert started == []
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
@@ -773,12 +769,18 @@ class TestLabeledScoreSet:
             ((["a"], [[-0.5]], ["b"], [[0.5]]), "client scores must lie in [0, 1]"),
             ((["a"], [[0.5]], ["b"], [[1.5]]), "impostor scores must lie in [0, 1]"),
             ((["a"], [[-np.inf]], ["b"], [[0.5]]), "client scores must lie in [0, 1]"),
+            ((["a"], [[0.5]], ["b"], [[0.2, np.inf]]), "impostor scores must lie in [0, 1]"),
+            ((["a"], [[0.5, -1e-300]], ["b"], [[0.5]]), "client scores must lie in [0, 1]"),
             ((["a"], [[0.5, 0.5]], ["b"], [[0.5]]), "clients have 2 modalities, impostors 1"),
             (([1, "b"], [[0.5], [0.5]], ["1"], [[0.5]]), "duplicate person ids: ['1']"),
         ]:
             with pytest.raises(ValueError) as exc:
                 LabeledScoreSet(*args)
             assert str(exc.value) == message
+
+    def test_negative_zero_and_the_bounds_are_in_range(self):
+        data = LabeledScoreSet(("a", "b"), [[-0.0, 1.0], [0.0, -0.0]], ("c",), [[1.0, -0.0]])
+        assert data.client_scores.tolist() == [[0.0, 1.0], [0.0, 0.0]]
 
     def test_scores_are_frozen(self):
         data = synthetic_dataset()
