@@ -43,10 +43,8 @@ _CHUNK_ROWS = 65_536  # rows choquet_fuse_batch fuses at a time
 
 def _as_score_matrix(scores, n: int | None = None) -> np.ndarray:
     a = np.asarray(scores, dtype=float)
-    if a.ndim == 1:
-        a = a[np.newaxis, :]
     if a.ndim != 2:
-        raise ValueError(f"scores must be a vector or a matrix, got shape {a.shape}")
+        raise ValueError(f"scores must be an (N, n) matrix, got shape {a.shape}")
     if n is not None and a.shape[1] != n:
         raise ValueError(f"expected {n} scores per vector, got {a.shape[1]}")
     if a.shape[1] < 1:
@@ -84,11 +82,11 @@ def _merge_network(n: int) -> tuple[tuple[int, int], ...]:
 class SortedScores:
     """The measure-independent part of the Choquet integral of a score matrix.
 
-    For every row (N rows, n criteria): the ascending increments
-    ``a_(i) - a_(i-1)`` with ``a_(0) = 0`` in ``diffs`` and the bitmask of
-    the criteria still in play at each sorted position in ``masks``, both of
-    shape (N, n) (transposed views of (n, N) arrays).  Ties in the sort are
-    broken by criterion index, the order of a stable argsort: for a
+    For every row of an (N, n) matrix (a vector is refused): the ascending
+    increments ``a_(i) - a_(i-1)`` with ``a_(0) = 0`` in ``diffs`` and the
+    bitmask of the criteria still in play at each sorted position in
+    ``masks``, both (N, n) (transposed views of (n, N) arrays).  Ties in the
+    sort are broken by criterion index, the order of a stable argsort: for a
     lambda-measure the result is tie-order independent, the fixed order
     just keeps explicit-table measures deterministic too.  The rows are
     sorted by one compare-exchange network applied to whole columns, so
@@ -156,9 +154,11 @@ class SortedScores:
         the sorted positions, ``(d0*w0 + d1*w1) + d2*w2 ...``: the order is
         fixed here, not left to a library reduction, so fused scores do not
         depend on the numpy build.  ``out``, a (P, N) array, receives the
-        result when given.
+        result when given.  Tables of any other width or rank are refused.
         """
         diffs, masks = self.diffs.T, self.masks.T  # (n, N), contiguous rows
+        if np.ndim(tables) != 2 or np.shape(tables)[1] != 1 << len(diffs):
+            raise ValueError(f"expected (P, {1 << len(diffs)}) tables, got {np.shape(tables)}")
         # Position 0's coalition is every criterion: the tables' last column.
         total = np.multiply(diffs[0], tables[:, -1:], out=out)
         weights = np.empty(total.shape, tables.dtype)  # reused at every further position
@@ -171,9 +171,10 @@ class SortedScores:
 def choquet_fuse(scores, measure: LambdaMeasure | TableMeasure) -> float:
     """Choquet integral of one score vector against a fuzzy measure.
 
-    The one-row case of ``choquet_fuse_batch``, checked once.
+    A vector, or a (1, n) matrix: ``choquet_fuse_batch``'s one row, checked once.
     """
-    fused = choquet_fuse_batch(scores, measure)
+    a = np.asarray(scores, dtype=float)
+    fused = choquet_fuse_batch(a[np.newaxis] if a.ndim == 1 else a, measure)
     if fused.shape != (1,):
         raise ValueError("choquet_fuse takes a single score vector; use "
                          "choquet_fuse_batch for matrices")
@@ -181,13 +182,13 @@ def choquet_fuse(scores, measure: LambdaMeasure | TableMeasure) -> float:
 
 
 def choquet_fuse_batch(scores, measure: LambdaMeasure | TableMeasure) -> np.ndarray:
-    """Choquet integral of each row of a score matrix. Vectorized.
+    """Choquet integral of each row of an (N, n) score matrix. Vectorized.
 
-    The matrix is checked whole, then fused in chunks of ``_CHUNK_ROWS`` rows,
-    on one thread per CPU (at most one per chunk) when there are several of
-    each.  Each chunk is sorted by ``SortedScores``, one compare-exchange
-    network over its columns.  Rows are independent, so the bits do not
-    depend on either count.
+    A vector is refused (``choquet_fuse`` takes one).  The matrix is checked
+    whole, then fused in chunks of ``_CHUNK_ROWS`` rows, on one thread per
+    CPU (at most one per chunk) when there are several of each.  Each chunk
+    is sorted by ``SortedScores``, one compare-exchange network over its
+    columns.  Rows are independent, so the bits depend on neither count.
     """
     a = _as_score_matrix(scores, measure.n)
     table = measure.dense_table()[np.newaxis]
@@ -221,6 +222,8 @@ class FusionRule:
             raise ValueError(f"unknown rule {self.tag!r}; expected one of {RULE_TAGS}")
         if self.tag == "choquet" and self.measure is None:
             raise ValueError("the choquet rule needs a measure")
+        if self.tag == "weighted_sum" and self.weights is None:
+            raise ValueError("the weighted_sum rule needs weights")
         # Floats and tuples of floats: hashable and not the caller's.
         if self.weights is not None:
             w = tuple(float(v) for v in self.weights)
@@ -241,7 +244,7 @@ class FusionRule:
 
 
 def rule_fuse_batch(scores, rule: FusionRule) -> np.ndarray:
-    """Apply ``rule`` to every row of a score matrix.
+    """Apply ``rule`` to every row of an (N, n) score matrix; a vector is refused.
 
     Score rules return a fused similarity in [0, 1]; decision rules return
     1.0 for accept and 0.0 for reject so that every rule can go through the
@@ -262,8 +265,6 @@ def rule_fuse_batch(scores, rule: FusionRule) -> np.ndarray:
         columns = (a[:, j] >= t[j] for j in range(n))
     elif rule.tag == "weighted_sum":
         w = rule.weights
-        if w is None:
-            raise ValueError("weighted_sum requires weights")
         if len(w) != n:
             raise ValueError(f"expected {n} weights, got {len(w)}")
         columns = (a[:, j] * w[j] for j in range(n))

@@ -128,7 +128,7 @@ class GaConfig:
             raise ValueError("rng_seed must be non-negative")
 
     @property
-    def offspring_count(self) -> int:  # read by perfbench/spans.py until ROADMAP item 6
+    def offspring_count(self) -> int:  # read by perfbench/spans.py until ROADMAP item 8
         return self.population_size
 
 

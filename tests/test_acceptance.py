@@ -333,3 +333,39 @@ def test_public_api_names_are_pinned():
         module = importlib.import_module("choqfuse" + name)
         missing = [n for n in module.__all__ if not hasattr(module, n)]
         assert not missing, (module.__name__, missing)
+
+
+# Each public batch entry point takes one shape, so a vector, which could
+# be one row or one column, raises ValueError naming its shape there.
+# choquet_fuse is the one entry point for a vector, and it refuses a matrix
+# of two rows.
+ROW = (0.2, 0.9, 0.4)
+MEASURE = LambdaMeasure((0.35, 0.25, 0.3))
+ONE_SHAPE = {
+    "choquet_fuse_batch": (lambda a: choqfuse.choquet_fuse_batch(a, MEASURE), ROW, r"\(3,\)"),
+    "rule_fuse_batch": (lambda a: choqfuse.rule_fuse_batch(a, FusionRule("mean")), ROW,
+                        r"\(3,\)"),
+    "SortedScores": (choqfuse.SortedScores, ROW, r"\(3,\)"),
+    "SortedScores.fuse": (lambda t: choqfuse.SortedScores([ROW]).fuse(t), MEASURE.dense_table(),
+                          r"\(8,\)"),
+    "lambda_tables": (choqfuse.lambda_tables, (0.35, 0.25, 0.3), r"\(3,\)"),
+    "solve_lambda_batch": (choqfuse.solve_lambda_batch, (0.35, 0.25, 0.3), r"\(3,\)"),
+    "sweep_errors": (lambda a: choqfuse.sweep_errors(a, a), ROW, r"\(3,\)"),
+    "population_fitness": (lambda a: choqfuse.population_fitness(a, synthetic_dataset()),
+                           (0.35, 0.25, 0.3), r"\(3,\)"),
+    "choquet_fuse": (lambda a: choquet_fuse(a, MEASURE), (ROW, ROW),
+                     "^choquet_fuse takes a single score vector"),
+}
+
+
+@pytest.mark.parametrize("call, value, message", ONE_SHAPE.values(), ids=ONE_SHAPE)
+def test_every_entry_point_takes_one_shape(call, value, message):
+    with pytest.raises(ValueError, match=message):
+        call(np.asarray(value))
+
+
+def test_choquet_fuse_takes_a_vector_or_one_row():
+    fused = choquet_fuse_batch([ROW], MEASURE)[0]
+    assert choquet_fuse(ROW, MEASURE) == choquet_fuse([ROW], MEASURE) == fused
+    with pytest.raises(ValueError, match=r"^scores must be an \(N, n\) matrix, got shape \(\)$"):
+        choquet_fuse(0.5, TableMeasure([0.0, 1.0]))

@@ -216,9 +216,10 @@ class TestChoquetFuse:
         assert str(raised.value) == f"score [1,1] = {text} outside [0, 1]"
 
     @pytest.mark.parametrize("scores, message", [
-        (np.full((2, 2, 2), 0.5), "scores must be a vector or a matrix, got shape (2, 2, 2)"),
+        (np.full(3, 0.5), "scores must be an (N, n) matrix, got shape (3,)"),
+        (np.full((2, 2, 2), 0.5), "scores must be an (N, n) matrix, got shape (2, 2, 2)"),
         (np.empty((2, 0)), "score vectors must not be empty"),
-    ], ids=["3-D", "zero-width"])
+    ], ids=["1-D", "3-D", "zero-width"])
     def test_score_arrays_of_other_shapes_are_refused(self, scores, message):
         for fuse in (lambda a: rule_fuse_batch(a, FusionRule("mean")), SortedScores):
             with pytest.raises(ValueError) as raised:
@@ -295,6 +296,17 @@ class TestFuseAgainstGatheredWeights:
             assert sorted_scores.fuse(t).tobytes() == gathered_fuse(sorted_scores, t).tobytes()
         assert (sorted_scores.fuse(unsnapped) != sorted_scores.fuse(tables)).any()
 
+    @pytest.mark.parametrize("tables", [
+        lambda_tables([[0.3] * 4]),  # 16 columns: position 0 reads the last whatever the width
+        lambda_tables([[0.3] * 2]),
+        LambdaMeasure((0.3, 0.3, 0.3)).dense_table(),  # one table, not a (1, 8) stack
+    ], ids=["4-criteria", "2-criteria", "1-D"])
+    def test_tables_of_another_shape_are_refused(self, tables):
+        sorted_scores = SortedScores(np.random.default_rng(3200).uniform(0, 1, (6, 3)))
+        with pytest.raises(ValueError) as raised:
+            sorted_scores.fuse(tables)
+        assert str(raised.value) == f"expected (P, 8) tables, got {tables.shape}"
+
 
 CHUNK = aggregate._CHUNK_ROWS
 # Not additive: m(A) = (sum of the weights in A)^2 for weights .5, .3, .2.
@@ -318,9 +330,12 @@ class TestChunkedFusion:
         assert fused.shape == (rows,)
         assert fused.tobytes() == expected.tobytes()
 
-    def test_a_vector_is_one_row(self, cpus):
+    def test_a_vector_is_refused(self, cpus):
         m = LambdaMeasure((0.35, 0.25, 0.3))
-        fused = choquet_fuse_batch((0.7, 0.8, 0.9), m)
+        with pytest.raises(ValueError) as raised:
+            choquet_fuse_batch((0.7, 0.8, 0.9), m)
+        assert str(raised.value) == "scores must be an (N, n) matrix, got shape (3,)"
+        fused = choquet_fuse_batch([(0.7, 0.8, 0.9)], m)
         assert fused.shape == (1,) and fused[0] == choquet_fuse((0.7, 0.8, 0.9), m)
 
     def test_a_bad_cell_in_the_third_chunk_reports_its_global_row(self, cpus):
@@ -412,14 +427,19 @@ class TestCallerScoresAreNotWritten:
         m = LambdaMeasure((0.1, 0.2, 0.3, 0.25))
         scores = make()
         before = scores.copy()
-        expected = SortedScores(before.copy()).fuse(m.dense_table()[np.newaxis])[0]
-        calls = [lambda: SortedScores(scores), lambda: choquet_fuse_batch(scores, m)]
-        if scores.size == 4:
-            calls.append(lambda: choquet_fuse(scores, m))
+        expected = SortedScores(np.atleast_2d(before)).fuse(m.dense_table()[np.newaxis])[0]
+        single = lambda: np.array([choquet_fuse(scores, m)])
+        batch = lambda: choquet_fuse_batch(scores, m)
+        if scores.ndim == 1:  # choquet_fuse is the one entry point that takes a vector
+            calls = [single]
+        else:
+            calls = [lambda: SortedScores(scores), batch]
+            if scores.size == 4:
+                calls.append(single)
         for call in calls:
             call()
             assert scores.tobytes() == before.tobytes()
-        assert choquet_fuse_batch(scores, m).tobytes() == expected.tobytes()
+        assert (single if scores.ndim == 1 else batch)().tobytes() == expected.tobytes()
 
 
 class TestFusionRules:
@@ -521,7 +541,7 @@ class TestFusionRules:
             fused = rule_fuse_batch(a, FusionRule(tag, weights=(1.0,)))
             assert fused.flags.writeable and fused.flags.c_contiguous, tag
             assert not np.shares_memory(fused, a), tag
-            if not FusionRule(tag).is_decision:
+            if tag not in aggregate.DECISION_RULES:
                 assert fused.tobytes() == a[:, 0].tobytes(), tag
 
     def test_a_threshold_sequence_is_stored_as_a_tuple(self):
@@ -574,6 +594,8 @@ class TestFusionRules:
             FusionRule("median")
         with pytest.raises(ValueError, match="^the choquet rule needs a measure$"):
             FusionRule("choquet")
+        with pytest.raises(ValueError, match="^the weighted_sum rule needs weights$"):
+            FusionRule("weighted_sum")
         with pytest.raises(ValueError, match="^weights must sum to 1, got 1.2"):
             FusionRule("weighted_sum", weights=(0.9, 0.3))
         with pytest.raises(ValueError) as raised:
@@ -598,7 +620,6 @@ class TestFusionRules:
         assert str(raised.value) == "decision thresholds must lie in [0, 1]"
 
     @pytest.mark.parametrize("rule, message", [
-        (FusionRule("weighted_sum"), "weighted_sum requires weights"),
         (FusionRule("weighted_sum", weights=(0.5, 0.5)), "expected 3 weights, got 2"),
         (FusionRule("and", threshold=(0.5, 0.5)), "expected a scalar or 3 per-modality thresholds"),
     ])
