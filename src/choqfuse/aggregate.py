@@ -153,15 +153,17 @@ class SortedScores:
         Increments times coalition weights are summed left to right over
         the sorted positions, ``(d0*w0 + d1*w1) + d2*w2 ...``: the order is
         fixed here, not left to a library reduction, so fused scores do not
-        depend on the numpy build.  ``out``, a (P, N) array, receives the
-        result when given.  Tables of any other width or rank are refused.
+        depend on the numpy build.  ``tables`` is read as floats.  ``out``, a
+        (P, N) float array, receives the result when given.  Tables of any
+        other width or rank are refused.
         """
         diffs, masks = self.diffs.T, self.masks.T  # (n, N), contiguous rows
-        if np.ndim(tables) != 2 or np.shape(tables)[1] != 1 << len(diffs):
-            raise ValueError(f"expected (P, {1 << len(diffs)}) tables, got {np.shape(tables)}")
+        tables = np.asarray(tables, dtype=float)
+        if tables.ndim != 2 or tables.shape[1] != 1 << len(diffs):
+            raise ValueError(f"expected (P, {1 << len(diffs)}) tables, got {tables.shape}")
         # Position 0's coalition is every criterion: the tables' last column.
         total = np.multiply(diffs[0], tables[:, -1:], out=out)
-        weights = np.empty(total.shape, tables.dtype)  # reused at every further position
+        weights = np.empty(total.shape)  # reused at every further position
         for i in range(1, len(diffs)):
             tables.take(masks[i], axis=1, out=weights)
             total += np.multiply(diffs[i], weights, out=weights)

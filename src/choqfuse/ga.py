@@ -45,7 +45,7 @@ import numpy as np
 from .aggregate import SortedScores
 from .data import LabeledScoreSet
 from .measures import _as_density_matrix, _solve, _tables
-from .metrics import _sweep
+from .metrics import _Sweep
 
 __all__ = [
     "GaConfig",
@@ -159,13 +159,22 @@ def _init_population(
 def _fitness_kernel(
     data: LabeledScoreSet,
 ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Stateless ``population_fitness`` on ``data`` for (P, n) gene arrays already checked."""
+    """``population_fitness`` on ``data`` for (P, n) gene arrays already checked.
+
+    The kernel keeps the sorted score rows and one ``_Sweep`` per batch
+    size, whose buffer each call fuses into; the returned arrays are new.
+    Not reentrant: one call at a time per kernel.
+    """
     scores = SortedScores(np.vstack([data.client_scores, data.impostor_scores]))
-    n_clients = len(data.client_scores)
+    n_clients, n_impostors = len(data.client_scores), len(data.impostor_scores)
+    sweeps: dict[int, _Sweep] = {}
 
     def score(genes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        fused = scores.fuse(_tables(genes, _solve(genes)))
-        return _sweep(fused[:, :n_clients], fused[:, n_clients:])
+        sweep = sweeps.get(len(genes))
+        if sweep is None:
+            sweep = sweeps[len(genes)] = _Sweep(len(genes), n_clients, n_impostors)
+        scores.fuse(_tables(genes, _solve(genes)), out=sweep.scores[:, :-1])
+        return sweep()
 
     return score
 

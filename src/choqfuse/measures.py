@@ -150,11 +150,12 @@ def _misses_contract(d: np.ndarray, x: np.ndarray):
 def _solve(d: np.ndarray) -> np.ndarray:
     """Closed form for n <= 3, safeguarded Newton on g otherwise; see solve_lambda_batch."""
     total = d.sum(axis=1)
-    roots = np.zeros(len(d))
-    rows = np.flatnonzero(np.abs(total - 1.0) > ADDITIVE_TOL)
-    if rows.size == 0:
+    solved = np.abs(total - 1.0) > ADDITIVE_TOL  # the other rows are additive: lambda = 0
+    if not solved.all():  # rare in a GA batch, so the usual path copies nothing
+        roots = np.zeros(len(d))
+        if solved.any():
+            roots[solved] = _solve(d[solved])
         return roots
-    d = d[rows]
     # g(lam) = c + e2*lam + e3*lam^2 + ... + e_n*lam^(n-1) is the lambda
     # equation divided by its root 0, with c = sum(m_i) - 1 summed
     # compensated and e_k the k-th elementary symmetric sum of the densities.
@@ -177,8 +178,7 @@ def _solve(d: np.ndarray) -> np.ndarray:
     retry = _misses_contract(d, x)[1] if d.shape[1] <= 3 else np.full(len(d), True)
     if retry.any():
         x[retry] = _newton(d[retry], c[retry], -c[retry] / e2[retry], quadratic[retry])
-    roots[rows] = x
-    return roots
+    return x
 
 
 def _newton(d: np.ndarray, c: np.ndarray, linear: np.ndarray, start: np.ndarray) -> np.ndarray:

@@ -6,10 +6,11 @@ Conventions, fixed across the package:
 * FAR(t) = fraction of impostor scores accepted, FRR(t) = fraction of
   client scores rejected;
 * the equal error rate is located by one threshold sweep: the client and
-  impostor scores are ranked together by one sort (``_rank``: in
-  ``evaluate_scores`` a stable merge of the two sorted classes, cut above
+  impostor scores are ranked together by one sort (in ``evaluate_scores``
+  ``_rank``'s stable merge of the two sorted classes, cut above
   ``_CHUNK_SCORES`` scores into value-range chunks merged on one thread per
-  CPU; numpy's faster unstable sort in ``sweep_errors``), each run of tied
+  CPU; in ``sweep_errors`` and the GA, ``_Sweep``'s sort of integer keys
+  that carry each score's class in their low bit), each run of tied
   scores is one candidate threshold with the error counts below its first
   position, whatever the order inside the run, and the FAR/FRR crossing
   is linearly interpolated between the two adjacent candidates where
@@ -53,29 +54,26 @@ def _as_scores(values, ndim: int, name: str) -> np.ndarray:
     return x
 
 
-def _rank(scores: np.ndarray, n_clients: int, kind: str):
-    """Rank each row of (P, Nc + Ni) scores, clients first, in one sort of the given kind.
+def _rank(scores: np.ndarray, n_clients: int):
+    """Rank Nc + Ni scores, clients first, in one stable sort.
 
     Returns the ranked scores, the number of clients strictly below each
     ranked position's run of tied scores (valid at the run's first
-    position) and the flags of those first positions.  Those counts do not
-    depend on the order inside a run, so any sort kind gives the same.
+    position) and the flags of those first positions.
     """
-    order = scores.argsort(axis=1, kind=kind)
+    order = scores.argsort(kind="stable")
     is_client = order < n_clients
-    # Flat positions: one take, no per-axis index arrays.
-    order += np.arange(0, scores.size, scores.shape[1])[:, np.newaxis]
     ranked = scores.take(order)
     # The counts reuse the positions' memory: a cumsum of the flags would
     # first cast them to a full int64 copy.
     clients_below = order
     np.copyto(clients_below, is_client)
-    clients_below.cumsum(axis=1, out=clients_below)
+    clients_below.cumsum(out=clients_below)
     clients_below -= is_client
     del is_client
     first = np.empty(ranked.shape, dtype=bool)
-    first[:, 0] = True
-    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
+    first[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
     return ranked, clients_below, first
 
 
@@ -114,34 +112,80 @@ def sweep_errors(fused_clients, fused_impostors) -> tuple[np.ndarray, np.ndarray
     """EER and minimum total error rate of each row of (P, Nc) / (P, Ni) scores.
 
     Row p equals ``evaluate_scores(fused_clients[p], fused_impostors[p])``'s
-    ``eer`` and ``min_error_rate()[0]`` exactly: ``_sweep`` ranks each row's
+    ``eer`` and ``min_error_rate()[0]`` exactly: ``_Sweep`` ranks each row's
     scores once and reads the same integer error counts on the same
-    candidate thresholds, at the run starts only.  Memory is O(P * (Nc + Ni)).
+    candidate thresholds, at the run starts only.  It reads only the order
+    and the ties of the scores, so it sweeps their dense ranks over the
+    whole matrix, which are non-negative whatever the scores' signs.
+    Memory is O(P * (Nc + Ni)).
     """
     clients = _as_scores(fused_clients, 2, "client")
     impostors = _as_scores(fused_impostors, 2, "impostor")
     if len(clients) != len(impostors):
         raise ValueError(f"{len(clients)} client score rows but {len(impostors)} impostor rows")
-    return _sweep(clients, impostors)
+    scores = np.concatenate([clients, impostors], axis=1)
+    sweep = _Sweep(len(scores), clients.shape[1], impostors.shape[1])
+    # Of a 1-D input the inverse is 1-D in every numpy (2.0.0 shaped a matrix's like it).
+    ranks = np.unique(scores.ravel(), return_inverse=True)[1]
+    sweep.scores[:, :-1] = ranks.reshape(scores.shape)
+    return sweep()
 
 
-def _sweep(clients: np.ndarray, impostors: np.ndarray):
-    """``sweep_errors`` of finite, non-empty (P, Nc) and (P, Ni) float rows, unchecked.
+class _Sweep:
+    """The threshold sweep of P rows of Nc client and Ni impostor scores, and its buffers.
 
-    Only this function closes a row with the +inf sentinel, the grid's top
-    one: its run start has every client rejected and no impostor accepted."""
-    n_clients, n_impostors = clients.shape[1], impostors.shape[1]
-    scores = np.concatenate([clients, impostors, np.full((len(clients), 1), np.inf)], axis=1)
-    ranked, clients_below, first = _rank(scores, n_clients, "quicksort")
-    # Counts at every run start (elsewhere they are not read).
-    accepted = clients_below + (n_impostors - np.arange(scores.shape[1]))
-    far, frr = accepted / n_impostors, clients_below / n_clients
-    diff = far - frr
-    lo, hi = _bracket(diff, first)
-    rows = np.arange(len(ranked))
-    value = _interpolate(diff[rows, lo], diff[rows, hi], far[rows, lo], far[rows, hi])
-    errors = np.where(first, accepted + clients_below, ranked.shape[1]).min(axis=1)
-    return value, errors / (n_clients + n_impostors)
+    The caller writes the rows' scores, clients first, into ``scores[:, :-1]``;
+    a call returns new (P,) arrays of their EERs and minimum error rates.
+    One sort ranks each row: the keys are the scores' bits shifted left one
+    bit, the low bit set on impostors and on the sentinel.  Scores >= 0
+    order as their bits do, and the shift drops the sign of -0.0, so the
+    keys sort into the ranked scores (shifted back) and their classes (low
+    bits), the same whichever sort numpy picks.  Only the constructor
+    writes the last column, the +inf sentinel, the grid's top run start
+    (all clients rejected, no impostor accepted).  Not reentrant.
+    """
+
+    def __init__(self, rows: int, n_clients: int, n_impostors: int):
+        size = n_clients + n_impostors + 1
+        self.n_clients, self.n_impostors = n_clients, n_impostors
+        self.scores = np.empty((rows, size))
+        self.scores[:, -1] = np.inf
+        self._keys = self.scores.view(np.uint64)
+        self._classes = (np.arange(size) >= n_clients).astype(np.uint64)
+        self._ramp = np.arange(size)
+        self._offsets = np.arange(0, rows * size, size)
+        # Impostors ranked strictly below each position (none below the first),
+        # counted in place from the class bits written one column to the right.
+        self._below = np.zeros((rows, size), np.int64)
+        self._flags = self._below.view(np.uint64)[:, 1:]
+        self._first = np.empty((rows, size), bool)
+        self._first[:, 0] = True
+
+    def __call__(self) -> tuple[np.ndarray, np.ndarray]:
+        keys, below, flags, first = self._keys, self._below, self._flags, self._first
+        n_clients, n_impostors = self.n_clients, self.n_impostors
+        keys <<= np.uint64(1)  # drops the sign bit: -0.0 gets the key of 0.0
+        keys |= self._classes
+        keys.sort(axis=1)
+        np.bitwise_and(keys[:, :-1], np.uint64(1), out=flags)
+        flags.cumsum(axis=1, out=flags)
+        keys >>= np.uint64(1)
+        ranked = self.scores
+        np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
+        # Counts at every position; the bracket reads them at the run starts.
+        accepted = n_impostors - below
+        clients_below = self._ramp - below
+        far, frr = accepted / n_impostors, clients_below / n_clients
+        diff = far - frr
+        lo, hi = _bracket(diff, first)
+        lo += self._offsets
+        hi += self._offsets
+        value = _interpolate(diff.take(lo), diff.take(hi), far.take(lo), far.take(hi))
+        # Inside a run of ties the clients rank first: the errors climb by one
+        # per client, then fall by one per impostor to the next run start.  So
+        # no position holds fewer errors than every run start, and all are read.
+        accepted += clients_below
+        return value, accepted.min(axis=1) / (n_clients + n_impostors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,17 +253,17 @@ def _write_runs(scores: np.ndarray, n_clients: int, curves, at: int, clients_bef
     it gets curves of its own size, a sentinel column at each end.  Returns
     the curves and the number of runs.
     """
-    ranked, clients_below, first = _rank(scores[np.newaxis], n_clients, "stable")
+    ranked, clients_below, first = _rank(scores, n_clients)
     del scores  # a chunk's own copy: freed before the next chunk-sized array
-    starts = np.flatnonzero(first[0])
+    starts = np.flatnonzero(first)
     del first
     if curves is None:
         curves = np.empty((3, starts.size + 2))
     grid, far, frr = curves[:, at:at + starts.size]
-    np.take(ranked[0], starts, out=grid, mode="clip")  # "raise" would buffer the output
+    np.take(ranked, starts, out=grid, mode="clip")  # "raise" would buffer the output
     del ranked
     # Counts up to 2**53 are exact in floats, so each rate has the bits of count / total.
-    np.add(clients_below[0].take(starts), clients_before, out=frr)
+    np.add(clients_below.take(starts), clients_before, out=frr)
     del clients_below
     # Impostors accepted at a run start: all but those ranked below it.
     starts += at - 1

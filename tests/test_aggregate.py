@@ -308,6 +308,19 @@ class TestFuseAgainstGatheredWeights:
         assert str(raised.value) == f"expected (P, 8) tables, got {tables.shape}"
 
 
+    def test_tables_are_read_as_floats(self):
+        sorted_scores = SortedScores(np.random.default_rng(3201).uniform(0, 1, (6, 3)))
+        table = LambdaMeasure((0.35, 0.25, 0.3)).dense_table()
+        expected = sorted_scores.fuse(table[np.newaxis])
+        fused = sorted_scores.fuse([table.tolist()])
+        assert fused.dtype == float and fused.tobytes() == expected.tobytes()
+        # The max measure: every subset but the empty one weighs 1, in integers.
+        integers = np.array([[0, 1, 1, 1, 1, 1, 1, 1]])
+        fused = sorted_scores.fuse(integers)
+        assert fused.dtype == float
+        assert fused.tobytes() == sorted_scores.fuse(integers.astype(float)).tobytes()
+
+
 CHUNK = aggregate._CHUNK_ROWS
 # Not additive: m(A) = (sum of the weights in A)^2 for weights .5, .3, .2.
 SQUARED_WEIGHTS = TableMeasure([sum(w for i, w in enumerate((0.5, 0.3, 0.2)) if m >> i & 1) ** 2

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import choqfuse
-from choqfuse import ga
+from choqfuse import ga, metrics
 from choqfuse.cli import main as cli_main
 from choqfuse.aggregate import choquet_fuse_batch
 from choqfuse.data import LabeledScoreSet, synthetic_dataset
@@ -177,6 +177,24 @@ class TestPopulationFitness:
         self.assert_matches_reference(genes, toy_separable())
         assert population_fitness(genes, toy_separable())[0].tolist() == [0.0] * 50
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_signed_zeros_and_ties_across_the_classes(self, n):
+        # 3-decimal scores tie within and across the classes, and a fifth of
+        # the cells are -0.0 and a fifth 0.0: the sweep's keys must rank
+        # each fused score as evaluate_scores does.
+        rng = np.random.default_rng(241 + n)
+        cells = rng.integers(0, 1001, (70, n)) / 1000
+        pick = rng.uniform(size=cells.shape)
+        cells[pick < 0.2], cells[(pick >= 0.2) & (pick < 0.4)] = -0.0, 0.0
+        cells[0] = -0.0
+        cells[40] = 0.0
+        ids = [f"P{i}" for i in range(len(cells))]
+        data = LabeledScoreSet(tuple(ids[:40]), cells[:40], tuple(ids[40:]), cells[40:])
+        genes = rng.uniform(GENE_EPS, 1.0 - GENE_EPS, (25, n))
+        eers, min_errors = population_fitness(genes, data)
+        for row, value, min_error in zip(genes, eers.tolist(), min_errors.tolist()):
+            assert (value, min_error) == self.reference(row, data), row
+
     def test_fitness_is_the_one_row_case(self):
         data = synthetic_dataset()
         genes = np.random.default_rng(229).uniform(GENE_EPS, 1.0 - GENE_EPS, (20, 3))
@@ -208,6 +226,31 @@ class TestWorkspace:
             genes = rng.uniform(GENE_EPS, 1.0 - GENE_EPS, (size, 3))
             assert ([a.tolist() for a in kernel(genes)]
                     == [a.tolist() for a in population_fitness(genes, data)])
+
+    def test_one_sweep_per_batch_size_serves_every_call(self, monkeypatch):
+        data = synthetic_dataset()
+        rng = np.random.default_rng(251)
+        batches = [rng.uniform(GENE_EPS, 1.0 - GENE_EPS, (size, 3)) for size in (30, 7, 30)]
+        expected = [population_fitness(genes, data) for genes in batches]
+        sweeps = []
+
+        class Recorded(metrics._Sweep):
+            def __init__(self, *args):
+                super().__init__(*args)
+                sweeps.append(self)
+
+        monkeypatch.setattr(ga, "_Sweep", Recorded)
+        kernel = ga._fitness_kernel(data)
+        results = []
+        for genes, want in zip(batches, expected):
+            got = kernel(genes)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            assert all(np.isposinf(sweep.scores[:, -1]).all() for sweep in sweeps)
+            results.extend(got)
+        assert [len(sweep.scores) for sweep in sweeps] == [30, 7]
+        buffers = [a for sweep in sweeps for a in vars(sweep).values()
+                   if isinstance(a, np.ndarray)]
+        assert not any(np.shares_memory(a, b) for a in results for b in buffers)
 
     def test_population_snapshots_outlive_later_generations(self):
         snapshots = []

@@ -278,6 +278,15 @@ class TestSolveLambdaBatch:
         singles = [solve_lambda(row) for row in rows]
         assert batch.tolist() == singles
 
+    def test_additive_rows_give_zero_among_solved_ones(self):
+        additive = [[0.5, 0.25, 0.25], [0.2, 0.3, 0.5]]
+        others = [[0.3, 0.3, 0.3], [0.6, 0.3, 0.4], [0.1, 0.2, 0.3]]
+        batch = solve_lambda_batch([others[0], *additive[:1], others[1], additive[1], others[2]])
+        assert batch[[1, 3]].tolist() == [0.0, 0.0]
+        assert batch[[0, 2, 4]].tolist() == [solve_lambda(row) for row in others]
+        assert all(lam != 0.0 for lam in batch[[0, 2, 4]])
+        assert solve_lambda_batch(additive * 2).tolist() == [0.0] * 4
+
     @pytest.mark.parametrize("n", range(2, 17))
     def test_residual_and_sign_contract_at_the_clamp_bounds(self, n):
         rng = np.random.default_rng(200 + n)

@@ -264,6 +264,26 @@ class TestSweepErrors:
             assert min_error == report.min_error_rate()[0]
         assert eers[:3].tolist() == [0.0, 0.5, 0.5] and min_errors[0] == 0.0
 
+    def test_the_gas_sweep_of_signed_zeros_and_ties(self):
+        # The GA writes its fused scores straight into the sweep's buffer,
+        # unranked: -0.0 must key as 0.0, and the +inf sentinel must stay.
+        rng = np.random.default_rng(101)
+        clients = rng.integers(0, 5, (400, 9)) / 4
+        impostors = rng.integers(0, 4, (400, 6)) / 4
+        for half in (clients, impostors):
+            half[rng.uniform(size=half.shape) < 0.3] = -0.0
+        clients[0], impostors[0] = -0.0, 0.0
+        clients[1], impostors[1] = 1.0, -0.0  # separable
+        sweep = metrics._Sweep(len(clients), 9, 6)
+        for _ in range(2):
+            sweep.scores[:, :-1] = np.hstack([clients, impostors])
+            eers, min_errors = sweep()
+            assert np.isposinf(sweep.scores[:, -1]).all()
+            for c, i, value, min_error in zip(clients, impostors, eers, min_errors):
+                report = evaluate_scores(c, i)
+                assert (value, min_error) == (report.eer, report.min_error_rate()[0])
+        assert eers[:2].tolist() == [0.5, 0.0]
+
     def test_an_empty_batch_gives_empty_arrays(self):
         eers, min_errors = sweep_errors(np.empty((0, 3)), np.empty((0, 2)))
         assert eers.shape == min_errors.shape == (0,)
