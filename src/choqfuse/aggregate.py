@@ -204,6 +204,15 @@ def choquet_fuse_batch(scores, measure: LambdaMeasure | TableMeasure) -> np.ndar
     return fused
 
 
+def _as_parameter(value, name: str, scalar: bool) -> float | tuple[float, ...]:
+    """A float (if ``scalar``) or a non-empty flat tuple of floats: hashable, not the caller's."""
+    a = np.asarray(value)  # ragged nesting raises ValueError
+    if a.dtype.kind not in "biuf" or a.ndim > 1 or a.size == 0 or a.ndim == 0 and not scalar:
+        kind = "a number or a" if scalar else "a"
+        raise ValueError(f"{name} must be {kind} non-empty flat sequence of numbers, got {value!r}")
+    return float(a) if a.ndim == 0 else tuple(a.astype(float).tolist())
+
+
 @dataclass(frozen=True)
 class FusionRule:
     """A named fusion rule plus its parameters, checked when it is built.
@@ -226,16 +235,14 @@ class FusionRule:
             raise ValueError("the choquet rule needs a measure")
         if self.tag == "weighted_sum" and self.weights is None:
             raise ValueError("the weighted_sum rule needs weights")
-        # Floats and tuples of floats: hashable and not the caller's.
         if self.weights is not None:
-            w = tuple(float(v) for v in self.weights)
+            w = _as_parameter(self.weights, "weights", scalar=False)
             if not all(v >= 0.0 for v in w):  # False at NaN too; +inf fails the sum
                 raise ValueError("weights must be nonnegative")
             if abs(sum(w) - 1.0) > 1e-9:
                 raise ValueError(f"weights must sum to 1, got {sum(w)!r}")
             object.__setattr__(self, "weights", w)
-        t = (tuple(float(v) for v in self.threshold) if np.ndim(self.threshold)
-             else float(self.threshold))
+        t = _as_parameter(self.threshold, "threshold", scalar=True)
         if not all(0.0 <= v <= 1.0 for v in np.ravel(t)):  # False at NaN too
             raise ValueError("decision thresholds must lie in [0, 1]")
         object.__setattr__(self, "threshold", t)

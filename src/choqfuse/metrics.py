@@ -6,16 +6,16 @@ Conventions, fixed across the package:
 * FAR(t) = fraction of impostor scores accepted, FRR(t) = fraction of
   client scores rejected;
 * the equal error rate is located by one threshold sweep: the client and
-  impostor scores are ranked together by one sort (in ``evaluate_scores``
-  ``_rank``'s stable merge of the two sorted classes, cut above
-  ``_CHUNK_SCORES`` scores into value-range chunks merged on one thread per
-  CPU; in ``sweep_errors`` and the GA, ``_Sweep``'s sort of integer keys
-  that carry each score's class in their low bit), each run of tied
-  scores is one candidate threshold with the error counts below its first
-  position, whatever the order inside the run, and the FAR/FRR crossing
-  is linearly interpolated between the two adjacent candidates where
-  FAR - FRR changes sign.  When the classes are perfectly separated the
-  reported threshold is the midpoint of the separating gap;
+  impostor scores are ranked together by ``_key_sort``, one sort of keys
+  carrying each score's class in their low bit (in ``evaluate_scores`` a
+  stable merge of the sorted classes, in value-range chunks on one thread
+  per CPU above ``_CHUNK_SCORES`` scores; in ``sweep_errors`` and the GA a
+  sort of each row; inputs with a negative score as their dense ranks),
+  each run of tied scores is one candidate threshold with the error
+  counts below its first position, whatever the order inside the run, and
+  the FAR/FRR crossing is linearly interpolated between the two adjacent
+  candidates where FAR - FRR changes sign.  When the classes are
+  perfectly separated the reported threshold is the gap's midpoint;
 * ``EvalReport.far_frr_at`` and ``EvalReport.error_rate_at`` read the
   counts off the curves at the first candidate at or above the threshold;
 * ``evaluate_scores`` takes two non-empty score vectors, ``sweep_errors`` two
@@ -54,27 +54,23 @@ def _as_scores(values, ndim: int, name: str) -> np.ndarray:
     return x
 
 
-def _rank(scores: np.ndarray, n_clients: int):
-    """Rank Nc + Ni scores, clients first, in one stable sort.
+def _key_sort(scores: np.ndarray, n_clients: int, flags: np.ndarray, kind=None) -> None:
+    """Rank scores >= 0 along the last axis, clients (the first ``n_clients``) first, in place.
 
-    Returns the ranked scores, the number of clients strictly below each
-    ranked position's run of tied scores (valid at the run's first
-    position) and the flags of those first positions.
+    The keys are the scores' bits shifted left one bit, the low bit set
+    from column ``n_clients`` on.  Scores >= 0 order as their bits do and
+    the shift drops the sign of -0.0, so the sorted keys give the ranked
+    scores (shifted back) and their classes, whichever sort numpy picks.
+    ``flags`` (all positions but the last) receives the impostors ranked
+    at or below each position: a running count of the low bits.
     """
-    order = scores.argsort(kind="stable")
-    is_client = order < n_clients
-    ranked = scores.take(order)
-    # The counts reuse the positions' memory: a cumsum of the flags would
-    # first cast them to a full int64 copy.
-    clients_below = order
-    np.copyto(clients_below, is_client)
-    clients_below.cumsum(out=clients_below)
-    clients_below -= is_client
-    del is_client
-    first = np.empty(ranked.shape, dtype=bool)
-    first[0] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-    return ranked, clients_below, first
+    keys = scores.view(np.uint64)
+    keys <<= np.uint64(1)
+    keys[..., n_clients:] |= np.uint64(1)
+    keys.sort(axis=-1, kind=kind)
+    np.bitwise_and(keys[..., :-1], np.uint64(1), out=flags)
+    flags.cumsum(axis=-1, out=flags)
+    keys >>= np.uint64(1)
 
 
 def _interpolate(d0, d1, lo, hi):
@@ -112,37 +108,33 @@ def sweep_errors(fused_clients, fused_impostors) -> tuple[np.ndarray, np.ndarray
     """EER and minimum total error rate of each row of (P, Nc) / (P, Ni) scores.
 
     Row p equals ``evaluate_scores(fused_clients[p], fused_impostors[p])``'s
-    ``eer`` and ``min_error_rate()[0]`` exactly: ``_Sweep`` ranks each row's
-    scores once and reads the same integer error counts on the same
-    candidate thresholds, at the run starts only.  It reads only the order
-    and the ties of the scores, so it sweeps their dense ranks over the
-    whole matrix, which are non-negative whatever the scores' signs.
+    ``eer`` and ``min_error_rate()[0]`` exactly: ``_Sweep``, the GA's sweep,
+    ranks each row's scores once and reads the same integer error counts
+    on the same candidate thresholds, at the run starts only.  Its keys
+    order only scores >= 0, and the sweep reads only the order and the
+    ties, so a matrix holding a negative score is swept as its dense ranks.
     Memory is O(P * (Nc + Ni)).
     """
     clients = _as_scores(fused_clients, 2, "client")
     impostors = _as_scores(fused_impostors, 2, "impostor")
     if len(clients) != len(impostors):
         raise ValueError(f"{len(clients)} client score rows but {len(impostors)} impostor rows")
-    scores = np.concatenate([clients, impostors], axis=1)
-    sweep = _Sweep(len(scores), clients.shape[1], impostors.shape[1])
-    # Of a 1-D input the inverse is 1-D in every numpy (2.0.0 shaped a matrix's like it).
-    ranks = np.unique(scores.ravel(), return_inverse=True)[1]
-    sweep.scores[:, :-1] = ranks.reshape(scores.shape)
+    sweep = _Sweep(len(clients), clients.shape[1], impostors.shape[1])
+    scores = np.concatenate([clients, impostors], axis=1, out=sweep.scores[:, :-1])
+    if scores.size and scores.min() < 0.0:  # numpy 2.0.0 shapes the inverse like the matrix
+        scores[...] = np.unique(scores, return_inverse=True)[1].reshape(scores.shape)
     return sweep()
 
 
 class _Sweep:
     """The threshold sweep of P rows of Nc client and Ni impostor scores, and its buffers.
 
-    The caller writes the rows' scores, clients first, into ``scores[:, :-1]``;
-    a call returns new (P,) arrays of their EERs and minimum error rates.
-    One sort ranks each row: the keys are the scores' bits shifted left one
-    bit, the low bit set on impostors and on the sentinel.  Scores >= 0
-    order as their bits do, and the shift drops the sign of -0.0, so the
-    keys sort into the ranked scores (shifted back) and their classes (low
-    bits), the same whichever sort numpy picks.  Only the constructor
-    writes the last column, the +inf sentinel, the grid's top run start
-    (all clients rejected, no impostor accepted).  Not reentrant.
+    The caller writes the rows' scores, clients first, all >= 0, into
+    ``scores[:, :-1]``; a call ranks each (unsorted) row by ``_key_sort``
+    with numpy's default sort and returns new (P,) arrays of their EERs and
+    minimum error rates.  Only the constructor writes the last column, the
+    +inf sentinel, which keys as an impostor: the grid's top run start (all
+    clients rejected, no impostor accepted).  Not reentrant.
     """
 
     def __init__(self, rows: int, n_clients: int, n_impostors: int):
@@ -150,27 +142,18 @@ class _Sweep:
         self.n_clients, self.n_impostors = n_clients, n_impostors
         self.scores = np.empty((rows, size))
         self.scores[:, -1] = np.inf
-        self._keys = self.scores.view(np.uint64)
-        self._classes = (np.arange(size) >= n_clients).astype(np.uint64)
         self._ramp = np.arange(size)
         self._offsets = np.arange(0, rows * size, size)
-        # Impostors ranked strictly below each position (none below the first),
-        # counted in place from the class bits written one column to the right.
+        # Impostors ranked strictly below each position: _key_sort's flags, one column right.
         self._below = np.zeros((rows, size), np.int64)
         self._flags = self._below.view(np.uint64)[:, 1:]
         self._first = np.empty((rows, size), bool)
         self._first[:, 0] = True
 
     def __call__(self) -> tuple[np.ndarray, np.ndarray]:
-        keys, below, flags, first = self._keys, self._below, self._flags, self._first
+        ranked, below, first = self.scores, self._below, self._first
         n_clients, n_impostors = self.n_clients, self.n_impostors
-        keys <<= np.uint64(1)  # drops the sign bit: -0.0 gets the key of 0.0
-        keys |= self._classes
-        keys.sort(axis=1)
-        np.bitwise_and(keys[:, :-1], np.uint64(1), out=flags)
-        flags.cumsum(axis=1, out=flags)
-        keys >>= np.uint64(1)
-        ranked = self.scores
+        _key_sort(ranked, n_clients, self._flags)
         np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
         # Counts at every position; the bracket reads them at the run starts.
         accepted = n_impostors - below
@@ -243,9 +226,10 @@ class EvalReport:
 
 def _write_runs(scores: np.ndarray, n_clients: int, curves, at: int, clients_before: int,
                 totals: tuple[int, int]):
-    """Rank presorted client and impostor halves (one merge) and write their runs to the curves.
+    """Rank presorted client and impostor halves in place and write their runs to the curves.
 
-    ``scores`` holds a piece's clients, sorted, then its impostors, sorted.
+    ``scores`` holds a piece's clients, sorted, then its impostors, sorted,
+    all >= 0; ``_key_sort``'s stable sort merges the two runs of keys.
     ``clients_before`` clients and ``at - 1`` scores of the whole evaluation
     (``totals``: clients, impostors) rank below the piece.  Column ``at + j``
     of the (3, size) ``curves`` receives the threshold, FAR and FRR of the
@@ -253,22 +237,20 @@ def _write_runs(scores: np.ndarray, n_clients: int, curves, at: int, clients_bef
     it gets curves of its own size, a sentinel column at each end.  Returns
     the curves and the number of runs.
     """
-    ranked, clients_below, first = _rank(scores, n_clients)
-    del scores  # a chunk's own copy: freed before the next chunk-sized array
-    starts = np.flatnonzero(first)
-    del first
+    below = np.zeros(scores.size, np.int64)  # impostors ranked strictly below each position
+    _key_sort(scores, n_clients, below.view(np.uint64)[1:], kind="stable")
+    starts = np.flatnonzero(np.concatenate([[True], scores[1:] != scores[:-1]]))
     if curves is None:
         curves = np.empty((3, starts.size + 2))
     grid, far, frr = curves[:, at:at + starts.size]
-    np.take(ranked, starts, out=grid, mode="clip")  # "raise" would buffer the output
-    del ranked
+    np.take(scores, starts, out=grid, mode="clip")  # "raise" would buffer the output
+    del scores  # a chunk's own copy: freed before the next chunk-sized array
+    below = below.take(starts)
     # Counts up to 2**53 are exact in floats, so each rate has the bits of count / total.
-    np.add(clients_below.take(starts), clients_before, out=frr)
-    del clients_below
-    # Impostors accepted at a run start: all but those ranked below it.
-    starts += at - 1
-    np.subtract(starts, frr, out=far)
-    np.subtract(totals[1], far, out=far)
+    np.subtract(starts, below, out=frr)
+    frr += clients_before
+    below += at - 1 - clients_before
+    np.subtract(totals[1], below, out=far)
     far /= totals[1]
     frr /= totals[0]
     return curves, starts.size
@@ -291,8 +273,9 @@ def _chunked_runs(scores: np.ndarray, totals: tuple[int, int]):
     step = max(_CHUNK_SCORES // 64, 1)
     sample = np.sort(np.concatenate([clients[::step], impostors[::step]]))
     every = _CHUNK_SCORES // step
-    pivots = np.unique(sample[every::every])
-    pivots = pivots[pivots > sample[0]]  # sample[0] is the lowest score: nothing lies below it
+    picks = sample[every::every]
+    # Each distinct pick above sample[0], the lowest score: nothing lies below it.
+    pivots = picks[picks > np.concatenate([sample[:1], picks[:-1]])]
     client_cuts = np.concatenate([[0], np.searchsorted(clients, pivots), [n_clients]])
     impostor_cuts = np.concatenate([[0], np.searchsorted(impostors, pivots), [totals[1]]])
     curves = np.empty((3, scores.size + 2))
@@ -335,14 +318,15 @@ def _crossing(far: np.ndarray, frr: np.ndarray, firsts):
 def evaluate_scores(fused_clients, fused_impostors) -> EvalReport:
     """Full evaluation of fused scores: curves on the candidate grid + EER.
 
-    Each class is sorted, and ``_rank``'s stable sort merges the two
-    sorted runs; the grid is the first score of every tied run, between a
-    sentinel below and one above every score.  Above ``_CHUNK_SCORES``
-    scores the two sorts, and then the merges of value-range chunks
-    (``_chunked_runs``), run on one thread per CPU, with the same bits for
-    any CPU count.  A score of -0.0 reads as 0.0.  When the classes are
-    perfectly separated the EER is 0 and its threshold the midpoint of the
-    separating gap.
+    Each class is sorted, and ``_write_runs`` merges the two sorted runs
+    by ``_key_sort``; the grid is the first score of every tied run,
+    between a sentinel below and one above every score.  Above
+    ``_CHUNK_SCORES`` scores the two sorts, and then the merges of
+    value-range chunks (``_chunked_runs``), run on one thread per CPU, with
+    the same bits for any CPU count.  Scores holding a negative one are
+    swept as their dense ranks, and the grid maps back to the scores.  A
+    score of -0.0 reads as 0.0.  When the classes are perfectly separated
+    the EER is 0 and its threshold the midpoint of the separating gap.
     """
     # Each intermediate is dropped once used: at a million scores they, not
     # the returned curves, would set the peak memory.
@@ -351,18 +335,26 @@ def evaluate_scores(fused_clients, fused_impostors) -> EvalReport:
     totals = n_clients, n_impostors = clients.size, impostors.size
     scores = np.concatenate([clients, impostors])
     del clients, impostors
-    # -0.0 becomes 0.0: np.sort orders tied zeros per SIMD level, and the grid keeps a run's first.
-    scores += 0.0
     halves = scores[:n_clients], scores[n_clients:]
     if scores.size <= _CHUNK_SCORES:
         for half in halves:
             half.sort()
-        curves, firsts = _write_runs(scores, n_clients, None, 1, 0, totals)[0], [1]  # one chunk
     else:
         fan_out(np.ndarray.sort, halves)
+    lowest_client, highest_impostor = halves[0][0], halves[1][-1]
+    values = None
+    if min(lowest_client, halves[1][0]) < 0.0:
+        values, scores = np.unique(scores, return_inverse=True)
+        values += 0.0  # np.unique keeps either zero of a tie: -0.0 reads as 0.0
+        scores = scores.astype(float)  # each half stays sorted
+    del halves
+    if scores.size <= _CHUNK_SCORES:
+        curves, firsts = _write_runs(scores, n_clients, None, 1, 0, totals)[0], [1]  # one chunk
+    else:
         curves, firsts = _chunked_runs(scores, totals)
-    lowest_client, highest_impostor = scores[0], scores[-1]
-    del scores, halves
+    del scores
+    if values is not None:
+        np.take(values, curves[0, 1:-1].astype(np.intp), out=curves[0, 1:-1])
     low, top = float(curves[0, 1]), float(curves[0, -2])
     # Past 2**53, ±1 rounds back onto the score; np.nextafter warns where it reaches ±inf.
     curves[:, 0] = (low - 1.0 if low - 1.0 != low else math.nextafter(low, -math.inf), 1.0, 0.0)

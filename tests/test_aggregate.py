@@ -619,6 +619,10 @@ class TestFusionRules:
         ((np.nan, 1.0), "weights must be nonnegative"),
         ((-0.5, 1.5), "weights must be nonnegative"),
         ((np.inf, 0.0), "weights must sum to 1, got inf"),
+        ("1", "weights must be a non-empty flat sequence of numbers, got '1'"),
+        (1.0, "weights must be a non-empty flat sequence of numbers, got 1.0"),
+        (((0.5, 0.5),), "weights must be a non-empty flat sequence of numbers, got ((0.5, 0.5),)"),
+        ((), "weights must be a non-empty flat sequence of numbers, got ()"),
     ])
     def test_invalid_weights_are_refused_when_the_rule_is_built(self, weights, message):
         with pytest.raises(ValueError) as raised:
@@ -631,6 +635,20 @@ class TestFusionRules:
         with pytest.raises(ValueError) as raised:
             FusionRule(tag, threshold=threshold)
         assert str(raised.value) == "decision thresholds must lie in [0, 1]"
+
+    @pytest.mark.parametrize("threshold", ["0.5", ((0.5, 0.5),), ()], ids=["text", "2-D", "empty"])
+    @pytest.mark.parametrize("tag", ["and", "mean"])
+    def test_malformed_thresholds_are_refused_when_the_rule_is_built(self, tag, threshold):
+        with pytest.raises(ValueError) as raised:
+            FusionRule(tag, threshold=threshold)
+        assert str(raised.value) == ("threshold must be a number or a non-empty flat sequence "
+                                     f"of numbers, got {threshold!r}")
+
+    def test_ragged_weights_and_thresholds_are_refused_when_the_rule_is_built(self):
+        with pytest.raises(ValueError):
+            FusionRule("weighted_sum", weights=[[0.5], [0.25, 0.25]])
+        with pytest.raises(ValueError):
+            FusionRule("and", threshold=[[0.5], [0.5, 0.5]])
 
     @pytest.mark.parametrize("rule, message", [
         (FusionRule("weighted_sum", weights=(0.5, 0.5)), "expected 3 weights, got 2"),

@@ -263,6 +263,27 @@ class TestSweepErrors:
             assert value == report.eer
             assert min_error == report.min_error_rate()[0]
         assert eers[:3].tolist() == [0.0, 0.5, 0.5] and min_errors[0] == 0.0
+        # Without a negative score the rows are swept as their own bits.
+        pool = np.array([-0.0, 0.0, tiny, 1e-310, 0.25, 0.5, 1.0])
+        clients, impostors = rng.choice(pool, (300, 7)), rng.choice(pool, (300, 5))
+        clients[0], impostors[0] = -0.0, 0.0  # every score tied at zero
+        eers, min_errors = sweep_errors(clients, impostors)
+        for c, i, value, min_error in zip(clients, impostors, eers, min_errors):
+            report = evaluate_scores(c, i)
+            assert (value, min_error) == (report.eer, report.min_error_rate()[0])
+        assert eers[0] == 0.5
+
+    def test_dense_ranks_serve_only_inputs_with_a_negative_score(self, monkeypatch):
+        calls, unique = [], np.unique
+        monkeypatch.setattr(np, "unique", lambda *args, **kw: calls.append(1) or unique(*args, **kw))
+        clients, impostors = np.array([[0.5, -0.0, 1.0]]), np.array([[0.0, 0.25]])
+        sweep_errors(clients, impostors)
+        evaluate_scores(clients[0], impostors[0])
+        assert calls == []
+        impostors[0, 0] = -1e-300
+        sweep_errors(clients, impostors)
+        evaluate_scores(clients[0], impostors[0])
+        assert calls == [1, 1]
 
     def test_the_gas_sweep_of_signed_zeros_and_ties(self):
         # The GA writes its fused scores straight into the sweep's buffer,
@@ -384,6 +405,26 @@ class TestChunkedEvaluation:
         clients, impostors = make(3 * CHUNK + 7)
         expected = one_piece(monkeypatch, clients, impostors)
         assert report_bytes(evaluate_scores(clients, impostors)) == report_bytes(expected)
+
+    def test_negative_zero_and_extreme_scores_chunk_into_the_bits_of_one_piece(self, cpus,
+                                                                               monkeypatch):
+        # A negative score sends the call through dense ranks, which the
+        # grid maps back to the scores; the 3-decimal runs cross the pivots.
+        rng = np.random.default_rng(2505)
+        big = np.finfo(float).max
+        clients, impostors = (np.round(x - 0.5, 3) for x in overlapping(60_000, 3, seed=2505))
+        for scores in (clients, impostors):
+            pick = rng.random(scores.size)
+            scores[pick < 0.01] = -0.0
+            scores[(pick >= 0.01) & (pick < 0.02)] = 0.0
+        clients[:2], impostors[:2] = (big, -big), (-big, big)
+        expected = one_piece(monkeypatch, clients, impostors)
+        monkeypatch.setattr(metrics, "_CHUNK_SCORES", 4096)
+        report = evaluate_scores(clients, impostors)
+        assert report_bytes(report) == report_bytes(expected)
+        grid = report.thresholds
+        assert grid[1] == -big and grid[-2] == big and grid.size < 2_100
+        assert 0.0 in grid and not np.signbit(grid[grid == 0.0]).any()
 
     def test_a_million_scores_are_pinned(self, cpus):
         # Taken before the chunked path existed: 30% of the scores at 3
