@@ -57,25 +57,21 @@ def _as_score_matrix(scores, n: int | None = None) -> np.ndarray:
 
 @functools.cache
 def _merge_network(n: int) -> tuple[tuple[int, int], ...]:
-    """Comparators (p, q), p < q, of Batcher's odd-even merge sort on n inputs.
+    """Comparators (i, i + d) of Batcher's merge exchange sort of n inputs.
 
-    Built for the next power of two and cut to the pairs with q < n: padding
-    the input with +inf above n leaves every such pad in place, so the pairs
-    cut are the ones that would compare two pads or a pad with a smaller
-    real value (Batcher, AFIPS 1968).
+    Knuth's Algorithm M (TAOCP vol. 3, section 5.2.2; Batcher, AFIPS 1968),
+    0-based: with 2**t the least power of two >= n, each pass p = 2**(t-1),
+    ..., 2, 1 leaves the inputs p-ordered.
     """
-    size = 1 << (n - 1).bit_length()
+    top = 1 << (n - 1).bit_length() >> 1
     pairs = []
-    span = 1
-    while span < size:  # merge sorted runs of length span into runs of 2 * span
-        k = span
-        while k >= 1:
-            for j in range(k % span, size - k, 2 * k):
-                for i in range(j, min(j + k, size - k)):
-                    if i // (2 * span) == (i + k) // (2 * span) and i + k < n:
-                        pairs.append((i, i + k))
-            k //= 2
-        span *= 2
+    p = top
+    while p:
+        q, r, d = top, 0, p
+        while d:
+            pairs += [(i, i + d) for i in range(n - d) if i & p == r]
+            d, q, r = q - p, q // 2, p  # d = 0 once q == p
+        p //= 2
     return tuple(pairs)
 
 

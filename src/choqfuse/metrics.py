@@ -14,8 +14,9 @@ Conventions, fixed across the package:
   each run of tied scores is one candidate threshold with the error
   counts below its first position, whatever the order inside the run, and
   the FAR/FRR crossing is linearly interpolated between the two adjacent
-  candidates where FAR - FRR changes sign.  When the classes are
-  perfectly separated the reported threshold is the gap's midpoint;
+  candidates where FAR - FRR changes sign (``evaluate_scores`` bisects its
+  grid for them).  When the classes are perfectly separated the threshold
+  is the gap's midpoint;
 * ``EvalReport.far_frr_at`` and ``EvalReport.error_rate_at`` read the
   counts off the curves at the first candidate at or above the threshold;
 * ``evaluate_scores`` takes two non-empty score vectors, ``sweep_errors`` two
@@ -71,37 +72,6 @@ def _key_sort(scores: np.ndarray, n_clients: int, flags: np.ndarray, kind=None) 
     np.bitwise_and(keys[..., :-1], np.uint64(1), out=flags)
     flags.cumsum(axis=-1, out=flags)
     keys >>= np.uint64(1)
-
-
-def _interpolate(d0, d1, lo, hi):
-    """The value at the FAR - FRR crossing, linear from ``lo`` (where FAR - FRR is
-    d0 > 0) to ``hi`` (where it is d1 <= 0), and ``hi`` itself where d1 = 0."""
-    return np.where(d1 == 0.0, hi, lo + d0 / (d0 - d1) * (hi - lo))
-
-
-def _threshold_at_crossing(d0: float, d1: float, lo: float, hi: float) -> float:
-    """``_interpolate`` of one pair of grid thresholds, with the same bits where
-    ``hi - lo`` is finite and lo * (1 - t) + hi * t where it overflows."""
-    if d1 == 0.0:
-        return hi
-    t = d0 / (d0 - d1)
-    span = hi - lo  # Python floats: inf on overflow, without a warning
-    return lo + t * span if span != math.inf else lo * (1.0 - t) + hi * t
-
-
-def _bracket(diff: np.ndarray, first):
-    """Per row of FAR - FRR, the last run start where it is > 0 and the first where it is <= 0.
-
-    ``first`` flags the run starts (``True``: every point is one).  Along
-    them FAR - FRR falls from +1 (the first) to -1 (the top sentinel), so
-    the crossing lies between the two.
-    """
-    # first > x is first & ~x; unlike &, it is fast where first is the scalar True.
-    mask = diff > 0.0
-    np.greater(first, mask, out=mask)  # the run starts at or past the crossing
-    hi = mask.argmax(axis=-1)
-    np.greater(first, mask, out=mask)  # the run starts before it
-    return diff.shape[-1] - 1 - mask[..., ::-1].argmax(axis=-1), hi
 
 
 def sweep_errors(fused_clients, fused_impostors) -> tuple[np.ndarray, np.ndarray]:
@@ -160,10 +130,17 @@ class _Sweep:
         clients_below = self._ramp - below
         far, frr = accepted / n_impostors, clients_below / n_clients
         diff = far - frr
-        lo, hi = _bracket(diff, first)
+        # The last run start where FAR - FRR > 0 (lo) and the first where it is
+        # <= 0 (hi), scanned: over P rows of a few dozen points a bisection is slower.
+        mask = diff > 0.0
+        np.greater(first, mask, out=mask)  # first & ~mask: the run starts at or past the crossing
+        hi = mask.argmax(axis=1)
+        np.greater(first, mask, out=mask)  # the run starts before it
+        lo = diff.shape[1] - 1 - mask[:, ::-1].argmax(axis=1)
         lo += self._offsets
         hi += self._offsets
-        value = _interpolate(diff.take(lo), diff.take(hi), far.take(lo), far.take(hi))
+        d0, d1, far0, far1 = diff.take(lo), diff.take(hi), far.take(lo), far.take(hi)
+        value = np.where(d1 == 0.0, far1, far0 + d0 / (d0 - d1) * (far1 - far0))  # as in _eer
         # Inside a run of ties the clients rank first: the errors climb by one
         # per client, then fall by one per impostor to the next run start.  So
         # no position holds fewer errors than every run start, and all are read.
@@ -265,8 +242,7 @@ def _chunked_runs(scores: np.ndarray, totals: tuple[int, int]):
     pivot above it, so no run of ties crosses a cut and each chunk's first
     score starts a run of the whole grid.  Each chunk writes its runs at its
     rank in curves sized for the worst case, every score a run; where ties
-    left gaps the runs then move down.  Returns the curves and the grid
-    index of each chunk's first run.
+    left gaps the runs then move down.  Returns the curves.
     """
     n_clients = totals[0]
     clients, impostors = scores[:n_clients], scores[n_clients:]
@@ -288,31 +264,47 @@ def _chunked_runs(scores: np.ndarray, totals: tuple[int, int]):
                            curves, 1 + c0 + i0, c0, totals)[1]
 
     runs = fan_out(rank_chunk, range(len(pivots) + 1))
-    firsts = np.cumsum([1] + runs)
+    firsts = np.cumsum([1] + runs)  # the grid index of each chunk's first run
     for k, count in enumerate(runs):
         at = 1 + client_cuts[k] + impostor_cuts[k]
         if at != firsts[k]:
             curves[:, firsts[k]:firsts[k + 1]] = curves[:, at:at + count]
     if firsts[-1] + 1 < curves.shape[1]:
         curves = curves[:, :firsts[-1] + 1].copy()
-    return curves, firsts[:-1]
+    return curves
 
 
-def _crossing(far: np.ndarray, frr: np.ndarray, firsts):
-    """``_bracket`` of a grid's FAR - FRR, computed only in the window around the crossing.
+def _eer(grid: np.ndarray, far: np.ndarray, frr: np.ndarray) -> tuple[float, float]:
+    """The EER and its threshold, at the FAR/FRR crossing of a grid's curves.
 
     FAR - FRR never rises along the grid (FAR never rises, FRR never falls,
-    and rounding is monotone).  So the bracket of its values at the grid's
-    ends and at the ascending indices ``firsts`` (each chunk's first run)
-    is a window holding the bracket of the whole grid.  Returns the two
-    grid indices and FAR - FRR there.
+    and rounding is monotone), from +1 at the bottom sentinel to -1 at the
+    top, so a bisection finds ``lo``, the last point where it is > 0.  If it
+    is 0 at ``hi = lo + 1``, that point is the crossing, unless FAR is 0
+    there too: then the classes are separated, the EER is 0 and the threshold
+    the gap's midpoint.  Otherwise both are linear from ``lo`` to ``hi``.
     """
-    marks = np.concatenate([[0], firsts, [far.size - 1]])
-    lo, hi = _bracket(far[marks] - frr[marks], True)
-    start, stop = marks[lo], marks[hi] + 1
-    diff = far[start:stop] - frr[start:stop]
-    lo, hi = _bracket(diff, True)
-    return start + lo, start + hi, diff[lo], diff[hi]
+    lo, hi = 0, grid.size - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if far[mid] - frr[mid] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    below, above = float(grid[lo]), float(grid[hi])
+    far0, far1 = float(far[lo]), float(far[hi])
+    d0, d1 = far0 - float(frr[lo]), far1 - float(frr[hi])
+    # Python floats overflow to ±inf without a warning; the midpoint and the
+    # threshold then take forms that stay finite.
+    if d1 == 0.0 and far1 == 0.0:
+        middle = (below + above) / 2.0
+        return 0.0, below / 2.0 + above / 2.0 if math.isinf(middle) else middle
+    if d1 == 0.0:
+        return far1, above
+    t = d0 / (d0 - d1)
+    span = above - below
+    threshold = below + t * span if span != math.inf else below * (1.0 - t) + above * t
+    return far0 + t * (far1 - far0), threshold
 
 
 def evaluate_scores(fused_clients, fused_impostors) -> EvalReport:
@@ -325,8 +317,9 @@ def evaluate_scores(fused_clients, fused_impostors) -> EvalReport:
     value-range chunks (``_chunked_runs``), run on one thread per CPU, with
     the same bits for any CPU count.  Scores holding a negative one are
     swept as their dense ranks, and the grid maps back to the scores.  A
-    score of -0.0 reads as 0.0.  When the classes are perfectly separated
-    the EER is 0 and its threshold the midpoint of the separating gap.
+    score of -0.0 reads as 0.0.  ``_eer`` bisects the grid for the EER and
+    its threshold; when the classes are perfectly separated the EER is 0
+    and its threshold the midpoint of the separating gap.
     """
     # Each intermediate is dropped once used: at a million scores they, not
     # the returned curves, would set the peak memory.
@@ -341,17 +334,16 @@ def evaluate_scores(fused_clients, fused_impostors) -> EvalReport:
             half.sort()
     else:
         fan_out(np.ndarray.sort, halves)
-    lowest_client, highest_impostor = halves[0][0], halves[1][-1]
     values = None
-    if min(lowest_client, halves[1][0]) < 0.0:
+    if min(halves[0][0], halves[1][0]) < 0.0:
         values, scores = np.unique(scores, return_inverse=True)
         values += 0.0  # np.unique keeps either zero of a tie: -0.0 reads as 0.0
         scores = scores.astype(float)  # each half stays sorted
     del halves
     if scores.size <= _CHUNK_SCORES:
-        curves, firsts = _write_runs(scores, n_clients, None, 1, 0, totals)[0], [1]  # one chunk
+        curves = _write_runs(scores, n_clients, None, 1, 0, totals)[0]
     else:
-        curves, firsts = _chunked_runs(scores, totals)
+        curves = _chunked_runs(scores, totals)
     del scores
     if values is not None:
         np.take(values, curves[0, 1:-1].astype(np.intp), out=curves[0, 1:-1])
@@ -361,16 +353,7 @@ def evaluate_scores(fused_clients, fused_impostors) -> EvalReport:
     curves[:, -1] = (top + 1.0 if top + 1.0 != top else math.nextafter(top, math.inf), 0.0, 1.0)
     curves.flags.writeable = False
     grid, far, frr = curves
-    if lowest_client > highest_impostor:
-        below, above = float(highest_impostor), float(lowest_client)
-        eer_value, eer_threshold = 0.0, (below + above) / 2.0
-        if math.isinf(eer_threshold):  # the sum overflowed
-            eer_threshold = below / 2.0 + above / 2.0
-    else:
-        lo, hi, d0, d1 = _crossing(far, frr, firsts)
-        eer_value = float(_interpolate(d0, d1, far[lo], far[hi]))
-        eer_threshold = _threshold_at_crossing(float(d0), float(d1),
-                                               float(grid[lo]), float(grid[hi]))
+    eer_value, eer_threshold = _eer(grid, far, frr)
     return EvalReport(
         thresholds=grid,
         far_curve=far,

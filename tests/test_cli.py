@@ -491,6 +491,19 @@ class TestFailuresWriteNothing:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_a_lambda_solver_failure_is_a_numeric_failure(self, capsys, tmp_path, monkeypatch):
+        rng = np.random.default_rng(6)
+        source, out = tmp_path / "scores.csv", tmp_path / "out"
+        write_csv(LabeledScoreSet(["a", "b"], rng.uniform(0, 1, (2, 4)),
+                                  ["c", "d"], rng.uniform(0, 1, (2, 4))), source)
+        monkeypatch.setattr("choqfuse.measures._MAX_ITER", 0)
+        code, stdout, err = run(capsys, "fuse", "--input", str(source),
+                                "--densities", "0.3,0.2,0.25,0.15", "--out", str(out))
+        assert code == 3 and stdout == ""
+        assert err.startswith("numeric failure: root residual ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_unterminated_quote_on_the_last_line_is_a_data_error(self, capsys, tmp_path):
         bad = tmp_path / "scores.csv"
         bad.write_bytes(b'person_id,label,m1\r\nP1,client,0.9\r\n"P3",impostor,"0.3\r\n')

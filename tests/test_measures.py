@@ -261,6 +261,15 @@ def test_mixed_magnitude_densities_meet_the_contract_or_are_refused():
     assert 1350 < solved < 1500
 
 
+def test_a_root_missing_the_residual_contract_raises(monkeypatch):
+    # No Newton step leaves the start, whose residual the check refuses.
+    monkeypatch.setattr(measures, "_MAX_ITER", 0)
+    with pytest.raises(ConvergenceError) as info:
+        solve_lambda([0.3, 0.2, 0.25, 0.15])
+    assert str(info.value) == ("root residual 2.398e-05 exceeds 1e-10 at "
+                               "lambda=0.3213000300103562 (densities sum to 0.9)")
+
+
 def clamp_corner_rows(rng, n, count):
     """Density rows mixing the GA's clamp bounds with interior values."""
     pick = rng.integers(0, 3, (count, n))

@@ -217,6 +217,16 @@ class TestFullFloatRange:
         assert report.eer_threshold == 1.6e308 / 2 + self.BIG / 2
         assert 1.6e308 < report.eer_threshold < self.BIG
 
+    def test_separable_midpoint_overflowing_downward(self):
+        # -BIG - 1e308 is -inf: the midpoint is taken of the halves.
+        report = evaluate_scores([-1e308], [-self.BIG])
+        assert (report.eer, report.eer_threshold) == (0.0, -1.398846567431158e308)
+
+    def test_interpolated_threshold_over_a_span_past_the_largest_double(self):
+        # BIG - (-BIG) is inf: the threshold is lo * (1 - t) + hi * t.
+        report = evaluate_scores([-self.BIG, -self.BIG, -self.BIG, self.BIG], [-self.BIG, self.BIG])
+        assert (report.eer, report.eer_threshold) == (0.6, 1.0786158809173895e308)
+
     def test_sentinels_clear_scores_past_two_to_the_53(self):
         # 2**53 + 1.0 rounds back to 2**53: the top sentinel is the next double.
         report = evaluate_scores([0.0], [1.0, 2.0**53])

@@ -247,6 +247,70 @@ class TestThresholdSweep:
         assert across[1].tobytes() == min_errors[rows].tobytes()
 
 
+BIG = 1.7976931348623157e308
+# Ties and negative values, the extremes (2**53, the smallest subnormal,
+# both zeros), and huge values whose sums and differences overflow.
+eer_scores = st.one_of(
+    st.integers(-4, 4).map(lambda k: k / 4),
+    st.sampled_from([BIG, -BIG, 2.0**53, -(2.0**53), 5e-324, -5e-324, 0.0, -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+huge_scores = st.sampled_from([BIG, -BIG, 1.5e308, -1.5e308, 1e308, -1e308, 0.0])
+
+
+@st.composite
+def eer_cases(draw):
+    """Client and impostor score lists, perfectly separated in about half the cases."""
+    scores = draw(st.sampled_from([eer_scores, huge_scores]))
+    clients = draw(st.lists(scores, min_size=1, max_size=10))
+    impostors = draw(st.lists(scores, min_size=1, max_size=10))
+    values = sorted({v + 0.0 for v in clients + impostors})
+    if len(values) > 1 and draw(st.booleans()):  # every impostor below every client
+        cut = draw(st.integers(1, len(values) - 1))
+        clients = draw(st.lists(st.sampled_from(values[cut:]), min_size=1, max_size=10))
+        impostors = draw(st.lists(st.sampled_from(values[:cut]), min_size=1, max_size=10))
+    return clients, impostors
+
+
+def _eer_by_scan(clients, impostors):
+    """(EER, threshold) from FAR - FRR counted at every grid point, as documented.
+
+    The crossing lies after the last grid point where FAR - FRR > 0: the
+    next point if FAR = FRR there, else linear between the two, with the
+    threshold as lo * (1 - t) + hi * t where hi - lo overflows.  Perfectly
+    separated classes give 0 at the gap's midpoint, of the halves where
+    the sum overflows.
+    """
+    clients, impostors = np.sort(clients) + 0.0, np.sort(impostors) + 0.0  # -0.0 reads as 0.0
+    if clients[0] > impostors[-1]:
+        below, above = float(impostors[-1]), float(clients[0])
+        middle = (below + above) / 2.0
+        return 0.0, middle if math.isfinite(middle) else below / 2.0 + above / 2.0
+    grid = np.unique(np.concatenate([clients, impostors])).tolist()
+    top = grid[-1]
+    grid.append(top + 1.0 if top + 1.0 != top else math.nextafter(top, math.inf))
+    far = [np.count_nonzero(impostors >= t) / impostors.size for t in grid]
+    frr = [np.count_nonzero(clients < t) / clients.size for t in grid]
+    lo = max(k for k in range(len(grid)) if far[k] - frr[k] > 0.0)
+    d0, d1 = far[lo] - frr[lo], far[lo + 1] - frr[lo + 1]
+    if d1 == 0.0:
+        return far[lo + 1], grid[lo + 1]
+    t = d0 / (d0 - d1)
+    span = grid[lo + 1] - grid[lo]
+    threshold = grid[lo] + t * span if math.isfinite(span) else grid[lo] * (1 - t) + grid[lo + 1] * t
+    return far[lo] + t * (far[lo + 1] - far[lo]), threshold
+
+
+class TestEerCrossing:
+    @settings(properties, max_examples=300)
+    @given(eer_cases())
+    @example(([-1e308], [-BIG]))
+    @example(([-BIG, -BIG, -BIG, BIG], [-BIG, BIG]))
+    def test_equals_a_scan_of_the_whole_grid(self, case):
+        report = evaluate_scores(*case)
+        assert (report.eer, report.eer_threshold) == _eer_by_scan(*case)
+
+
 @st.composite
 def score_sets(draw):
     n = draw(st.integers(1, 4))
