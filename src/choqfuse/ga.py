@@ -4,7 +4,10 @@ A chromosome is a candidate singleton-density vector, clamped into
 [1e-6, 1 - 1e-6] so every candidate yields a well-formed lambda-measure.
 Fitness is the equal error rate of Choquet-fused scores on a labeled
 client/impostor set, to be minimized.  A population is a (P, n) gene
-array, and each operator works on arrays of members.  One generation:
+array, and each operator works on arrays of members.  A run keeps one
+(2P, n) gene pool and its (2P,) EERs and minimum sweep errors: the ranked
+population in rows :P, each generation's offspring in rows P:.  One
+generation:
 
 1. uniform parent selection (probability 1/N each, no replacement within
    a pair);
@@ -12,7 +15,7 @@ array, and each operator works on arrays of members.  One generation:
    0.5*(C1 + C2), 1.5*C1 - 0.5*C2, 0.5*C1 + 1.5*C2;
 3. non-uniform mutation: each gene moves by +-y * (1 - s)^(g / g_max)
    with s ~ U[0, 1], so the expected step anneals as generations advance;
-4. survivor selection pools parents with offspring and keeps the best N
+4. survivor selection ranks the pool and gathers the best N into rows :P
    (the best parent always retained), which makes the best-fitness trace
    monotone.
 
@@ -60,14 +63,14 @@ __all__ = [
 GENE_EPS = 1e-6
 
 
-def _clamp(genes: np.ndarray) -> np.ndarray:
+def _clamp(genes: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # np.clip's bits (NaN included) without its Python-level overhead.
-    return np.minimum(np.maximum(genes, GENE_EPS), 1.0 - GENE_EPS)
+    return np.minimum(np.maximum(genes, GENE_EPS, out=out), 1.0 - GENE_EPS, out=out)
 
 
 @dataclass(frozen=True, eq=False)
 class Population:
-    """One ranked generation of ``evolve``, as read-only arrays.
+    """One ranked generation of ``evolve``, as read-only copies.
 
     ``genes`` is the (P, n) gene array and ``eers`` the (P,) fitness array,
     both sorted by (EER, minimum sweep error): row 0 is the best member.
@@ -116,6 +119,11 @@ class GaConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
+        for name in ("eer_stop_threshold", "mutation_bound"):
+            value = getattr(self, name)
+            real = isinstance(value, (int, float, np.integer, np.floating))
+            if isinstance(value, bool) or not real:
+                raise ValueError(f"{name} must be a real number, not {type(value).__name__}")
         if self.population_size < 2:
             raise ValueError("population_size must be at least 2")
         if not 1 <= self.max_generations <= _MAX_GENERATIONS:
@@ -162,7 +170,9 @@ def _fitness_kernel(
     """``population_fitness`` on ``data`` for (P, n) gene arrays already checked.
 
     The kernel keeps the sorted score rows and one ``_Sweep`` per batch
-    size, whose buffer each call fuses into; the returned arrays are new.
+    size, whose buffer each call fuses into.  A call allocates the lambdas,
+    the (P, 2^n) tables, the fuse's weight buffer, the sweep's temporaries
+    (see ``_Sweep``) and the two (P,) arrays it returns, which are new.
     Not reentrant: one call at a time per kernel.
     """
     scores = SortedScores(np.vstack([data.client_scores, data.impostor_scores]))
@@ -211,14 +221,22 @@ def _select_parents(
     return first, second + (second >= first)
 
 
+# Per offspring, the weights of the first and of the second parent.
+_CROSSOVER_A = np.array([[0.5], [1.5], [0.5]])
+_CROSSOVER_B = np.array([[0.5], [-0.5], [1.5]])
+
+
 def _linear_crossover(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The three linear offspring of parent gene arrays ``a``, ``b``, clamped into the box.
 
     0.5*(a + b), 1.5*a - 0.5*b and 0.5*a + 1.5*b, componentwise; parents of
-    shape (..., n) give offspring of shape (..., 3, n).
+    shape (..., n) give offspring of shape (..., 3, n).  Each is one weighted
+    sum; the first, 0.5*a + 0.5*b, is 0.5*(a + b) to the bit, as halving a
+    normal float is exact.
     """
-    children = np.concatenate([0.5 * (a + b), 1.5 * a - 0.5 * b, 0.5 * a + 1.5 * b], axis=-1)
-    return _clamp(children.reshape(a.shape[:-1] + (3,) + a.shape[-1:]))
+    children = _CROSSOVER_A * a[..., None, :]
+    children += _CROSSOVER_B * b[..., None, :]
+    return _clamp(children, out=children)
 
 
 def _mutation_offsets(
@@ -238,7 +256,9 @@ def _mutation_offsets(
     s = rng.random(shape)
     signs = rng.integers(0, 2, size=shape) * 2 - 1
     exponents = np.broadcast_to(np.asarray(generation) / cfg.max_generations, s.shape)
-    steps = np.fromiter(map(math.pow, (1.0 - s).flat, exponents.flat), float, s.size)
+    # Memoryviews yield Python floats, which math.pow takes without unboxing.
+    steps = np.fromiter(map(math.pow, memoryview((1.0 - s).ravel()),
+                            memoryview(np.ascontiguousarray(exponents).ravel())), float, s.size)
     return signs * cfg.mutation_bound * steps.reshape(s.shape)
 
 
@@ -267,15 +287,18 @@ def evolve(
     after ``cfg.max_generations`` generations.  Fully deterministic for a
     fixed ``cfg.rng_seed``: the generations draw from one generator, in
     blocks (see the module docstring).  The population is a (P, n) gene array with
-    its EERs and minimum sweep errors, kept sorted by (EER, minimum error);
-    each generation's offspring are built as one array and scored as one
-    batch.  Survivors: the first best parent (the one elite), then the best
-    P - 1 of the other parents and the offspring, parents first on ties.
+    its EERs and minimum sweep errors, kept sorted by (EER, minimum error)
+    in the first P rows of a (2P, n) pool allocated once per run; each
+    generation's offspring are written into its last P rows and scored as
+    one batch, and the survivors are gathered back into the first P rows.
+    Survivors: the first best parent (the one elite), then the best P - 1
+    of the other parents and the offspring, parents first on ties.
 
     ``on_generation(population, best)`` runs after generation 0 (the initial
     population) and after each later one, with the ranked ``Population``
-    (read-only views of the loop's arrays, not copies) and its best member,
-    the record just appended to the trace: the returned best is ``history[-1]``.
+    (read-only copies of the pool's ranked rows, made only when a callback
+    is given) and its best member, the record just appended to the trace:
+    the returned best is ``history[-1]``.
     Raises ``ValueError`` for data of fewer than 2 modalities and for seeds
     that are not ``data.n_modalities`` wide, NaN or more than the population.
     """
@@ -285,21 +308,28 @@ def evolve(
         raise ValueError(f"the GA needs at least 2 modalities, the data has {n_genes}")
     score = _fitness_kernel(data)
     history: list[GenerationRecord] = []
+    # The pool: the ranked population in rows :size, each generation's
+    # offspring in rows size:, with their EERs and minimum sweep errors.
+    pool = np.empty((2 * size, n_genes))
+    eers, min_errors = np.empty(2 * size), np.empty(2 * size)
+    parents, children = pool[:size], pool[size:]
 
-    def report(generation: int, genes: np.ndarray, eers: np.ndarray) -> GenerationRecord:
-        """Record the best of a ranked population; hand the population to the callback."""
-        best = GenerationRecord(generation, float(eers[0]), tuple(genes[0].tolist()))
+    def rank(generation: int, order: np.ndarray) -> GenerationRecord:
+        """Gather the pool rows ``order`` into the ranked population and report its best."""
+        parents[...] = pool.take(order, axis=0)
+        eers[:size], min_errors[:size] = eers[order], min_errors[order]
+        best = GenerationRecord(generation, float(eers[0]), tuple(parents[0].tolist()))
         history.append(best)
         if on_generation is not None:
-            genes.flags.writeable = eers.flags.writeable = False  # the loop only reads them
-            on_generation(Population(generation, genes, eers), best)
+            genes, ranked = parents.copy(), eers[:size].copy()
+            genes.flags.writeable = ranked.flags.writeable = False
+            on_generation(Population(generation, genes, ranked), best)
         return best
 
-    genes = _init_population(cfg, n_genes, seeds)
-    eers, min_errors = score(genes)
-    order = np.lexsort((min_errors, eers))  # stable: earlier rows first on ties
-    genes, eers, min_errors = genes[order], eers[order], min_errors[order]
-    best = report(0, genes, eers)
+    parents[...] = _init_population(cfg, n_genes, seeds)
+    eers[:size], min_errors[:size] = score(parents)
+    # Stable: earlier rows first on ties.
+    best = rank(0, np.lexsort((min_errors[:size], eers[:size])))
 
     rng = _rng(cfg.rng_seed, 1, 0)
     events = math.ceil(size / 3)  # each generation breeds one offspring per member
@@ -310,15 +340,11 @@ def evolve(
         if row == 0:
             # Rows past max_generations keep the block full and are never used.
             block = np.minimum(np.arange(generation, generation + _BLOCK), cfg.max_generations)
-            firsts, seconds = _select_parents(size, (_BLOCK, events), rng)
+            pairs = np.stack(_select_parents(size, (_BLOCK, events), rng), axis=1)
             offsets = _mutation_offsets((_BLOCK, size, n_genes), block[:, None, None], cfg, rng)
-        children = _linear_crossover(genes[firsts[row]], genes[seconds[row]])
-        children = _clamp(children.reshape(-1, n_genes)[:size] + offsets[row])
-        child_eers, child_min_errors = score(children)
-        eers = np.concatenate([eers, child_eers])
-        min_errors = np.concatenate([min_errors, child_min_errors])
-        keep = _survivors(eers, min_errors)
-        genes = np.concatenate([genes, children])[keep]
-        eers, min_errors = eers[keep], min_errors[keep]
-        best = report(generation, genes, eers)
+        pair = parents.take(pairs[row], axis=0)  # (2, events, n): first and second parents
+        crossed = _linear_crossover(pair[0], pair[1]).reshape(-1, n_genes)[:size]
+        _clamp(np.add(crossed, offsets[row], out=children), out=children)
+        eers[size:], min_errors[size:] = score(children)
+        best = rank(generation, _survivors(eers, min_errors))
     return best, history

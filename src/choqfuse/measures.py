@@ -84,17 +84,19 @@ def _density_row(densities: Iterable[float]) -> np.ndarray:
     return _as_density_matrix([[float(v) for v in densities]])
 
 
-def _excess(d: np.ndarray) -> np.ndarray:
-    """Per row sum(m_i) - 1 as if summed in twice the precision: TwoSum steps
-    whose rounding errors are summed on the side (Ogita, Rump and Oishi,
-    "Accurate sum and dot product", SIAM J. Sci. Comput. 26, 2005)."""
-    s, err = d[:, 0], 0.0
-    for m in [*d.T[1:], -1.0]:
+def _excess(columns) -> tuple[np.ndarray, np.ndarray]:
+    """Per row sum(m_i) - 1 of the density columns, twice: rounded at every
+    step, ((m_1 + m_2) + ...) - 1, and as if summed in twice the precision,
+    by TwoSum steps whose rounding errors are summed on the side (Ogita,
+    Rump and Oishi, "Accurate sum and dot product", SIAM J. Sci. Comput. 26,
+    2005)."""
+    s, err = columns[0], 0.0
+    for m in [*columns[1:], -1.0]:
         t = s + m
         z = t - s
         err = err + ((s - (t - z)) + (m - z))
         s = t
-    return s + err
+    return s, s + err
 
 
 def _coefficients(d: np.ndarray, c: np.ndarray):
@@ -149,6 +151,15 @@ def _misses_contract(d: np.ndarray, x: np.ndarray):
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _solve(d: np.ndarray) -> np.ndarray:
     """Closed form for n <= 3, safeguarded Newton on g otherwise; see solve_lambda_batch."""
+    # g(lam) = c + e2*lam + e3*lam^2 + ... + e_n*lam^(n-1) is the lambda
+    # equation divided by its root 0, with c = sum(m_i) - 1 summed
+    # compensated and e_k the k-th elementary symmetric sum of the densities.
+    # The root of the quadratic truncation c + e2*lam + e3*lam^2, in the
+    # cancellation-free form, is the exact root for n <= 3 (_closed_form);
+    # for n > 3 it starts Newton: an upper bound of a positive root, a guess
+    # otherwise.
+    if d.shape[1] <= 3:
+        return _closed_form(d)
     total = d.sum(axis=1)
     solved = np.abs(total - 1.0) > ADDITIVE_TOL  # the other rows are additive: lambda = 0
     if not solved.all():  # rare in a GA batch, so the usual path copies nothing
@@ -156,28 +167,45 @@ def _solve(d: np.ndarray) -> np.ndarray:
         if solved.any():
             roots[solved] = _solve(d[solved])
         return roots
-    # g(lam) = c + e2*lam + e3*lam^2 + ... + e_n*lam^(n-1) is the lambda
-    # equation divided by its root 0, with c = sum(m_i) - 1 summed
-    # compensated and e_k the k-th elementary symmetric sum of the densities.
-    # The root of the quadratic truncation c + e2*lam + e3*lam^2, in the
-    # cancellation-free form, is the exact root for n <= 3; for n = 2
-    # (e3 = 0) it is -c / e2, which stays exact where e2^2 underflows, and
-    # (-c / m1) / m2 where e2 = m1*m2 is subnormal (fewer digits).  For n > 3
-    # it starts Newton: an upper bound of a positive root, a guess otherwise.
     pairs = d.cumsum(axis=1)[:, :-1] * d[:, 1:]
     e2 = pairs.sum(axis=1)
     e3 = (pairs.cumsum(axis=1)[:, :-1] * d[:, 2:]).sum(axis=1)
-    c = _excess(d)
-    quadratic = (np.where(e2 < _FLOAT_TINY, -c / d[:, 0] / d[:, 1], -c / e2) if d.shape[1] == 2
-                 else -2.0 * c / (e2 + np.sqrt(np.maximum(e2 * e2 - 4.0 * e3 * c, 0.0))))
-    # A root within one ulp of -1 can land on -1, where the measure is
-    # undefined; the next float above stands for it.  For n <= 3 only roots
-    # that miss the contract (extreme ones, where e2^2, e3 or the root leave
-    # the float range) go on to Newton.
+    c = _excess(d.T)[1]
+    quadratic = -2.0 * c / (e2 + np.sqrt(np.maximum(e2 * e2 - 4.0 * e3 * c, 0.0)))
+    return _newton(d, c, -c / e2, quadratic)
+
+
+def _closed_form(d: np.ndarray) -> np.ndarray:
+    """``_solve`` of n = 2 or 3 densities per row, from the density columns.
+
+    The sums, products and the additive test take the forms the axis-1
+    reductions of the n > 3 path give at these widths, sums left to right:
+    e2 = m1*m2 + (m1 + m2)*m3, e3 = (m1*m2)*m3.  For n = 2 (e3 = 0) the
+    root is -c / e2, which stays exact where e2^2 underflows, and
+    (-c / m1) / m2 where e2 = m1*m2 is subnormal (fewer digits).  A root
+    within one ulp of -1 can land on -1, where the measure is undefined; the
+    next float above stands for it.  Rows whose root misses the contract
+    (extreme ones, where e2^2, e3 or the root leave the float range) go on
+    to Newton, and additive rows get 0; both are rare, so two counts decide
+    that the batch is done.
+    """
+    m1, m2, *m3 = columns = list(d.T)
+    rounded, c = _excess(columns)
+    e2 = m1 * m2
+    if m3:
+        e3 = e2 * m3[0]
+        e2 = e2 + (m1 + m2) * m3[0]
+        quadratic = -2.0 * c / (e2 + np.sqrt(np.maximum(e2 * e2 - 4.0 * e3 * c, 0.0)))
+    else:
+        quadratic = np.where(e2 < _FLOAT_TINY, -c / m1 / m2, -c / e2)
     x = np.maximum(quadratic, _ABOVE_MINUS_ONE)
-    retry = _misses_contract(d, x)[1] if d.shape[1] <= 3 else np.full(len(d), True)
-    if retry.any():
-        x[retry] = _newton(d[retry], c[retry], -c[retry] / e2[retry], quadratic[retry])
+    solved = np.abs(rounded) > ADDITIVE_TOL  # the other rows are additive: lambda = 0
+    retry = _misses_contract(d, x)[1]
+    if np.count_nonzero(retry) or np.count_nonzero(solved) < len(d):
+        retry &= solved
+        if retry.any():
+            x[retry] = _newton(d[retry], c[retry], -c[retry] / e2[retry], quadratic[retry])
+        x[~solved] = 0.0
     return x
 
 

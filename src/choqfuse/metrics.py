@@ -83,7 +83,8 @@ def sweep_errors(fused_clients, fused_impostors) -> tuple[np.ndarray, np.ndarray
     on the same candidate thresholds, at the run starts only.  Its keys
     order only scores >= 0, and the sweep reads only the order and the
     ties, so a matrix holding a negative score is swept as its dense ranks.
-    Memory is O(P * (Nc + Ni)).
+    Memory is O(P * (Nc + Ni)).  Rows of Nc * Ni >= 2**53 score pairs are
+    refused (``ValueError``).
     """
     clients = _as_scores(fused_clients, 2, "client")
     impostors = _as_scores(fused_impostors, 2, "impostor")
@@ -104,42 +105,60 @@ class _Sweep:
     with numpy's default sort and returns new (P,) arrays of their EERs and
     minimum error rates.  Only the constructor writes the last column, the
     +inf sentinel, which keys as an impostor: the grid's top run start (all
-    clients rejected, no impostor accepted).  Not reentrant.
+    clients rejected, no impostor accepted).  The buffers (the scores, the
+    impostor counts, the run-start flags and the bracket's 2P indices) are
+    built once; a call allocates the (P, Nc + Ni + 1) integer counts
+    (accepted, clients below and their two products), the crossing mask
+    and arrays of P or 2P entries.  Not reentrant.
+
+    The crossing is tested on the integer counts: FAR - FRR > 0 exactly when
+    accepted * Nc > clients_below * Ni, as the rates are the counts divided
+    by Ni and Nc, rounded.  Two different fractions of those denominators
+    lie at least 1 / (Nc * Ni) apart, more than the float spacing in
+    [0, 1] while Nc * Ni < 2^53, so rounding keeps their order; the
+    products are then exact in int64 too.  Larger sweeps are refused.
     """
 
     def __init__(self, rows: int, n_clients: int, n_impostors: int):
+        if n_clients * n_impostors >= 2 ** 53:
+            raise ValueError(f"a sweep of {n_clients} client and {n_impostors} impostor "
+                             f"scores per row exceeds 2**53 score pairs")
         size = n_clients + n_impostors + 1
         self.n_clients, self.n_impostors = n_clients, n_impostors
         self.scores = np.empty((rows, size))
         self.scores[:, -1] = np.inf
         self._ramp = np.arange(size)
         self._offsets = np.arange(0, rows * size, size)
+        self._row_ends = self._offsets + (size - 1)
         # Impostors ranked strictly below each position: _key_sort's flags, one column right.
         self._below = np.zeros((rows, size), np.int64)
         self._flags = self._below.view(np.uint64)[:, 1:]
         self._first = np.empty((rows, size), bool)
         self._first[:, 0] = True
+        self._bracket = np.empty((2, rows), np.intp)
 
     def __call__(self) -> tuple[np.ndarray, np.ndarray]:
-        ranked, below, first = self.scores, self._below, self._first
+        ranked, below, first, bracket = self.scores, self._below, self._first, self._bracket
         n_clients, n_impostors = self.n_clients, self.n_impostors
         _key_sort(ranked, n_clients, self._flags)
         np.not_equal(ranked[:, 1:], ranked[:, :-1], out=first[:, 1:])
         # Counts at every position; the bracket reads them at the run starts.
         accepted = n_impostors - below
         clients_below = self._ramp - below
-        far, frr = accepted / n_impostors, clients_below / n_clients
-        diff = far - frr
         # The last run start where FAR - FRR > 0 (lo) and the first where it is
         # <= 0 (hi), scanned: over P rows of a few dozen points a bisection is slower.
-        mask = diff > 0.0
+        mask = accepted * n_clients > clients_below * n_impostors
         np.greater(first, mask, out=mask)  # first & ~mask: the run starts at or past the crossing
-        hi = mask.argmax(axis=1)
+        lo, hi = bracket[0], bracket[1]  # flat indices into the (P, Nc + Ni + 1) arrays
+        mask.argmax(axis=1, out=hi)
+        np.add(hi, self._offsets, out=hi)
         np.greater(first, mask, out=mask)  # the run starts before it
-        lo = diff.shape[1] - 1 - mask[:, ::-1].argmax(axis=1)
-        lo += self._offsets
-        hi += self._offsets
-        d0, d1, far0, far1 = diff.take(lo), diff.take(hi), far.take(lo), far.take(hi)
+        mask[:, ::-1].argmax(axis=1, out=lo)
+        np.subtract(self._row_ends, lo, out=lo)
+        # FAR and FRR at the 2P bracket points only.
+        far = accepted.take(bracket) / n_impostors
+        diff = far - clients_below.take(bracket) / n_clients
+        far0, far1, d0, d1 = far[0], far[1], diff[0], diff[1]
         value = np.where(d1 == 0.0, far1, far0 + d0 / (d0 - d1) * (far1 - far0))  # as in _eer
         # Inside a run of ties the clients rank first: the errors climb by one
         # per client, then fall by one per impostor to the next run start.  So

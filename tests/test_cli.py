@@ -158,6 +158,41 @@ class TestOptimize:
         digest = hashlib.sha256((tmp_path / "history.csv").read_bytes()).hexdigest()
         assert digest == "314c7cfd0c4bf19ce8021d8839c14f887ecba9775af977edfc4b7a7252c53d87"
 
+    # sha256 of history.csv and measure.json of the default run per seed.
+    SEED_DIGESTS = {
+        0: ("314c7cfd0c4bf19ce8021d8839c14f887ecba9775af977edfc4b7a7252c53d87",
+            "d53334f51c861136ced20ca823dbf393e91ef5343d736d3b33f9861ca08e0d7c"),
+        1: ("97122cf185ab352f92faaf85c189b055e76aa62a872e98a7c3b9a640dcaaac12",
+            "b65bf41df03bab359a83cfad2fe46d26fc425a506a7ce3d69915d690f7336bc1"),
+        2: ("d96c06e77f7dc69cb9d8da7033d4ad2e7d29645d366dcce1e6235b1a7b930a8c",
+            "add986dd190f15435d0fb64b00e1fe1999773625847f4d8f46024e86db9de075"),
+        3: ("bb1f1116889676c4b792e80c837bce94049f8047ece1943b2f00ece0df0f187b",
+            "c5dd15bc4f75c0dcf7dd9520ccaf61b8435d210c1f83ac7de7f077e9b9ec0ab9"),
+        4: ("3f0ac3f3d2c2bbe4be2872d07041c4abfbbb0ca29185236d1f11365759a7b086",
+            "1a64bfedabed973ef9db75b77ab3bdc24d1ff052de7b8f5df62339b3e079f63e"),
+        5: ("c76d40dd99e1d91da3ba7a56eea02cf4def02915ea1c56dfd13fdb310a725d9e",
+            "93373ae4a8c54ac560864503b3c89a7c791729e3539ee90392ce492190f7a65d"),
+        6: ("f982ff30fc7c1a47c03a68132baa98fb771b574068f463d50ce6e813cf950159",
+            "4f206e3cfb422aa8c4531e867f3009c61d60d840a3b5f48f09960e29fd086959"),
+        7: ("b49ea3f06b01999f788fddd5ce7943ae69c067c35cb9c5179c7c3c4cf6a7250a",
+            "7080485358b1ee7c72b57eade8ed4b69d93fc1f2efbcd5d79ec2124ad63c17ca"),
+        8: ("8b443a7763480018e756916e43daeaf3b848b132470b83f199b4384301f2075e",
+            "1bf367c57dc5046ebce472e8b0ef574f0385d157b4c012d478ce8cd90b239055"),
+        9: ("24f66b94bdc66474217ddc688c8053f41ecb72306395028ece8b5448107112d8",
+            "1a2bfd94fd03ed03ea3b1f4e33748719e5276e42fe104053aec55b7bad4de4be"),
+    }
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_default_runs_of_ten_seeds_are_pinned(self, capsys, tmp_path, seed):
+        # Every generation of ten default runs: the lambda solve, the fuse,
+        # the sweep and the survivor pool must keep their bits on each.
+        code, _, _ = run(capsys, "optimize", "--synthetic", "--seed", str(seed),
+                         "--out", str(tmp_path))
+        assert code == 0
+        digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                        for name in ("history.csv", "measure.json"))
+        assert digests == self.SEED_DIGESTS[seed]
+
     def test_short_history_bytes_equal_the_csv_writer_loop(self, capsys, tmp_path):
         code, _, _ = run(capsys, "optimize", "--synthetic", "--seed", "5", "--generations",
                          "12", "--population", "8", "--out", str(tmp_path))

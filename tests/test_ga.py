@@ -693,10 +693,18 @@ class TestConfigValidation:
             {"max_generations": 10 ** 20},
             {"rng_seed": 1.5},
             {"rng_seed": False},
+            {"eer_stop_threshold": True},
+            {"eer_stop_threshold": "0.04"},
+            {"eer_stop_threshold": None},
+            {"mutation_bound": True},
+            {"mutation_bound": np.True_},
+            {"mutation_bound": "0.5"},
+            {"mutation_bound": None},
         ],
     )
     def test_values_evolve_cannot_run_are_refused(self, kwargs):
-        # A float or bool where evolve needs an int, or so many generations
+        # A float or bool where evolve needs an int, a bool or a value that
+        # is not a number where it needs a real one, or so many generations
         # that a block of generation numbers leaves int64.
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             GaConfig(**kwargs)

@@ -443,6 +443,69 @@ class TestSolveLambdaBatch:
             solved += 1
         assert solved >= 90
 
+    @staticmethod
+    def closed_form_by_reductions(d):
+        """The n <= 3 lambdas with the sums and products formed by axis-1
+        reductions (sum, cumsum, prod), extreme roots refined by the Newton
+        steps and additive rows set to 0."""
+        n = d.shape[1]
+        with np.errstate(all="ignore"):
+            total = d.sum(axis=1)
+            s, err = d[:, 0], 0.0  # sum(m_i) - 1, compensated
+            for m in [*d.T[1:], -1.0]:
+                t = s + m
+                z = t - s
+                err = err + ((s - (t - z)) + (m - z))
+                s = t
+            c = s + err
+            pairs = d.cumsum(axis=1)[:, :-1] * d[:, 1:]
+            e2 = pairs.sum(axis=1)
+            e3 = (pairs.cumsum(axis=1)[:, :-1] * d[:, 2:]).sum(axis=1)
+            if n == 2:
+                quadratic = np.where(e2 < np.finfo(float).tiny, -c / d[:, 0] / d[:, 1], -c / e2)
+            else:
+                quadratic = -2.0 * c / (e2 + np.sqrt(np.maximum(e2 * e2 - 4.0 * e3 * c, 0.0)))
+            x = np.maximum(quadratic, np.nextafter(-1.0, 0.0))
+            f = (1.0 + x[:, None] * d).prod(axis=1) - x - 1.0
+            additive = np.abs(total - 1.0) <= ADDITIVE_TOL
+            retry = ~(np.abs(f) <= np.maximum(ROOT_RESIDUAL_TOL, 64.0 * 2.3e-16 * n * np.abs(x)))
+            retry &= ~additive
+            x[retry] = measures._newton(d[retry], c[retry], -c[retry] / e2[retry], quadratic[retry])
+            x[additive] = 0.0
+        return x, retry
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_closed_form_equals_the_reduction_forms_bit_for_bit(self, n):
+        # The closed form reads the density columns; its sums must be the
+        # left-to-right ones numpy's axis-1 reductions give at these widths.
+        rng = np.random.default_rng(600 + n)
+        binades = np.ldexp(rng.uniform(0.5, 1.0, (4000, n)), rng.integers(-996, 0, (4000, n)))
+        extreme = []
+        for row in binades:  # down to 1e-300: keep the rows whose lambda is a float
+            try:
+                solve_lambda(row)
+            except ValueError as exc:
+                assert "too small" in str(exc)
+            else:
+                extreme.append(row)
+        # Density sums a few ulps either side of 1 -+ ADDITIVE_TOL.
+        head = rng.uniform(0.05, 0.9 / (n - 1), (2500, n - 1))
+        edge = (1.0 + rng.choice([-ADDITIVE_TOL, ADDITIVE_TOL], 2500)
+                + rng.integers(-8, 9, 2500) * 2.0 ** -52)
+        near = np.column_stack([head, edge - head.sum(axis=1)])
+        rows = np.vstack([rng.uniform(GENE_EPS, 1.0 - GENE_EPS, (3000, n)),
+                          clamp_corner_rows(rng, n, 3000), extreme, near])
+        assert len(rows) >= 10_000
+        batch = solve_lambda_batch(rows)
+        expected, refined = self.closed_form_by_reductions(rows)
+        assert batch.tobytes() == expected.tobytes()
+        assert [solve_lambda(row) for row in rows] == batch.tolist()
+        edge_roots = batch[-len(near):]
+        assert 100 < np.count_nonzero(edge_roots == 0.0) < len(near) - 100
+        # For n = 3, roots past about 1e150 go on to Newton; for n = 2 the
+        # closed form meets the contract up to the largest float.
+        assert np.count_nonzero(refined) >= (10 if n == 3 else 0)
+
     def test_additive_rows_are_exactly_zero(self):
         rows = [[0.5, 0.5], [0.25, 0.75], [0.3, 0.7]]
         assert solve_lambda_batch(rows).tolist() == [0.0, 0.0, 0.0]

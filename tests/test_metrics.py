@@ -315,6 +315,23 @@ class TestSweepErrors:
                 assert (value, min_error) == (report.eer, report.min_error_rate()[0])
         assert eers[:2].tolist() == [0.5, 0.0]
 
+    def test_the_integer_crossing_test_equals_the_rate_difference(self):
+        # _Sweep tests FAR - FRR > 0 as accepted * Nc > clients_below * Ni;
+        # for every class size up to 40 and every pair of counts, both agree.
+        for n_clients in range(1, 41):
+            for n_impostors in range(1, 41):
+                accepted = np.arange(n_impostors + 1)[:, None]
+                clients_below = np.arange(n_clients + 1)[None, :]
+                rates = accepted / n_impostors - clients_below / n_clients > 0.0
+                counts = accepted * n_clients > clients_below * n_impostors
+                assert np.array_equal(counts, rates), (n_clients, n_impostors)
+
+    @pytest.mark.parametrize("n_clients, n_impostors", [(2 ** 27, 2 ** 26), (1, 2 ** 53)])
+    def test_a_sweep_past_two_to_the_53_score_pairs_is_refused(self, n_clients, n_impostors):
+        # Refused before any buffer is allocated.
+        with pytest.raises(ValueError, match="2\\*\\*53 score pairs"):
+            metrics._Sweep(1, n_clients, n_impostors)
+
     def test_an_empty_batch_gives_empty_arrays(self):
         eers, min_errors = sweep_errors(np.empty((0, 3)), np.empty((0, 2)))
         assert eers.shape == min_errors.shape == (0,)
