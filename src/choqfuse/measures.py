@@ -34,7 +34,8 @@ __all__ = [
     "solve_lambda_batch",
 ]
 
-# |sum(m_i) - 1| at or below this is treated as exactly additive (lambda = 0).
+# |sum(m_i) - 1|, summed left to right, at or below this is treated as
+# exactly additive (lambda = 0).
 ADDITIVE_TOL = 1e-12
 # Residual |f(lambda)| the solved root must satisfy.
 ROOT_RESIDUAL_TOL = 1e-10
@@ -150,59 +151,50 @@ def _misses_contract(d: np.ndarray, x: np.ndarray):
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _solve(d: np.ndarray) -> np.ndarray:
-    """Closed form for n <= 3, safeguarded Newton on g otherwise; see solve_lambda_batch."""
-    # g(lam) = c + e2*lam + e3*lam^2 + ... + e_n*lam^(n-1) is the lambda
-    # equation divided by its root 0, with c = sum(m_i) - 1 summed
-    # compensated and e_k the k-th elementary symmetric sum of the densities.
-    # The root of the quadratic truncation c + e2*lam + e3*lam^2, in the
-    # cancellation-free form, is the exact root for n <= 3 (_closed_form);
-    # for n > 3 it starts Newton: an upper bound of a positive root, a guess
-    # otherwise.
-    if d.shape[1] <= 3:
-        return _closed_form(d)
-    total = d.sum(axis=1)
-    solved = np.abs(total - 1.0) > ADDITIVE_TOL  # the other rows are additive: lambda = 0
-    if not solved.all():  # rare in a GA batch, so the usual path copies nothing
-        roots = np.zeros(len(d))
-        if solved.any():
-            roots[solved] = _solve(d[solved])
-        return roots
-    pairs = d.cumsum(axis=1)[:, :-1] * d[:, 1:]
-    e2 = pairs.sum(axis=1)
-    e3 = (pairs.cumsum(axis=1)[:, :-1] * d[:, 2:]).sum(axis=1)
-    c = _excess(d.T)[1]
-    quadratic = -2.0 * c / (e2 + np.sqrt(np.maximum(e2 * e2 - 4.0 * e3 * c, 0.0)))
-    return _newton(d, c, -c / e2, quadratic)
+    """lambda per density row, one flow for every width; see solve_lambda_batch.
 
+    g(lam) = c + e2*lam + e3*lam^2 + ... + e_n*lam^(n-1) is the lambda
+    equation divided by its root 0, with c = sum(m_i) - 1 summed compensated
+    and e_k the k-th elementary symmetric sum of the densities.  The root of
+    the quadratic truncation c + e2*lam + e3*lam^2, in the cancellation-free
+    form, is the exact root for n <= 3; for n > 3 it starts Newton: an upper
+    bound of a positive root, a guess otherwise.  Only e2 and e3 take a form
+    that depends on n.  For n <= 3 they come from the density columns, sums
+    left to right: e2 = m1*m2 + (m1 + m2)*m3, e3 = (m1*m2)*m3.  For n > 3
+    numpy's axis-1 reductions form them, pairwise from 9 (e2) and 10 (e3)
+    densities on.  For n = 2 (e3 = 0) the root is -c / e2, which stays exact
+    where e2^2 underflows, and (-c / m1) / m2 where e2 = m1*m2 is subnormal
+    (fewer digits).  A root within one ulp of -1 can land on -1, where the
+    measure is undefined; the next float above stands for it.
 
-def _closed_form(d: np.ndarray) -> np.ndarray:
-    """``_solve`` of n = 2 or 3 densities per row, from the density columns.
-
-    The sums, products and the additive test take the forms the axis-1
-    reductions of the n > 3 path give at these widths, sums left to right:
-    e2 = m1*m2 + (m1 + m2)*m3, e3 = (m1*m2)*m3.  For n = 2 (e3 = 0) the
-    root is -c / e2, which stays exact where e2^2 underflows, and
-    (-c / m1) / m2 where e2 = m1*m2 is subnormal (fewer digits).  A root
-    within one ulp of -1 can land on -1, where the measure is undefined; the
-    next float above stands for it.  Rows whose root misses the contract
-    (extreme ones, where e2^2, e3 or the root leave the float range) go on
-    to Newton, and additive rows get 0; both are rare, so two counts decide
-    that the batch is done.
+    A row is additive (lambda = 0) where its rounded left-to-right density
+    sum, ((m1 + m2) + ...) - 1, is within ``ADDITIVE_TOL`` of 0, for every
+    n.  Newton refines the other rows for n > 3, and for n <= 3 the rare
+    rows whose root misses the contract (extreme ones, where e2^2, e3 or
+    the root leave the float range).  Additive and refined rows are rare at
+    n <= 3, so two counts decide that the batch is done.
     """
-    m1, m2, *m3 = columns = list(d.T)
+    n = d.shape[1]
+    m1, m2, *rest = columns = list(d.T)
     rounded, c = _excess(columns)
-    e2 = m1 * m2
-    if m3:
-        e3 = e2 * m3[0]
-        e2 = e2 + (m1 + m2) * m3[0]
-        quadratic = -2.0 * c / (e2 + np.sqrt(np.maximum(e2 * e2 - 4.0 * e3 * c, 0.0)))
-    else:
+    if n == 2:
+        e2 = m1 * m2
         quadratic = np.where(e2 < _FLOAT_TINY, -c / m1 / m2, -c / e2)
+    else:
+        if n == 3:
+            m12 = m1 * m2
+            e3 = m12 * rest[0]
+            e2 = m12 + (m1 + m2) * rest[0]
+        else:
+            pairs = d.cumsum(axis=1)[:, :-1] * d[:, 1:]
+            e2 = pairs.sum(axis=1)
+            e3 = (pairs.cumsum(axis=1)[:, :-1] * d[:, 2:]).sum(axis=1)
+        quadratic = -2.0 * c / (e2 + np.sqrt(np.maximum(e2 * e2 - 4.0 * e3 * c, 0.0)))
     x = np.maximum(quadratic, _ABOVE_MINUS_ONE)
     solved = np.abs(rounded) > ADDITIVE_TOL  # the other rows are additive: lambda = 0
-    retry = _misses_contract(d, x)[1]
+    retry = _misses_contract(d, x)[1] if n <= 3 else solved
     if np.count_nonzero(retry) or np.count_nonzero(solved) < len(d):
-        retry &= solved
+        retry = retry & solved  # a new array: for n > 3 retry is solved itself
         if retry.any():
             x[retry] = _newton(d[retry], c[retry], -c[retry] / e2[retry], quadratic[retry])
         x[~solved] = 0.0
@@ -274,19 +266,24 @@ def solve_lambda_batch(densities) -> np.ndarray:
     """Solve ``lambda + 1 = prod(1 + lambda * m_i)`` for every row of a (P, n) array.
 
     Per row, returns the unique root greater than -1 and distinct from the
-    trivial root 0, except that density sums within ``ADDITIVE_TOL`` of 1
-    give exactly 0.0 (additive measure).  The root lies on the side dictated
-    by the density sum (positive when the sum is below 1, inside (-1, 0)
-    when above).  For n <= 3 it is the root of the quadratic
-    c + e2*lambda + e3*lambda^2 (c = sum(m_i) - 1 summed compensated, e_k the
-    elementary symmetric sums), in closed form.  For n > 3, and for the
-    rare n <= 3 rows whose closed form misses the residual contract, Newton
-    steps on the polynomial c + e2*lambda + ... + e_n*lambda^(n-1) by
-    Horner's rule, safeguarded by bisection of its bracket, start at that
-    quadratic root; they run in plain floats on lambda / 2^s, with one power
-    of two per row that keeps tiny densities and huge roots in range.  Only
-    +, -, *, /, sqrt and exact scalings by powers of two are used, so the
-    bits do not depend on the CPU.  A row's root does not depend on the others.
+    trivial root 0, except that a row whose density sum, rounded left to
+    right, lies within ``ADDITIVE_TOL`` of 1 gives exactly 0.0 (additive
+    measure), for every n.  The root lies on the side dictated by the
+    density sum (positive when the sum is below 1, inside (-1, 0) when
+    above).  One flow solves every width.  It forms the root of the
+    quadratic c + e2*lambda + e3*lambda^2 (c = sum(m_i) - 1 summed
+    compensated, e_k the elementary symmetric sums), which for n <= 3 is
+    the root in closed form.  For n > 3, and for the rare n <= 3 rows whose
+    closed form misses the residual contract, Newton steps on the
+    polynomial c + e2*lambda + ... + e_n*lambda^(n-1) by Horner's rule,
+    safeguarded by bisection of its bracket, start at that quadratic root;
+    they run in plain floats on lambda / 2^s, with one power of two per row
+    that keeps tiny densities and huge roots in range.  Only +, -, *, /,
+    sqrt and exact scalings by powers of two are used, so the bits do not
+    depend on the CPU.  Numpy's summation order still decides them in one
+    place: e2 and e3 of the Newton start for n >= 4, which numpy's axis-1
+    reductions sum pairwise from 9 and 10 densities on.  A row's root does
+    not depend on the others.
 
     Raises ``ValueError`` for rows of fewer than two densities, densities
     outside (0, 1) or densities so small that lambda exceeds the largest

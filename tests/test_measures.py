@@ -288,13 +288,73 @@ class TestSolveLambdaBatch:
         assert batch.tolist() == singles
 
     def test_additive_rows_give_zero_among_solved_ones(self):
-        additive = [[0.5, 0.25, 0.25], [0.2, 0.3, 0.5]]
-        others = [[0.3, 0.3, 0.3], [0.6, 0.3, 0.4], [0.1, 0.2, 0.3]]
-        batch = solve_lambda_batch([others[0], *additive[:1], others[1], additive[1], others[2]])
-        assert batch[[1, 3]].tolist() == [0.0, 0.0]
-        assert batch[[0, 2, 4]].tolist() == [solve_lambda(row) for row in others]
-        assert all(lam != 0.0 for lam in batch[[0, 2, 4]])
-        assert solve_lambda_batch(additive * 2).tolist() == [0.0] * 4
+        # n = 3, and dyadic rows summing to exactly 1 for n = 4 and n = 9.
+        cases = [
+            ([[0.5, 0.25, 0.25], [0.2, 0.3, 0.5]],
+             [[0.3, 0.3, 0.3], [0.6, 0.3, 0.4], [0.1, 0.2, 0.3]]),
+            ([[0.5, 0.25, 0.125, 0.125], [0.25] * 4],
+             [[0.3] * 4, [0.6, 0.3, 0.4, 0.2], [0.1, 0.2, 0.3, 0.1]]),
+            ([[0.25] + [0.125] * 4 + [0.0625] * 4, [0.5] + [0.0625] * 8],
+             [[0.1] * 9, [0.2] * 9, [0.05, 0.1, 0.15, 0.2, 0.05, 0.1, 0.15, 0.2, 0.05]]),
+        ]
+        for additive, others in cases:
+            batch = solve_lambda_batch([others[0], *additive[:1], others[1], additive[1], others[2]])
+            assert batch[[1, 3]].tolist() == [0.0, 0.0]
+            assert batch[[0, 2, 4]].tolist() == [solve_lambda(row) for row in others]
+            assert all(lam != 0.0 for lam in batch[[0, 2, 4]])
+            assert solve_lambda_batch(additive * 2).tolist() == [0.0] * 4
+
+    # Per width, rows whose rounded left-to-right density sum lies within
+    # ADDITIVE_TOL of 1 and rows whose sum lies beyond it, each one where
+    # numpy's pairwise sum (8 densities or more) falls on the other side.
+    # Each was a random row scaled to sum to 1 + 1e-12 + k * 2^-52, |k| < 40.
+    ORDER_SENSITIVE_ROWS = {
+        8: [[0.06013018159548325, 0.19358658116026697, 0.01669642681839843, 0.1995573188957392,
+             0.1967484558898896, 0.19692390402123974, 0.04910522595996696, 0.08725190566001581],
+            [0.19292403911555298, 0.0313928938339791, 0.15751633008294058, 0.18791481556651712,
+             0.11956614401659395, 0.18802272700830394, 0.10791305608578959, 0.014749994291322696],
+            [0.16495749273505547, 0.20358452448588002, 0.20349240075842231, 0.12328953958868066,
+             0.029539464307422787, 0.0626227507976653, 0.20033769046676597, 0.012176136861107387]],
+        9: [[0.15416208938862047, 0.13765538438678013, 0.0032041845426611943, 0.14457480236886153,
+             0.13356564291285639, 0.1618083014971845, 0.08501347421876108, 0.023918011461178362,
+             0.15609810922409642],
+            [0.02845799666457914, 0.15078916226558456, 0.01936746801061019, 0.1320738802129082,
+             0.14562438468955516, 0.15726977472320905, 0.06174228670719427, 0.2262275825825669,
+             0.07844746414479262]],
+        12: [[0.09716341983098079, 0.02194347676491987, 0.1075452203233476, 0.10279522776491173,
+              0.06333254811458626, 0.08775013957978697, 0.030987071777280585, 0.13689880750655214,
+              0.08835759174159476, 0.10217802514090736, 0.07564906190267633, 0.0853994095534556],
+             [0.14837617411221452, 0.12089039110823534, 0.14138066495374174, 0.014601508364481857,
+              0.15235973620845555, 0.02933995530519857, 0.03077020355696981, 0.14903995123546668,
+              0.009885723592930417, 0.07956072939278692, 0.11540824953385154, 0.00838671263666707]],
+        16: [[0.021610664946923937, 0.0939371468596165, 0.04244459783585062, 0.09373332099385472,
+              0.08659847574171127, 0.025556745700962585, 0.04229018298523615, 0.08916775681092853,
+              0.04707941413845388, 0.06950089284042389, 0.061013047785091014, 0.047360948653254256,
+              0.10921309933179366, 0.11039228380858296, 0.04670928758593587, 0.01339213398238025],
+             [0.016950728474981493, 0.08137192664706176, 0.019663051684309714, 0.1140551893824275,
+              0.03993989163460237, 0.17878264293096152, 0.026021426029536436, 0.0763290342430638,
+              0.04661390175886876, 0.027651014135069155, 0.11677003291010025, 0.014349151617579704,
+              0.0880643367948751, 0.0029581297909838326, 0.020824303007657724, 0.12965523895892087]],
+    }
+
+    @pytest.mark.parametrize("n", sorted(ORDER_SENSITIVE_ROWS))
+    def test_additive_rule_is_the_left_to_right_sum_for_every_width(self, n):
+        rows = self.ORDER_SENSITIVE_ROWS[n]
+        excesses = []
+        for row in rows:
+            total = 0.0
+            for m in row:  # not sum(), which compensates from Python 3.12 on
+                total += m
+            excesses.append(total - 1.0)
+        additive = [abs(e) <= ADDITIVE_TOL for e in excesses]
+        assert True in additive and False in additive
+        solved = [0.3] * (n - 1) + [0.05]
+        batch = solve_lambda_batch([solved, *rows, solved]).tolist()
+        assert batch[1:-1] == [solve_lambda(row) for row in rows]
+        for lam, is_additive in zip(batch[1:-1], additive):
+            assert (lam == 0.0) == is_additive
+            assert is_additive or -1.0 < lam < 0.0  # every excess is positive
+        assert batch[0] == batch[-1] == solve_lambda(solved) > -1.0
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_residual_and_sign_contract_at_the_clamp_bounds(self, n):
@@ -509,6 +569,11 @@ class TestSolveLambdaBatch:
     def test_additive_rows_are_exactly_zero(self):
         rows = [[0.5, 0.5], [0.25, 0.75], [0.3, 0.7]]
         assert solve_lambda_batch(rows).tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 9])
+    def test_an_empty_batch_gives_no_roots(self, n):
+        assert solve_lambda_batch(np.empty((0, n))).shape == (0,)
+        assert lambda_tables(np.empty((0, n))).shape == (0, 1 << n)
 
     @pytest.mark.parametrize("bad", [[[0.5]], [[0.2, 1.0]], [0.3, 0.4], [[0.2, float("nan")]]])
     def test_rejects_invalid_rows(self, bad):
